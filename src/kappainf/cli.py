@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from .curves import reduce_params, reduced_prob
-from .distributions import DistParams, Family, cdf, mean
+from .distributions import SCALE_NAME, DistParams, Family
 from .errors import DomainError, NumericalError, RegimeError
 from .oracles import GridSpec
 from .solver import InfimumResult, ig_critical_point, infimum
@@ -25,12 +25,6 @@ from .verification import BUDGETS, run_verification
 from . import curves
 
 _FAMILY_NAMES = [f.value for f in Family]
-_SCALE_FLAG = {
-    Family.INVERSE_GAUSSIAN: "lambda",
-    Family.LOG_NORMAL: "sigma",
-    Family.GUMBEL: "beta",
-    Family.LOGISTIC: "beta",
-}
 
 
 def _parse_kappas(ctx, param, value: str) -> list[float]:
@@ -55,16 +49,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(headers: list[str], rows: list[dict]) -> str:
+def _render_csv(headers: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
     for row in rows:
-        writer.writerow([_cell(row[h]) for h in headers])
+        writer.writerow([_cell(v) for v in row])
     return buf.getvalue().rstrip("\n")
 
 
-def _render_table(headers: list[str], rows: list[dict]) -> str:
+def _render_table(headers: list[str], rows: list[list]) -> str:
     def show(value) -> str:
         if value is None:
             return "-"
@@ -74,7 +68,7 @@ def _render_table(headers: list[str], rows: list[dict]) -> str:
             return format(value, ".15g")
         return str(value)
 
-    cells = [[show(row[h]) for h in headers] for row in rows]
+    cells = [[show(v) for v in row] for row in rows]
     widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
@@ -91,17 +85,21 @@ def _emit(text: str, out: Optional[str]) -> None:
         click.echo(text)
 
 
-def _fail_usage(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """Maps library errors to the exit-code contract for every command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (DomainError, RegimeError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(3)
 
 
-def _fail_numerical(message: str) -> None:
-    click.echo(f"numerical failure: {message}", err=True)
-    sys.exit(3)
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(package_name="kappainf", prog_name="kappainf")
 def main() -> None:
     """Probabilities P(X <= kappa*E[X]) and their infima for the inverse
@@ -123,34 +121,30 @@ def cmd_eval(family, kappa, coord, mu, lam, sigma, beta) -> None:
     native = {name: value for name, value in
               (("mu", mu), ("lambda", lam), ("sigma", sigma), ("beta", beta))
               if value is not None}
-    try:
-        if coord is not None:
-            if native:
-                raise DomainError("supply either --coord or native parameters, not both")
-            prob = reduced_prob(fam, kappa, coord)
-        else:
-            expected = {"mu", _SCALE_FLAG[fam]}
-            if set(native) != expected:
-                flags = " and ".join(f"--{name}" for name in sorted(expected))
-                raise DomainError(f"family {fam.value} takes exactly {flags} (or --coord)")
-            params = DistParams(fam, native["mu"], native[_SCALE_FLAG[fam]])
-            prob = cdf(params, kappa * mean(params))
-    except (DomainError, RegimeError) as exc:
-        _fail_usage(str(exc))
-    click.echo(format(prob, ".15g"))
+    if coord is None:
+        # the probability is scale-free: evaluate at the reduced coordinate,
+        # so both forms print the same digits and no moment is ever formed
+        expected = {"mu", SCALE_NAME[fam]}
+        if set(native) != expected:
+            flags = " and ".join(f"--{name}" for name in sorted(expected))
+            raise DomainError(f"family {fam.value} takes exactly {flags} (or --coord)")
+        coord = reduce_params(DistParams(fam, native["mu"], native[SCALE_NAME[fam]]))
+    elif native:
+        raise DomainError("supply either --coord or native parameters, not both")
+    click.echo(format(reduced_prob(fam, kappa, coord), ".15g"))
 
 
-def _infimum_row(result: InfimumResult) -> dict:
-    return {
-        "family": result.family.value,
-        "kappa": float(result.kappa),
-        "value": float(result.value),
-        "attained": bool(result.attained),
-        "constant": bool(result.constant),
-        "argmin": float(result.argmin.coord) if result.argmin is not None else None,
-        "limit_direction": result.limit_direction.value
-        if result.limit_direction is not None else None,
-    }
+def _infimum_row(result: InfimumResult) -> list:
+    """Values in _INFIMUM_HEADERS order."""
+    return [
+        result.family.value,
+        float(result.kappa),
+        float(result.value),
+        bool(result.attained),
+        bool(result.constant),
+        float(result.argmin.coord) if result.argmin is not None else None,
+        result.limit_direction.value if result.limit_direction is not None else None,
+    ]
 
 
 _INFIMUM_HEADERS = ["family", "kappa", "value", "attained", "constant",
@@ -172,33 +166,23 @@ _CURVE_HEADERS = ["family", "kappa", "coord", "g"]
 def cmd_infimum(family, kappa, fmt, out, curve_points, curve_out) -> None:
     """Infimum of the probability over the parameter space, one row per kappa."""
     fam = Family(family)
-    try:
-        results = [infimum(fam, k) for k in kappa]
-        rows = [_infimum_row(r) for r in results]
-        curve_rows: list[dict] = []
-        if curve_points is not None:
-            pts = GridSpec.default_for(fam, curve_points).points()
-            for k in kappa:
-                vals = reduced_prob(fam, k, pts)
-                curve_rows += [
-                    {"family": fam.value, "kappa": float(k),
-                     "coord": float(c), "g": float(v)}
-                    for c, v in zip(pts, vals)
-                ]
-    except (DomainError, RegimeError) as exc:
-        _fail_usage(str(exc))
-    except NumericalError as exc:
-        _fail_numerical(str(exc))
+    rows = [_infimum_row(infimum(fam, k)) for k in kappa]
+    # one curve array per kappa; every format renders from these
+    pts, curves_g, curve_rows = [], [], []
+    if curve_points is not None:
+        grid = GridSpec.default_for(fam, curve_points).points()
+        pts = grid.tolist()
+        curves_g = [reduced_prob(fam, k, grid).tolist() for k in kappa]
+    if fmt != "json" or curve_out is not None:
+        curve_rows = [[fam.value, float(k), c, g]
+                      for k, g_list in zip(kappa, curves_g) for c, g in zip(pts, g_list)]
 
     if fmt == "json":
-        payload = {"schema": "kappainf-infimum/1", "results": rows}
+        results = [dict(zip(_INFIMUM_HEADERS, row)) for row in rows]
         if curve_points is not None:
-            for row in payload["results"]:
-                row["curve"] = [
-                    {"coord": c["coord"], "g": c["g"]}
-                    for c in curve_rows if c["kappa"] == row["kappa"]
-                ]
-        text = json.dumps(payload, indent=2)
+            for result, g_list in zip(results, curves_g):
+                result["curve"] = [{"coord": c, "g": g} for c, g in zip(pts, g_list)]
+        text = json.dumps({"schema": "kappainf-infimum/1", "results": results}, indent=2)
     elif fmt == "csv":
         text = _render_csv(_INFIMUM_HEADERS, rows)
         if curve_rows and curve_out is None:
@@ -223,23 +207,19 @@ _ROOT_HEADERS = ["kappa", "critical_coord", "upper_bound", "value", "residual"]
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def cmd_root(kappa, fmt, out) -> None:
     """Critical coordinate of the inverse Gaussian curve (kappa > 1 only)."""
-    try:
-        rows = []
-        for k in kappa:
-            x0 = ig_critical_point(k)
-            rows.append({
-                "kappa": float(k),
-                "critical_coord": float(x0),
-                "upper_bound": float(curves.ig_peak_coord(k)),
-                "value": float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
-                "residual": float(curves.ig_stationarity(k, x0)),
-            })
-    except (DomainError, RegimeError) as exc:
-        _fail_usage(str(exc))
-    except NumericalError as exc:
-        _fail_numerical(str(exc))
+    rows = []
+    for k in kappa:
+        x0 = ig_critical_point(k)
+        rows.append([
+            float(k),
+            float(x0),
+            float(curves.ig_peak_coord(k)),
+            float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
+            float(curves.ig_stationarity(k, x0)),
+        ])
     if fmt == "json":
-        text = json.dumps({"schema": "kappainf-root/1", "results": rows}, indent=2)
+        results = [dict(zip(_ROOT_HEADERS, row)) for row in rows]
+        text = json.dumps({"schema": "kappainf-root/1", "results": results}, indent=2)
     elif fmt == "csv":
         text = _render_csv(_ROOT_HEADERS, rows)
     else:
@@ -260,28 +240,18 @@ _VERIFY_HEADERS = ["status", "method", "analytic", "estimate", "tolerance", "det
 @click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None)
 def cmd_verify(budget, seed, fmt, out) -> None:
     """Re-derive every analytic claim numerically; exit 0 only if all pass."""
-    try:
-        reports = run_verification(budget=budget, seed=seed)
-    except (DomainError, RegimeError) as exc:
-        _fail_usage(str(exc))
-    except NumericalError as exc:
-        _fail_numerical(str(exc))
+    reports = run_verification(budget=budget, seed=seed)
     rows = [
-        {
-            "status": "PASS" if r.passed else "FAIL",
-            "method": r.method,
-            "analytic": float(r.analytic),
-            "estimate": float(r.estimate),
-            "tolerance": float(r.tolerance),
-            "detail": r.detail,
-        }
+        ["PASS" if r.passed else "FAIL", r.method, float(r.analytic),
+         float(r.estimate), float(r.tolerance), r.detail]
         for r in reports
     ]
     n_pass = sum(r.passed for r in reports)
     if fmt == "json":
         text = json.dumps(
             {"schema": "kappainf-verify/1", "budget": budget, "seed": seed,
-             "passed": n_pass, "total": len(reports), "reports": rows},
+             "passed": n_pass, "total": len(reports),
+             "reports": [dict(zip(_VERIFY_HEADERS, row)) for row in rows]},
             indent=2,
         )
     elif fmt == "csv":

@@ -13,14 +13,16 @@ The inverse Gaussian curve is
     Phi((kappa-1)x/sqrt(kappa)) + e^{2x^2} Phi(-(kappa+1)x/sqrt(kappa)),
 
 whose second term is the product of an exploding exponential and a Gaussian
-tail.  Every function here pre-combines such exponents before exponentiating:
-with c = (kappa+1)/sqrt(kappa) the term equals
+tail.  It is evaluated by one kernel, ``distributions._ig_curve``, shared
+with the inverse Gaussian ``cdf``: with c = (kappa+1)/sqrt(kappa) the term
+equals
 
     0.5 * exp((2 - c^2/2) x^2) * erfcx(c x / sqrt(2)),
 
 and 2 - c^2/2 <= 0 for every kappa > 0 (equality iff kappa = 1), so only
-non-positive exponents are ever formed.  Naive evaluation overflows near
-x ~ 19; these forms are finite for all x and kappa in range.
+non-positive exponents are ever formed; ``ig_prob_deriv`` reuses the same
+combined exponent.  Naive evaluation overflows near x ~ 19; these forms are
+finite for all x and kappa in range.
 
 Coordinate arguments accept a scalar or an ndarray.
 """
@@ -34,8 +36,9 @@ import numpy as np
 import scipy.special as _sc
 
 from . import special
-from .distributions import POSITIVE_SUPPORT, DistParams, Family
-from .errors import DomainError, RegimeError, require_kappa
+from .distributions import POSITIVE_SUPPORT, DistParams, Family, _ig_curve, _ig_exponent
+from .errors import (DomainError, RegimeError, finite_array, require_finite, require_kappa,
+                     require_positive, unwrap)
 
 __all__ = [
     "ReducedPoint",
@@ -59,14 +62,8 @@ class ReducedPoint:
     def __post_init__(self):
         family = Family(self.family)
         object.__setattr__(self, "family", family)
-        coord = float(self.coord)
-        if not math.isfinite(coord):
-            raise DomainError(f"coord must be finite, got {self.coord!r}")
-        if family in POSITIVE_SUPPORT and coord <= 0.0:
-            raise DomainError(
-                f"coord must be > 0 for family {family.value}, got {coord!r}"
-            )
-        object.__setattr__(self, "coord", coord)
+        check = require_positive if family in POSITIVE_SUPPORT else require_finite
+        object.__setattr__(self, "coord", check("coord", self.coord))
 
 
 def reduce_params(params: DistParams) -> ReducedPoint:
@@ -80,21 +77,6 @@ def reduce_params(params: DistParams) -> ReducedPoint:
     return ReducedPoint(params.family, coord)
 
 
-def _coord_array(family: Family, coord) -> tuple[np.ndarray, bool]:
-    if isinstance(coord, ReducedPoint):
-        if coord.family is not family:
-            raise DomainError(
-                f"reduced point belongs to {coord.family.value}, not {family.value}"
-            )
-        coord = coord.coord
-    arr = np.asarray(coord, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"coord must be finite, got {coord!r}")
-    if family in POSITIVE_SUPPORT and np.any(arr <= 0.0):
-        raise DomainError(f"coord must be > 0 for family {family.value}")
-    return arr, arr.ndim == 0
-
-
 def reduced_prob(family: Family, kappa: float, coord):
     """P(X <= kappa*E[X]) as a function of the reduced coordinate.
 
@@ -104,14 +86,16 @@ def reduced_prob(family: Family, kappa: float, coord):
     """
     family = Family(family)
     k = require_kappa(kappa)
-    x, scalar = _coord_array(family, coord)
+    if isinstance(coord, ReducedPoint):
+        if coord.family is not family:
+            raise DomainError(
+                f"reduced point belongs to {coord.family.value}, not {family.value}"
+            )
+        coord = coord.coord
+    x, scalar = finite_array("coord", coord, positive=family in POSITIVE_SUPPORT)
 
     if family is Family.INVERSE_GAUSSIAN:
-        rk = math.sqrt(k)
-        term1 = special.std_normal_cdf((k - 1.0) * x / rk)
-        expo = (2.0 - (k + 1.0) ** 2 / (2.0 * k)) * x * x
-        term2 = 0.5 * np.exp(expo) * special.erfcx((k + 1.0) * x / math.sqrt(2.0 * k))
-        p = np.clip(term1 + term2, 0.0, 1.0)
+        p = _ig_curve(k, x)
     elif family is Family.LOG_NORMAL:
         p = special.std_normal_cdf(math.log(k) / x + 0.5 * x)
     elif family is Family.GUMBEL:
@@ -119,15 +103,7 @@ def reduced_prob(family: Family, kappa: float, coord):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
     else:
         p = _sc.expit((k - 1.0) * x)
-    return float(p) if scalar else p
-
-
-def _ig_coord(kappa, x) -> tuple[float, np.ndarray, bool]:
-    k = require_kappa(kappa)
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise DomainError(f"x must be finite and > 0, got {x!r}")
-    return k, arr, arr.ndim == 0
+    return unwrap(p, scalar)
 
 
 def ig_stationarity(kappa: float, x):
@@ -138,10 +114,11 @@ def ig_stationarity(kappa: float, x):
     derivative: negative everywhere for kappa <= 1, and for kappa > 1
     negative below the unique zero and positive above it.
     """
-    k, x_arr, scalar = _ig_coord(kappa, x)
+    k = require_kappa(kappa)
+    x_arr, scalar = finite_array("x", x, positive=True)
     a2 = (k + 1.0) ** 2 * x_arr * x_arr / k
     v = np.exp(-0.5 * a2) * ig_stationarity_scaled(k, x_arr)
-    return float(v) if scalar else v
+    return unwrap(v, scalar)
 
 
 def ig_stationarity_scaled(kappa: float, x):
@@ -152,10 +129,11 @@ def ig_stationarity_scaled(kappa: float, x):
     finding can bracket it at any x; as x -> inf it tends to 0 with the sign
     of kappa - 1.
     """
-    k, x_arr, scalar = _ig_coord(kappa, x)
+    k = require_kappa(kappa)
+    x_arr, scalar = finite_array("x", x, positive=True)
     s = (k + 1.0) * x_arr / math.sqrt(2.0 * k)
     v = 2.0 * special.SQRT_HALF_PI * special.erfcx(s) - 1.0 / (math.sqrt(k) * x_arr)
-    return float(v) if scalar else v
+    return unwrap(v, scalar)
 
 
 def ig_prob_deriv(kappa: float, x):
@@ -167,14 +145,14 @@ def ig_prob_deriv(kappa: float, x):
     (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, so the result stays finite for
     every positive x and kappa.
     """
-    k, x_arr, scalar = _ig_coord(kappa, x)
-    expo = (2.0 - (k + 1.0) ** 2 / (2.0 * k)) * x_arr * x_arr
+    k = require_kappa(kappa)
+    x_arr, scalar = finite_array("x", x, positive=True)
     v = (
         2.0 * x_arr / special.SQRT_TWO_PI
-        * np.exp(expo)
+        * np.exp(_ig_exponent(k, x_arr))
         * ig_stationarity_scaled(k, x_arr)
     )
-    return float(v) if scalar else v
+    return unwrap(v, scalar)
 
 
 def ig_stationarity_slope_factor(kappa: float, x):
@@ -184,9 +162,10 @@ def ig_stationarity_slope_factor(kappa: float, x):
     positive root sqrt(kappa/(kappa^2-1)) is where the stationarity function
     peaks.
     """
-    k, x_arr, scalar = _ig_coord(kappa, x)
+    k = require_kappa(kappa)
+    x_arr, scalar = finite_array("x", x, positive=True)
     v = 1.0 / k - k + 1.0 / (x_arr * x_arr)
-    return float(v) if scalar else v
+    return unwrap(v, scalar)
 
 
 def ig_peak_coord(kappa: float) -> float:

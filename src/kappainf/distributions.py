@@ -23,7 +23,7 @@ import numpy as np
 import scipy.special as _sc
 
 from . import special
-from .errors import DomainError, require_finite, require_positive
+from .errors import DomainError, finite_array, require_finite, require_positive, unwrap
 
 __all__ = ["Family", "DistParams", "mean", "variance", "cdf", "pdf", "sample"]
 
@@ -39,6 +39,14 @@ class Family(str, Enum):
 
 # Families whose support is (0, inf) rather than the whole real line.
 POSITIVE_SUPPORT = frozenset({Family.INVERSE_GAUSSIAN, Family.LOG_NORMAL})
+
+# Name of each family's scale/shape parameter p2 (also its CLI flag).
+SCALE_NAME = {
+    Family.INVERSE_GAUSSIAN: "lambda",
+    Family.LOG_NORMAL: "sigma",
+    Family.GUMBEL: "beta",
+    Family.LOGISTIC: "beta",
+}
 
 
 @dataclass(frozen=True)
@@ -61,13 +69,7 @@ class DistParams:
             p1 = require_positive("mu", self.p1)
         else:
             p1 = require_finite("mu", self.p1)
-        name = {
-            Family.INVERSE_GAUSSIAN: "lambda",
-            Family.LOG_NORMAL: "sigma",
-            Family.GUMBEL: "beta",
-            Family.LOGISTIC: "beta",
-        }[family]
-        p2 = require_positive(name, self.p2)
+        p2 = require_positive(SCALE_NAME[family], self.p2)
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
 
@@ -101,7 +103,7 @@ def mean(params: DistParams) -> float:
 
 
 def variance(params: DistParams) -> float:
-    """Var[X]; used by the sampling oracles for CLT error bounds."""
+    """Var[X], in closed form per family."""
     p1, p2 = params.p1, params.p2
     if params.family is Family.INVERSE_GAUSSIAN:
         return p1**3 / p2
@@ -124,52 +126,48 @@ def _mode(params: DistParams) -> float:
     return p1
 
 
+def _ig_exponent(ratio, x):
+    """(2 - (ratio+1)^2/(2*ratio)) x^2 <= 0: e^{2x^2} times the e^{-a^2/2} of the
+    Gaussian tail at a = (ratio+1)x/sqrt(ratio).  Squared by a product since
+    ``** 2`` on a Python float calls libm pow, which can misround, and scalar
+    and array ratios must agree bit for bit."""
+    c = ratio + 1.0
+    return (2.0 - c * c / (2.0 * ratio)) * x * x
+
+
+def _ig_curve(ratio, x):
+    """Inverse Gaussian P(X <= ratio*mu) at x = sqrt(lambda/mu), i.e.
+    Phi((ratio-1)x/sqrt(ratio)) + e^{2x^2} Phi(-(ratio+1)x/sqrt(ratio)) with the
+    second term as 0.5*exp(_ig_exponent)*erfcx(a/sqrt(2)), so no positive
+    exponent is ever formed.  Broadcasts over either argument."""
+    term1 = special.std_normal_cdf((ratio - 1.0) * x / np.sqrt(ratio))
+    carrier = special.erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
+    return np.clip(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 0.0, 1.0)
+
+
 def cdf(params: DistParams, t):
     """P(X <= t); right-continuous, non-decreasing, limits 0 and 1.
 
-    For the inverse Gaussian the two-term closed form is evaluated in the
-    erfcx carrier: the second term's exponent 2*lambda/mu - a^2/2 (with
-    a = sqrt(lambda/t)(t/mu + 1)) simplifies to -lambda*(t-mu)^2/(2*mu^2*t),
-    which is <= 0, so nothing is exponentiated before the exponents combine
-    and e^{2*lambda/mu} is never formed on its own.
+    The inverse Gaussian uses the reduced curve ``_ig_curve`` at ratio t/mu
+    and x = sqrt(lambda/mu), the same kernel as ``curves.reduced_prob``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError(f"t must be finite, got {t!r}")
+    t_arr, scalar = finite_array("t", t)
     p1, p2 = params.p1, params.p2
 
-    if params.family is Family.INVERSE_GAUSSIAN:
+    if params.family in POSITIVE_SUPPORT:
         out = np.zeros_like(t_arr, dtype=float)
         pos = t_arr > 0.0
         if np.any(pos):
-            tp = t_arr[pos]
-            # reduced evaluation: ratio = t/mu plays the mean-multiple role
-            # and x^2 = lambda/mu, identical to the one-parameter curve
-            ratio = tp / p1
-            x2 = p2 / p1
-            x = math.sqrt(x2)
-            term1 = special.std_normal_cdf((ratio - 1.0) * x / np.sqrt(ratio))
-            expo = (2.0 - (ratio + 1.0) ** 2 / (2.0 * ratio)) * x2
-            carrier = special.erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
-            out[pos] = np.clip(term1 + 0.5 * np.exp(expo) * carrier, 0.0, 1.0)
-        return float(out) if scalar else out
-
-    if params.family is Family.LOG_NORMAL:
-        out = np.zeros_like(t_arr, dtype=float)
-        pos = t_arr > 0.0
-        if np.any(pos):
-            out[pos] = special.std_normal_cdf((np.log(t_arr[pos]) - p1) / p2)
-        return float(out) if scalar else out
-
-    z = (t_arr - p1) / p2
-    if params.family is Family.GUMBEL:
+            if params.family is Family.INVERSE_GAUSSIAN:
+                out[pos] = _ig_curve(t_arr[pos] / p1, math.sqrt(p2 / p1))
+            else:
+                out[pos] = special.std_normal_cdf((np.log(t_arr[pos]) - p1) / p2)
+    elif params.family is Family.GUMBEL:
         with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-z))
-        return float(out) if scalar else out
-
-    out = _sc.expit(z)
-    return float(out) if scalar else out
+            out = np.exp(-np.exp(-(t_arr - p1) / p2))
+    else:
+        out = _sc.expit((t_arr - p1) / p2)
+    return unwrap(out, scalar)
 
 
 def pdf(params: DistParams, t):
@@ -178,14 +176,8 @@ def pdf(params: DistParams, t):
     Computed through the log-density so far-tail evaluations underflow to 0
     instead of producing inf*0.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    if not np.all(np.isfinite(t_arr)):
-        raise DomainError(f"t must be finite, got {t!r}")
+    t_arr, scalar = finite_array("t", t, positive=params.family in POSITIVE_SUPPORT)
     p1, p2 = params.p1, params.p2
-
-    if params.family in POSITIVE_SUPPORT and np.any(t_arr <= 0.0):
-        raise DomainError(f"density of {params.family.value} requires t > 0, got {t!r}")
 
     if params.family is Family.INVERSE_GAUSSIAN:
         log_pdf = (
@@ -211,7 +203,7 @@ def pdf(params: DistParams, t):
         z = np.abs(t_arr - p1) / p2
         e = np.exp(-z)
         out = e / (p2 * (1.0 + e) ** 2)
-    return float(out) if scalar else out
+    return unwrap(out, scalar)
 
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 __all__ = [
     "KappainfError",
     "DomainError",
@@ -13,6 +15,8 @@ __all__ = [
     "require_finite",
     "require_positive",
     "require_kappa",
+    "finite_array",
+    "unwrap",
 ]
 
 
@@ -53,3 +57,19 @@ def require_positive(name: str, value: Any) -> float:
 def require_kappa(kappa: Any) -> float:
     """The mean multiplier in P(X <= kappa*E[X]) must be a positive real."""
     return require_positive("kappa", kappa)
+
+
+def finite_array(name: str, value: Any, positive: bool = False) -> tuple[np.ndarray, bool]:
+    """(float ndarray, was_scalar) of a scalar or array argument; rejects
+    NaN/inf entries and, when ``positive``, entries <= 0."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if positive and np.any(arr <= 0.0):
+        raise DomainError(f"{name} must be > 0, got {value!r}")
+    return arr, arr.ndim == 0
+
+
+def unwrap(value, scalar: bool):
+    """Back to the caller's shape: a float where finite_array saw a scalar."""
+    return float(value) if scalar else value

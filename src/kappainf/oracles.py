@@ -22,7 +22,7 @@ import numpy as np
 
 from . import curves
 from .distributions import POSITIVE_SUPPORT, DistParams, Family, _mode, mean, pdf, sample
-from .errors import DomainError, NumericalError, require_kappa
+from .errors import DomainError, NumericalError, finite_array, require_kappa
 
 __all__ = [
     "OracleReport",
@@ -117,11 +117,9 @@ def adaptive_gauss_kronrod(
     knot pairs.  Returns (integral, error_estimate); raises NumericalError
     if the subdivision budget is exhausted first.
     """
-    pts = np.unique(np.asarray(knots, dtype=float))
+    pts = np.unique(finite_array("knots", knots)[0])
     if pts.size < 2:
         raise DomainError("need at least two distinct knots")
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("knots must be finite")
     a, b = pts[:-1], pts[1:]
     total_len = pts[-1] - pts[0]
 
@@ -153,8 +151,8 @@ def adaptive_gauss_kronrod(
     )
 
 
-def _geometric_steps() -> list[float]:
-    return [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+# Multiples of the density's spread at which seed knots flank its mode.
+_GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
@@ -163,7 +161,7 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     if params.family is Family.INVERSE_GAUSSIAN:
         center = _mode(params)
         s = math.sqrt(params.p1**3 / params.p2)
-        for j in _geometric_steps():
+        for j in _GEOMETRIC_STEPS:
             cand += [center - j * s, center + j * s]
         grow = center
         for _ in range(40):  # heavy right tail when lambda << mu
@@ -176,7 +174,7 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
             cand.append(math.exp(params.p1 + j * params.p2))
     else:
         center = params.p1
-        for j in _geometric_steps():
+        for j in _GEOMETRIC_STEPS:
             cand += [center - j * params.p2, center + j * params.p2]
     inner = sorted({c for c in cand if lo < c < hi and math.isfinite(c)})
     return np.array([lo, *inner, hi])

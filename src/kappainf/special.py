@@ -16,7 +16,7 @@ import math
 import numpy as np
 import scipy.special as _sc
 
-from .errors import DomainError
+from .errors import DomainError, finite_array, unwrap
 
 __all__ = [
     "EULER_GAMMA",
@@ -34,18 +34,6 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # integral of e^{-t^2/2} over [0, inf)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
-def _as_finite_array(name: str, value) -> tuple[np.ndarray, bool]:
-    """Return (float array, was_scalar); reject NaN/inf entries."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 def std_normal_cdf(z):
     """Distribution function of the standard normal.
 
@@ -53,9 +41,9 @@ def std_normal_cdf(z):
     beyond |z| ~ 38.6 the tail is below the smallest subnormal and the
     result saturates to exactly 0 or 1.
     """
-    z_arr, scalar = _as_finite_array("z", z)
+    z_arr, scalar = finite_array("z", z)
     p = 0.5 * _sc.erfc(-z_arr / np.sqrt(2.0))
-    return _maybe_scalar(np.clip(p, 0.0, 1.0), scalar)
+    return unwrap(np.clip(p, 0.0, 1.0), scalar)
 
 
 def erfcx(z):
@@ -64,10 +52,10 @@ def erfcx(z):
     Strictly decreasing from erfcx(0) = 1 toward 0, with values in (0, 1];
     no overflow or underflow anywhere on the domain.
     """
-    z_arr, scalar = _as_finite_array("z", z)
+    z_arr, scalar = finite_array("z", z)
     if np.any(z_arr < 0.0):
         raise DomainError(f"erfcx argument must be >= 0, got {z!r}")
-    return _maybe_scalar(_sc.erfcx(z_arr), scalar)
+    return unwrap(_sc.erfcx(z_arr), scalar)
 
 
 def upper_gaussian_integral(a):
@@ -75,6 +63,6 @@ def upper_gaussian_integral(a):
 
     Positive and strictly decreasing in a; equals sqrt(2*pi)*(1 - Phi(a)).
     """
-    a_arr, scalar = _as_finite_array("a", a)
+    a_arr, scalar = finite_array("a", a)
     v = SQRT_HALF_PI * _sc.erfc(a_arr / np.sqrt(2.0))
-    return _maybe_scalar(v, scalar)
+    return unwrap(v, scalar)

@@ -10,7 +10,8 @@ import pytest
 from click.testing import CliRunner
 
 import kappainf.special
-from kappainf import Family, reduced_prob
+from kappainf import DistParams, Family, reduce_params, reduced_prob
+from kappainf.distributions import SCALE_NAME
 from kappainf.cli import main
 
 
@@ -32,17 +33,33 @@ class TestEval:
         assert result.output.strip() == "0.5"
 
     def test_native_params_match_reduced_coord(self, runner):
-        by_params = runner.invoke(
-            main,
-            ["eval", "--family", "inverse-gaussian", "--kappa", "2",
-             "--mu", "1", "--lambda", "1"],
-        )
-        by_coord = runner.invoke(
-            main,
-            ["eval", "--family", "inverse-gaussian", "--kappa", "2", "--coord", "1"],
-        )
-        assert by_params.exit_code == by_coord.exit_code == 0
-        assert by_params.output == by_coord.output
+        # (mu=1000, sigma=1): the log-normal mean e^{mu+sigma^2/2} overflows,
+        # but the probability is scale-free and must still print
+        cases = [(DistParams.inverse_gaussian(1.0, 1.0), 2.0),
+                 (DistParams.log_normal(1000.0, 1.0), 2.0)]
+        rng = np.random.default_rng(11)
+        for family in Family:
+            for _ in range(5):
+                if family is Family.INVERSE_GAUSSIAN:
+                    mu = 10.0 ** rng.uniform(-2, 2)
+                else:
+                    mu = rng.uniform(-1000.0, 1000.0)
+                params = DistParams(family, mu, 10.0 ** rng.uniform(-1, 1))
+                cases.append((params, 10.0 ** rng.uniform(-3, 3)))
+        for params, kappa in cases:
+            family = params.family.value
+            by_params = runner.invoke(
+                main,
+                ["eval", "--family", family, "--kappa", repr(kappa),
+                 "--mu", repr(params.p1), f"--{SCALE_NAME[params.family]}", repr(params.p2)],
+            )
+            by_coord = runner.invoke(
+                main,
+                ["eval", "--family", family, "--kappa", repr(kappa),
+                 "--coord", repr(reduce_params(params).coord)],
+            )
+            assert by_params.exit_code == by_coord.exit_code == 0, (params, kappa)
+            assert by_params.output == by_coord.output, (params, kappa)
 
     def test_gumbel_constant_digits(self, runner):
         result = runner.invoke(
@@ -168,6 +185,16 @@ class TestInfimumCommand:
         for sample_pt in first["curve"]:
             revalued = reduced_prob(Family("logistic"), first["kappa"], sample_pt["coord"])
             assert abs(revalued - sample_pt["g"]) <= 1e-12
+
+    def test_repeated_kappa_embeds_its_curve_once(self, runner):
+        result = runner.invoke(
+            main,
+            ["infimum", "--family", "log-normal", "--kappa", "2,2",
+             "--curve-points", "3", "--format", "json"],
+        )
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert [len(r["curve"]) for r in payload["results"]] == [3, 3]
 
     def test_bad_kappa_list_is_usage_error(self, runner):
         for bad in ("", "0", "-1,2", "a,b"):

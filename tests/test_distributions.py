@@ -14,6 +14,7 @@ from kappainf import (
     mean,
     pdf,
     quadrature_prob,
+    reduced_prob,
     sample,
     total_density_mass,
     variance,
@@ -109,6 +110,18 @@ class TestCdf:
                     assert abs(analytic - estimate) <= 1e-9, (mu, ratio, c)
                     checked += 1
         assert checked == 50
+
+    def test_ig_cdf_is_the_reduced_curve_bit_for_bit(self):
+        # one kernel: array t/mu with scalar x in cdf, scalar kappa in the curve
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            mu, lam = 10.0 ** rng.uniform(-2, 2, size=2)
+            params = DistParams.inverse_gaussian(mu, lam)
+            t = mu * 10.0 ** rng.uniform(-2, 2, size=8)
+            x = math.sqrt(lam / mu)
+            expected = [reduced_prob(Family.INVERSE_GAUSSIAN, ti / mu, x) for ti in t]
+            assert cdf(params, t).tolist() == expected
+            assert [cdf(params, ti) for ti in t] == expected
 
     def test_cdf_derivative_matches_pdf(self):
         for params in ALL_PARAMS:

@@ -1,0 +1,81 @@
+"""Golden bytes: fixed CLI invocations must reproduce the stored output exactly.
+
+The stored files under ``tests/data/golden/`` pin the ``infimum`` CSV, JSON and
+table output (with embedded curve samples) for all four families, the
+``root`` CSV, and a set of ``eval --coord`` lines.  Any refactoring that
+changes a single printed digit fails here.
+
+Regenerate (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from kappainf.cli import main
+
+DATA = Path(__file__).parent / "data" / "golden"
+
+# distinct kappa over [1e-3, 1e3]: both sides of 1, exactly 1, and just above 1
+SWEEP = "0.001,0.1,0.5,0.999,1,1.0001,1.01,1.5,2,10,1000"
+ROOT_SWEEP = "1.0001,1.01,1.5,2,10,1000"
+FAMILIES = ["inverse-gaussian", "log-normal", "gumbel", "logistic"]
+EXTENSIONS = {"csv": "csv", "json": "json", "table": "txt"}
+
+CASES = {
+    f"infimum-{family}.{ext}": ["infimum", "--family", family, "--kappa", SWEEP,
+                                "--format", fmt, "--curve-points", "50"]
+    for family in FAMILIES
+    for fmt, ext in EXTENSIONS.items()
+}
+CASES["root.csv"] = ["root", "--kappa", ROOT_SWEEP, "--format", "csv"]
+
+# (family, kappa, coord) for ``eval --coord``; one output line each
+EVAL_POINTS = [
+    ("inverse-gaussian", "0.5", "3"),
+    ("inverse-gaussian", "2", "1"),
+    ("inverse-gaussian", "1000", "0.01"),
+    ("log-normal", "0.001", "2.5"),
+    ("log-normal", "2", "1"),
+    ("log-normal", "50", "0.3"),
+    ("gumbel", "1", "0"),
+    ("gumbel", "0.7", "-4"),
+    ("gumbel", "3", "12"),
+    ("logistic", "1", "3.7"),
+    ("logistic", "0.2", "-1.5"),
+    ("logistic", "5", "0.25"),
+]
+EVAL_FILE = "eval-coord.txt"
+
+
+def _run(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, (args, result.output)
+    return result.output
+
+
+def _eval_lines():
+    return "".join(
+        f"{family} {kappa} {coord} "
+        + _run(["eval", "--family", family, "--kappa", kappa, "--coord", coord])
+        for family, kappa, coord in EVAL_POINTS
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_bytes(name):
+    assert _run(CASES[name]) == (DATA / name).read_text(encoding="utf-8")
+
+
+def test_eval_coord_matches_golden_bytes():
+    assert _eval_lines() == (DATA / EVAL_FILE).read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    DATA.mkdir(parents=True, exist_ok=True)
+    for name, args in CASES.items():
+        (DATA / name).write_text(_run(args), encoding="utf-8")
+    (DATA / EVAL_FILE).write_text(_eval_lines(), encoding="utf-8")
