@@ -24,12 +24,26 @@ non-positive exponents are ever formed; ``ig_prob_deriv`` reuses the same
 combined exponent.  Naive evaluation overflows near x ~ 19; these forms are
 finite for all x and kappa in range.
 
+The curve's stationarity function, rescaled by e^{a^2/2} to
+
+    2*sqrt(pi/2)*erfcx((kappa+1)x/sqrt(2*kappa)) - 1/(sqrt(kappa)*x),
+
+is likewise one unchecked kernel, ``_ig_stationarity_kernel``: the public
+``ig_stationarity_scaled``, ``ig_stationarity`` and ``ig_prob_deriv`` check
+their arguments and call it, and the root finder in ``solver`` calls it on
+Python floats, once per evaluation, without array round trips.
+
+The inverse Gaussian curve, stationarity and critical-point formulas square
+kappa + 1, so they take kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154
+and raise ``DomainError`` above it.
+
 Coordinate arguments accept a scalar or an ndarray.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +64,44 @@ __all__ = [
     "ig_stationarity_slope_factor",
     "ig_peak_coord",
 ]
+
+# Largest kappa the inverse Gaussian formulas take: beyond it (k+1)^2 overflows.
+IG_KAPPA_MAX = math.sqrt(sys.float_info.max)
+
+
+def _ig_kappa(kappa) -> float:
+    """require_kappa, plus the inverse Gaussian upper limit IG_KAPPA_MAX."""
+    k = require_kappa(kappa)
+    if k > IG_KAPPA_MAX:
+        raise DomainError(
+            f"kappa must be <= {IG_KAPPA_MAX!r} for the inverse Gaussian family "
+            f"(its formulas square kappa + 1), got {k!r}"
+        )
+    return k
+
+
+def _ig_stationarity_kernel(k, x):
+    """Scaled stationarity 2*sqrt(pi/2)*erfcx(s) - 1/(sqrt(k)*x), s = (k+1)x/sqrt(2k).
+
+    No validation: k must be a checked kappa and x > 0, a Python float or an
+    ndarray.  Scalar and array x give the same bits.
+    """
+    s = (k + 1.0) * x / math.sqrt(2.0 * k)
+    return 2.0 * special.SQRT_HALF_PI * _sc.erfcx(s) - 1.0 / (math.sqrt(k) * x)
+
+
+def _stationarity_args(kappa, x):
+    """(k, x array, was_scalar) checked for the kernel: kappa in the inverse
+    Gaussian range, x > 0, and its erfcx argument s finite (erfcx(inf) = 0
+    would silently flip the sign of the result)."""
+    k = _ig_kappa(kappa)
+    x_arr, scalar = finite_array("x", x, positive=True)
+    with np.errstate(over="ignore"):
+        s = (k + 1.0) * x_arr / math.sqrt(2.0 * k)
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
+                          f"overflows, got {x!r}")
+    return k, x_arr, scalar
 
 
 @dataclass(frozen=True)
@@ -85,7 +137,7 @@ def reduced_prob(family: Family, kappa: float, coord):
     an ndarray.
     """
     family = Family(family)
-    k = require_kappa(kappa)
+    k = _ig_kappa(kappa) if family is Family.INVERSE_GAUSSIAN else require_kappa(kappa)
     if isinstance(coord, ReducedPoint):
         if coord.family is not family:
             raise DomainError(
@@ -97,7 +149,11 @@ def reduced_prob(family: Family, kappa: float, coord):
     if family is Family.INVERSE_GAUSSIAN:
         p = _ig_curve(k, x)
     elif family is Family.LOG_NORMAL:
-        p = special.std_normal_cdf(math.log(k) / x + 0.5 * x)
+        # log(k)/sigma overflows for tiny sigma; Phi is exactly 0 or 1 beyond
+        # |z| ~ 38.6, so clipping at 40 gives the limits 0, 1/2, 1 unchanged
+        with np.errstate(over="ignore"):
+            z = math.log(k) / x + 0.5 * x
+        p = special.std_normal_cdf(np.clip(z, -40.0, 40.0))
     elif family is Family.GUMBEL:
         with np.errstate(over="ignore"):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
@@ -114,10 +170,9 @@ def ig_stationarity(kappa: float, x):
     derivative: negative everywhere for kappa <= 1, and for kappa > 1
     negative below the unique zero and positive above it.
     """
-    k = require_kappa(kappa)
-    x_arr, scalar = finite_array("x", x, positive=True)
+    k, x_arr, scalar = _stationarity_args(kappa, x)
     a2 = (k + 1.0) ** 2 * x_arr * x_arr / k
-    v = np.exp(-0.5 * a2) * ig_stationarity_scaled(k, x_arr)
+    v = np.exp(-0.5 * a2) * _ig_stationarity_kernel(k, x_arr)
     return unwrap(v, scalar)
 
 
@@ -129,11 +184,8 @@ def ig_stationarity_scaled(kappa: float, x):
     finding can bracket it at any x; as x -> inf it tends to 0 with the sign
     of kappa - 1.
     """
-    k = require_kappa(kappa)
-    x_arr, scalar = finite_array("x", x, positive=True)
-    s = (k + 1.0) * x_arr / math.sqrt(2.0 * k)
-    v = 2.0 * special.SQRT_HALF_PI * special.erfcx(s) - 1.0 / (math.sqrt(k) * x_arr)
-    return unwrap(v, scalar)
+    k, x_arr, scalar = _stationarity_args(kappa, x)
+    return unwrap(_ig_stationarity_kernel(k, x_arr), scalar)
 
 
 def ig_prob_deriv(kappa: float, x):
@@ -145,12 +197,11 @@ def ig_prob_deriv(kappa: float, x):
     (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, so the result stays finite for
     every positive x and kappa.
     """
-    k = require_kappa(kappa)
-    x_arr, scalar = finite_array("x", x, positive=True)
+    k, x_arr, scalar = _stationarity_args(kappa, x)
     v = (
         2.0 * x_arr / special.SQRT_TWO_PI
         * np.exp(_ig_exponent(k, x_arr))
-        * ig_stationarity_scaled(k, x_arr)
+        * _ig_stationarity_kernel(k, x_arr)
     )
     return unwrap(v, scalar)
 
@@ -173,7 +224,7 @@ def ig_peak_coord(kappa: float) -> float:
 
     Only exists for kappa > 1; it upper-bounds the critical coordinate.
     """
-    k = require_kappa(kappa)
+    k = _ig_kappa(kappa)
     if k <= 1.0:
         raise RegimeError(
             "the stationarity function has no peak for kappa <= 1; "

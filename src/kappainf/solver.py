@@ -28,7 +28,7 @@ from typing import Callable, Optional
 from . import curves, special
 from .curves import ReducedPoint
 from .distributions import Family
-from .errors import NumericalError, RegimeError, require_kappa
+from .errors import NumericalError, RegimeError, require_kappa, require_positive
 
 __all__ = ["LimitDirection", "InfimumResult", "ig_critical_point", "infimum"]
 
@@ -120,15 +120,18 @@ def ig_critical_point(kappa: float) -> float:
     bracket is built by halving down from the peak; the root is then
     refined to a relative bracket width of 1e-14.
     """
-    k = require_kappa(kappa)
+    k = curves._ig_kappa(kappa)
     if k <= 1.0:
         raise RegimeError(
             "no interior critical point exists for kappa <= 1: the curve "
             "decreases strictly toward its limit as the coordinate grows"
         )
+    kernel = curves._ig_stationarity_kernel
 
     def f(x: float) -> float:
-        return curves.ig_stationarity_scaled(k, x)
+        # kappa is checked once above and each iterate by the scalar guard:
+        # no array validation or 0-d round trip per evaluation
+        return float(kernel(k, require_positive("x", x)))
 
     hi = curves.ig_peak_coord(k)
     f_hi = f(hi)

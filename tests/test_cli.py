@@ -105,6 +105,32 @@ class TestEval:
         )
         assert result.exit_code == 2
 
+    def test_log_normal_tiny_sigma_prints_its_limit(self, runner):
+        # log(kappa)/sigma overflows here; the curve's exact limit is printed
+        for kappa, expected in (("2", "1"), ("1", "0.5"), ("0.5", "0")):
+            result = runner.invoke(
+                main, ["eval", "--family", "log-normal", "--kappa", kappa, "--coord", "1e-320"]
+            )
+            assert result.exit_code == 0, result.output
+            assert result.stdout.strip() == expected
+
+
+# past sqrt(DBL_MAX) the inverse Gaussian formulas would square kappa + 1 into inf
+HUGE_KAPPA_CALLS = [
+    ["infimum", "--family", "inverse-gaussian", "--kappa", "2,1e200"],
+    ["root", "--kappa", "1e200"],
+    ["eval", "--family", "inverse-gaussian", "--kappa", "1e200", "--coord", "1e-100"],
+]
+
+
+@pytest.mark.parametrize("args", HUGE_KAPPA_CALLS, ids=lambda a: a[0])
+def test_huge_ig_kappa_is_exit_2_naming_the_limit(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "kappa must be <= 1.3407807929942596e+154" in result.stderr
+    assert "1e+200" in result.stderr
+
 
 class TestInfimumCommand:
     def test_log_normal_sweep_rows(self, runner):

@@ -1,6 +1,7 @@
 """Reduced probability curves and the inverse Gaussian stationarity system."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kappainf import (
     reduced_prob,
     upper_gaussian_integral,
 )
+from kappainf.curves import IG_KAPPA_MAX, _ig_stationarity_kernel
 from kappainf.errors import RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
@@ -103,6 +105,27 @@ class TestReducedProb:
         with pytest.raises(DomainError):
             reduced_prob(Family.LOG_NORMAL, 2.0, 0.0)
 
+    def test_log_normal_tiny_sigma_is_the_exact_limit(self):
+        # log(kappa)/sigma overflows to +-inf; Phi's limits 1, 1/2, 0 come out
+        # without a warning, for scalar and array sigma
+        sigmas = np.array([5e-324, 1e-320, 1e-310, 1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa, limit in ((2.0, 1.0), (1.0, 0.5), (0.5, 0.0)):
+                assert reduced_prob(Family.LOG_NORMAL, kappa, 1e-320) == limit
+                assert np.all(reduced_prob(Family.LOG_NORMAL, kappa, sigmas) == limit)
+
+    def test_ig_kappa_above_its_limit_is_a_domain_error(self):
+        assert reduced_prob(IG, IG_KAPPA_MAX, 1e-77) > 0.5
+        for kappa in (math.nextafter(IG_KAPPA_MAX, math.inf), 1e200, 1.7e308):
+            for call in (lambda: reduced_prob(IG, kappa, 1e-100),
+                         lambda: ig_stationarity(kappa, 1e-100),
+                         lambda: ig_stationarity_scaled(kappa, 1e-100),
+                         lambda: ig_prob_deriv(kappa, 1e-100),
+                         lambda: ig_peak_coord(kappa)):
+                with pytest.raises(DomainError, match="kappa must be <= 1.34"):
+                    call()
+
     def test_no_overflow_anywhere_in_range(self):
         xs = np.geomspace(1e-3, 1e3, 500)
         for kappa in np.geomspace(1e-3, 1e3, 25):
@@ -167,6 +190,22 @@ class TestStationarity:
             ig_stationarity_scaled(2.0, -1.0)
         with pytest.raises(RegimeError):
             ig_peak_coord(1.0)
+
+    def test_overflowing_erfcx_argument_is_a_domain_error(self):
+        # erfcx(inf) = 0 would leave -1/(sqrt(kappa) x): the wrong sign for kappa > 1
+        for call in (ig_stationarity, ig_stationarity_scaled, ig_prob_deriv):
+            with pytest.raises(DomainError, match="too large"):
+                call(2.0, np.array([1.0, 1e308]))
+
+    @given(st.floats(1e-3, 1e3), st.lists(st.floats(1e-8, 1e6), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_is_the_public_function_bit_for_bit(self, kappa, xs):
+        public = ig_stationarity_scaled(kappa, np.array(xs))
+        kernel = _ig_stationarity_kernel(kappa, np.array(xs))
+        assert public.tobytes() == kernel.tobytes()
+        for x, value in zip(xs, public):
+            scalar = _ig_stationarity_kernel(kappa, x)
+            assert float(scalar).hex() == ig_stationarity_scaled(kappa, x).hex() == value.hex()
 
 
 class TestProbDeriv:

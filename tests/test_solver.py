@@ -19,7 +19,8 @@ from kappainf import (
     reduced_prob,
     std_normal_cdf,
 )
-from kappainf.errors import RegimeError
+from kappainf import curves, solver
+from kappainf.errors import DomainError, RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
 
@@ -62,6 +63,53 @@ class TestCriticalPoint:
 
     def test_deterministic(self):
         assert ig_critical_point(3.0) == ig_critical_point(3.0)
+
+    def test_bit_identical_to_the_checked_public_path(self, monkeypatch):
+        calls = 0
+        kernel = curves._ig_stationarity_kernel
+
+        def counting_kernel(k, x):
+            nonlocal calls
+            calls += 1
+            return kernel(k, x)
+
+        monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
+        rng = np.random.default_rng(2024)
+        kappas = np.concatenate([
+            10.0 ** rng.uniform(1e-12, 3.0, 1000),       # log-uniform in (1, 1e3]
+            1.0 + 10.0 ** rng.uniform(-7.0, -2.0, 1000),  # the kappa -> 1+ edge
+        ])
+        for kappa in kappas:
+            calls = 0
+            expected = reference_critical_point(kappa)
+            reference_calls, calls = calls, 0
+            assert ig_critical_point(kappa).hex() == expected.hex(), kappa
+            assert calls == reference_calls, kappa
+
+    def test_kappa_above_the_inverse_gaussian_limit(self):
+        assert 0.0 < ig_critical_point(curves.IG_KAPPA_MAX) < ig_peak_coord(curves.IG_KAPPA_MAX)
+        for kappa in (math.nextafter(curves.IG_KAPPA_MAX, math.inf), 1e200, 1.7e308):
+            for call in (ig_critical_point, lambda k: infimum(IG, k)):
+                with pytest.raises(DomainError, match="kappa must be <= 1.34"):
+                    call(kappa)
+
+
+def reference_critical_point(kappa):
+    """The root finder over the public, argument-checked stationarity function:
+    the same peak bracket, halving loop and ``_bracketed_root``."""
+
+    def f(x):
+        return curves.ig_stationarity_scaled(kappa, x)
+
+    hi = curves.ig_peak_coord(kappa)
+    f_hi = f(hi)
+    assert f_hi > 0.0
+    lo = hi
+    while True:
+        lo *= 0.5
+        f_lo = f(lo)
+        if f_lo < 0.0:
+            return solver._bracketed_root(f, lo, hi, f_lo, f_hi)
 
 
 class TestInfimumRegimes:
