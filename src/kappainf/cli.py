@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import click
 
@@ -75,6 +75,14 @@ def _render_table(headers: list[str], rows: list[list]) -> str:
     for r in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines)
+
+
+def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], dict]) -> str:
+    """rows as CSV or an aligned table; for JSON, the document ``doc()``
+    (built only when asked for, so CSV and table output never pay for it)."""
+    if fmt == "json":
+        return json.dumps(doc(), indent=2)
+    return (_render_csv if fmt == "csv" else _render_table)(headers, rows)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -177,20 +185,16 @@ def cmd_infimum(family, kappa, fmt, out, curve_points, curve_out) -> None:
         curve_rows = [[fam.value, float(k), c, g]
                       for k, g_list in zip(kappa, curves_g) for c, g in zip(pts, g_list)]
 
-    if fmt == "json":
+    def doc() -> dict:
         results = [dict(zip(_INFIMUM_HEADERS, row)) for row in rows]
-        if curve_points is not None:
-            for result, g_list in zip(results, curves_g):
-                result["curve"] = [{"coord": c, "g": g} for c, g in zip(pts, g_list)]
-        text = json.dumps({"schema": "kappainf-infimum/1", "results": results}, indent=2)
-    elif fmt == "csv":
-        text = _render_csv(_INFIMUM_HEADERS, rows)
-        if curve_rows and curve_out is None:
-            text += "\n\n" + _render_csv(_CURVE_HEADERS, curve_rows)
-    else:
-        text = _render_table(_INFIMUM_HEADERS, rows)
-        if curve_rows and curve_out is None:
-            text += "\n\ncurve samples\n" + _render_table(_CURVE_HEADERS, curve_rows)
+        for result, g_list in zip(results, curves_g):
+            result["curve"] = [{"coord": c, "g": g} for c, g in zip(pts, g_list)]
+        return {"schema": "kappainf-infimum/1", "results": results}
+
+    text = _render(fmt, _INFIMUM_HEADERS, rows, doc)
+    if curve_rows and curve_out is None:  # never for JSON: it embeds the curves
+        text += "\n\n" if fmt == "csv" else "\n\ncurve samples\n"
+        text += _render(fmt, _CURVE_HEADERS, curve_rows, dict)
     _emit(text, out)
     if curve_rows and curve_out is not None:
         _emit(_render_csv(_CURVE_HEADERS, curve_rows), curve_out)
@@ -217,14 +221,9 @@ def cmd_root(kappa, fmt, out) -> None:
             float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
             float(curves.ig_stationarity(k, x0)),
         ])
-    if fmt == "json":
-        results = [dict(zip(_ROOT_HEADERS, row)) for row in rows]
-        text = json.dumps({"schema": "kappainf-root/1", "results": results}, indent=2)
-    elif fmt == "csv":
-        text = _render_csv(_ROOT_HEADERS, rows)
-    else:
-        text = _render_table(_ROOT_HEADERS, rows)
-    _emit(text, out)
+    _emit(_render(fmt, _ROOT_HEADERS, rows, lambda: {
+        "schema": "kappainf-root/1",
+        "results": [dict(zip(_ROOT_HEADERS, row)) for row in rows]}), out)
 
 
 _VERIFY_HEADERS = ["status", "method", "analytic", "estimate", "tolerance", "detail"]
@@ -247,17 +246,11 @@ def cmd_verify(budget, seed, fmt, out) -> None:
         for r in reports
     ]
     n_pass = sum(r.passed for r in reports)
-    if fmt == "json":
-        text = json.dumps(
-            {"schema": "kappainf-verify/1", "budget": budget, "seed": seed,
-             "passed": n_pass, "total": len(reports),
-             "reports": [dict(zip(_VERIFY_HEADERS, row)) for row in rows]},
-            indent=2,
-        )
-    elif fmt == "csv":
-        text = _render_csv(_VERIFY_HEADERS, rows)
-    else:
-        text = _render_table(_VERIFY_HEADERS, rows)
+    text = _render(fmt, _VERIFY_HEADERS, rows, lambda: {
+        "schema": "kappainf-verify/1", "budget": budget, "seed": seed,
+        "passed": n_pass, "total": len(reports),
+        "reports": [dict(zip(_VERIFY_HEADERS, row)) for row in rows]})
+    if fmt == "table":
         text += f"\n\n{n_pass}/{len(reports)} checks passed"
     _emit(text, out)
     if n_pass != len(reports):

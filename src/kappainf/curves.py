@@ -35,7 +35,9 @@ Python floats, once per evaluation, without array round trips.
 
 The inverse Gaussian curve, stationarity and critical-point formulas square
 kappa + 1, so they take kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154
-and raise ``DomainError`` above it.
+and raise ``DomainError`` above it.  The limit and its check live beside
+``_ig_curve`` in ``distributions``, whose ``cdf`` applies them to t/mu;
+``IG_KAPPA_MAX`` is re-exported here.
 
 Coordinate arguments accept a scalar or an ndarray.
 """
@@ -43,14 +45,14 @@ Coordinate arguments accept a scalar or an ndarray.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sc
 
 from . import special
-from .distributions import POSITIVE_SUPPORT, DistParams, Family, _ig_curve, _ig_exponent
+from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, DistParams, Family, _ig_curve,
+                            _ig_exponent, _ig_ratio_limit, _ln_phi)
 from .errors import (DomainError, RegimeError, finite_array, require_finite, require_kappa,
                      require_positive, unwrap)
 
@@ -65,18 +67,10 @@ __all__ = [
     "ig_peak_coord",
 ]
 
-# Largest kappa the inverse Gaussian formulas take: beyond it (k+1)^2 overflows.
-IG_KAPPA_MAX = math.sqrt(sys.float_info.max)
-
-
 def _ig_kappa(kappa) -> float:
     """require_kappa, plus the inverse Gaussian upper limit IG_KAPPA_MAX."""
     k = require_kappa(kappa)
-    if k > IG_KAPPA_MAX:
-        raise DomainError(
-            f"kappa must be <= {IG_KAPPA_MAX!r} for the inverse Gaussian family "
-            f"(its formulas square kappa + 1), got {k!r}"
-        )
+    _ig_ratio_limit("kappa", k)
     return k
 
 
@@ -149,11 +143,7 @@ def reduced_prob(family: Family, kappa: float, coord):
     if family is Family.INVERSE_GAUSSIAN:
         p = _ig_curve(k, x)
     elif family is Family.LOG_NORMAL:
-        # log(k)/sigma overflows for tiny sigma; Phi is exactly 0 or 1 beyond
-        # |z| ~ 38.6, so clipping at 40 gives the limits 0, 1/2, 1 unchanged
-        with np.errstate(over="ignore"):
-            z = math.log(k) / x + 0.5 * x
-        p = special.std_normal_cdf(np.clip(z, -40.0, 40.0))
+        p = _ln_phi(math.log(k), x, 0.5 * x)
     elif family is Family.GUMBEL:
         with np.errstate(over="ignore"):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))

@@ -16,6 +16,7 @@ uses a fixed transformation of that stream:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,6 +127,21 @@ def _mode(params: DistParams) -> float:
     return p1
 
 
+# Largest ratio (kappa or t/mu) the inverse Gaussian formulas take: beyond it
+# the (ratio+1)^2 in _ig_exponent overflows and the curve drops its second term.
+IG_KAPPA_MAX = math.sqrt(sys.float_info.max)
+
+
+def _ig_ratio_limit(name: str, largest: float) -> None:
+    """Reject a ratio whose largest value exceeds IG_KAPPA_MAX (a plain float
+    comparison, so scalar callers pay no array conversion)."""
+    if largest > IG_KAPPA_MAX:
+        raise DomainError(
+            f"{name} must be <= {IG_KAPPA_MAX!r} for the inverse Gaussian family "
+            f"(its formulas square {name} + 1), got {largest!r}"
+        )
+
+
 def _ig_exponent(ratio, x):
     """(2 - (ratio+1)^2/(2*ratio)) x^2 <= 0: e^{2x^2} times the e^{-a^2/2} of the
     Gaussian tail at a = (ratio+1)x/sqrt(ratio).  Squared by a product since
@@ -145,6 +161,15 @@ def _ig_curve(ratio, x):
     return np.clip(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 0.0, 1.0)
 
 
+def _ln_phi(u, sigma, shift=0.0):
+    """Phi(u/sigma + shift), the log-normal curve and CDF.  u/sigma overflows
+    for tiny sigma; Phi is exactly 0 or 1 beyond |z| ~ 38.6, so clipping z at
+    +-40 gives the limits 0, 1/2, 1 unchanged."""
+    with np.errstate(over="ignore"):
+        z = u / sigma + shift
+    return special.std_normal_cdf(np.clip(z, -40.0, 40.0))
+
+
 def cdf(params: DistParams, t):
     """P(X <= t); right-continuous, non-decreasing, limits 0 and 1.
 
@@ -159,9 +184,11 @@ def cdf(params: DistParams, t):
         pos = t_arr > 0.0
         if np.any(pos):
             if params.family is Family.INVERSE_GAUSSIAN:
-                out[pos] = _ig_curve(t_arr[pos] / p1, math.sqrt(p2 / p1))
+                ratio = t_arr[pos] / p1
+                _ig_ratio_limit("t/mu", float(ratio.max()))
+                out[pos] = _ig_curve(ratio, math.sqrt(p2 / p1))
             else:
-                out[pos] = special.std_normal_cdf((np.log(t_arr[pos]) - p1) / p2)
+                out[pos] = _ln_phi(np.log(t_arr[pos]) - p1, p2)
     elif params.family is Family.GUMBEL:
         with np.errstate(over="ignore"):
             out = np.exp(-np.exp(-(t_arr - p1) / p2))

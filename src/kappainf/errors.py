@@ -61,8 +61,11 @@ def require_kappa(kappa: Any) -> float:
 
 def finite_array(name: str, value: Any, positive: bool = False) -> tuple[np.ndarray, bool]:
     """(float ndarray, was_scalar) of a scalar or array argument; rejects
-    NaN/inf entries and, when ``positive``, entries <= 0."""
-    arr = np.asarray(value, dtype=float)
+    non-numbers, NaN/inf entries and, when ``positive``, entries <= 0."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from exc
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if positive and np.any(arr <= 0.0):

@@ -157,42 +157,32 @@ _GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     """Seed knots straddling the density mode, clipped to (lo, hi)."""
-    cand: list[float] = [_mode(params)]
-    if params.family is Family.INVERSE_GAUSSIAN:
-        center = _mode(params)
-        s = math.sqrt(params.p1**3 / params.p2)
+    center = _mode(params)
+    cand = [center]
+    if params.family is Family.LOG_NORMAL:
+        cand += [math.exp(params.p1 + j * params.p2) for j in range(-8, 9)]
+    else:
+        ig = params.family is Family.INVERSE_GAUSSIAN
+        s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2
         for j in _GEOMETRIC_STEPS:
             cand += [center - j * s, center + j * s]
-        grow = center
-        for _ in range(40):  # heavy right tail when lambda << mu
-            grow *= 4.0
-            if grow >= hi:
-                break
-            cand.append(grow)
-    elif params.family is Family.LOG_NORMAL:
-        for j in range(-8, 9):
-            cand.append(math.exp(params.p1 + j * params.p2))
-    else:
-        center = params.p1
-        for j in _GEOMETRIC_STEPS:
-            cand += [center - j * params.p2, center + j * params.p2]
+        if ig:  # heavy right tail when lambda << mu; points >= hi are dropped below
+            cand += [center * 4.0**j for j in range(1, 41)]
     inner = sorted({c for c in cand if lo < c < hi and math.isfinite(c)})
     return np.array([lo, *inner, hi])
 
 
-def _left_cutoff(params: DistParams, anchor: float) -> float:
-    """Point left of anchor where the density drops below 1e-16 of its
-    maximum over (-inf, anchor]; doubles the distance until it does."""
-    peak_at = min(anchor, _mode(params))
-    peak = pdf(params, peak_at)
-    step = params.p2
-    lo = peak_at - step
+def _tail_cutoff(params: DistParams, start: float, step: float, sign: float) -> float:
+    """First point start + sign*step*2^j (j = 0, 1, ...) where the density
+    drops below 1e-16 of its value at start."""
+    peak = pdf(params, start)
     for _ in range(200):
-        if pdf(params, lo) <= 1e-16 * peak:
-            return lo
+        end = start + sign * step
+        if pdf(params, end) <= 1e-16 * peak:
+            return end
         step *= 2.0
-        lo = peak_at - step
-    raise NumericalError(f"no negligible left tail found for {params!r}")
+    side = "left" if sign < 0.0 else "right"
+    raise NumericalError(f"no negligible {side} tail found for {params!r}")
 
 
 def quadrature_prob(params: DistParams, kappa: float, tol: float = 1e-10) -> float:
@@ -211,7 +201,7 @@ def quadrature_prob(params: DistParams, kappa: float, tol: float = 1e-10) -> flo
         peak_at = min(t_end, _mode(params))
         if pdf(params, peak_at) == 0.0:
             return 0.0  # target below every representable density value
-        knots = _interior_knots(params, _left_cutoff(params, t_end), t_end)
+        knots = _interior_knots(params, _tail_cutoff(params, peak_at, params.p2, -1.0), t_end)
 
     value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, tol)
     return value
@@ -224,20 +214,8 @@ def total_density_mass(params: DistParams, tol: float = 1e-10) -> float:
     below 1e-16 of its peak, bounding the truncation error below ``tol``.
     """
     mode = _mode(params)
-    peak = pdf(params, mode)
-    step = max(abs(mode), params.p2, 1.0)
-    hi = mode + step
-    for _ in range(200):
-        if pdf(params, hi) <= 1e-16 * peak:
-            break
-        step *= 2.0
-        hi = mode + step
-    else:
-        raise NumericalError(f"no negligible right tail found for {params!r}")
-    if params.family in POSITIVE_SUPPORT:
-        lo = 0.0
-    else:
-        lo = _left_cutoff(params, mode)
+    hi = _tail_cutoff(params, mode, max(abs(mode), params.p2, 1.0), 1.0)
+    lo = 0.0 if params.family in POSITIVE_SUPPORT else _tail_cutoff(params, mode, params.p2, -1.0)
     knots = _interior_knots(params, lo, hi)
     value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, tol)
     return value
@@ -252,6 +230,15 @@ def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float,
     draws = sample(params, n, seed)
     p_hat = float(np.count_nonzero(draws <= k * mean(params))) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
+
+
+# (kind, lo, hi) of each family's default brute-force grid.
+_DEFAULT_GRIDS = {
+    Family.INVERSE_GAUSSIAN: ("geometric", 1e-3, 30.0),
+    Family.LOG_NORMAL: ("geometric", 1e-6, 1e2),
+    Family.GUMBEL: ("linear", -50.0, 50.0),
+    Family.LOGISTIC: ("linear", -50.0, 50.0),
+}
 
 
 @dataclass(frozen=True)
@@ -282,12 +269,8 @@ class GridSpec:
     def default_for(cls, family: Family, count: int = 100_000) -> "GridSpec":
         """Geometric for positive coordinates (resolving the 0+ boundary),
         symmetric linear for the real-line families."""
-        family = Family(family)
-        if family is Family.INVERSE_GAUSSIAN:
-            return cls("geometric", 1e-3, 30.0, count)
-        if family is Family.LOG_NORMAL:
-            return cls("geometric", 1e-6, 1e2, count)
-        return cls("linear", -50.0, 50.0, count)
+        return cls(*_DEFAULT_GRIDS[Family(family)], count)
+
 
 
 def grid_min(family: Family, kappa: float, grid: GridSpec) -> tuple[float, float]:

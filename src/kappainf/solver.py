@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 from . import curves, special
 from .curves import ReducedPoint
-from .distributions import Family
+from .distributions import POSITIVE_SUPPORT, Family
 from .errors import NumericalError, RegimeError, require_kappa, require_positive
 
 __all__ = ["LimitDirection", "InfimumResult", "ig_critical_point", "infimum"]
@@ -150,35 +150,30 @@ def ig_critical_point(kappa: float) -> float:
     return _bracketed_root(f, lo, hi, f_lo, f_hi)
 
 
+# The kappa = 1 value of the Gumbel and logistic curves, constant in the coordinate.
+_CONSTANT = {Family.GUMBEL: math.exp(-math.exp(-special.EULER_GAMMA)), Family.LOGISTIC: 0.5}
+
+
 def infimum(family: Family, kappa: float) -> InfimumResult:
     """Infimum of P(X <= kappa*E[X]) over the family's parameter space."""
     family = Family(family)
     k = require_kappa(kappa)
 
-    if family is Family.INVERSE_GAUSSIAN:
-        if k < 1.0:
-            return InfimumResult(family, k, 0.0, False, limit_direction=LimitDirection.TO_POS_INF)
-        if k == 1.0:
-            return InfimumResult(family, k, 0.5, False, limit_direction=LimitDirection.TO_POS_INF)
-        x0 = ig_critical_point(k)
-        point = ReducedPoint(family, x0)
-        return InfimumResult(family, k, curves.reduced_prob(family, k, point), True, argmin=point)
+    if family in POSITIVE_SUPPORT:
+        if k <= 1.0:
+            direction = (LimitDirection.TO_POS_INF if family is Family.INVERSE_GAUSSIAN
+                         else LimitDirection.TO_ZERO)
+            return InfimumResult(family, k, 0.5 if k == 1.0 else 0.0, False,
+                                 limit_direction=direction)
+        if family is Family.INVERSE_GAUSSIAN:
+            point = ReducedPoint(family, ig_critical_point(k))
+            value = curves.reduced_prob(family, k, point)
+        else:
+            point = ReducedPoint(family, math.sqrt(2.0 * math.log(k)))
+            value = special.std_normal_cdf(point.coord)
+        return InfimumResult(family, k, value, True, argmin=point)
 
-    if family is Family.LOG_NORMAL:
-        if k < 1.0:
-            return InfimumResult(family, k, 0.0, False, limit_direction=LimitDirection.TO_ZERO)
-        if k == 1.0:
-            return InfimumResult(family, k, 0.5, False, limit_direction=LimitDirection.TO_ZERO)
-        sigma_star = math.sqrt(2.0 * math.log(k))
-        point = ReducedPoint(family, sigma_star)
-        return InfimumResult(
-            family, k, special.std_normal_cdf(sigma_star), True, argmin=point
-        )
-
-    # Gumbel and logistic share the regime structure; only the constant differs.
-    if k < 1.0:
-        return InfimumResult(family, k, 0.0, False, limit_direction=LimitDirection.TO_POS_INF)
-    if k > 1.0:
-        return InfimumResult(family, k, 0.0, False, limit_direction=LimitDirection.TO_NEG_INF)
-    value = math.exp(-math.exp(-special.EULER_GAMMA)) if family is Family.GUMBEL else 0.5
-    return InfimumResult(family, k, value, False, constant=True)
+    if k == 1.0:
+        return InfimumResult(family, k, _CONSTANT[family], False, constant=True)
+    direction = LimitDirection.TO_POS_INF if k < 1.0 else LimitDirection.TO_NEG_INF
+    return InfimumResult(family, k, 0.0, False, limit_direction=direction)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curves, solver, special
+from . import curves, solver
 from .distributions import DistParams, Family, cdf, mean
 from .errors import DomainError
 from .oracles import GridSpec, OracleReport, grid_min, mc_prob, quadrature_prob
@@ -63,10 +63,7 @@ def _random_params(family: Family, rng: np.random.Generator) -> DistParams:
     if family is Family.LOG_NORMAL:
         return DistParams.log_normal(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-1.3, 0.5))
     mu = rng.uniform(-5.0, 5.0)
-    beta = 10.0 ** rng.uniform(-1.0, 1.0)
-    if family is Family.GUMBEL:
-        return DistParams.gumbel(mu, beta)
-    return DistParams.logistic(mu, beta)
+    return DistParams(family, mu, 10.0 ** rng.uniform(-1.0, 1.0))
 
 
 def _closed_form_rows(budget: Budget, rng: np.random.Generator) -> list[OracleReport]:
@@ -188,11 +185,8 @@ def _log_normal_rows(budget: Budget) -> list[OracleReport]:
 def _location_scale_rows() -> list[OracleReport]:
     rows = []
     grid = np.linspace(-40.0, 40.0, 1601)
-    constants = {
-        Family.GUMBEL: math.exp(-math.exp(-special.EULER_GAMMA)),
-        Family.LOGISTIC: 0.5,
-    }
-    for family, const in constants.items():
+    for family in (Family.GUMBEL, Family.LOGISTIC):
+        const = solver.infimum(family, 1.0).value
         spread = float(np.max(np.abs(curves.reduced_prob(family, 1.0, grid) - const)))
         rows.append(OracleReport(
             "grid_min", 0.0, spread, 1e-15,

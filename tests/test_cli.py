@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import kappainf.special
 from kappainf import DistParams, Family, reduce_params, reduced_prob
@@ -130,6 +131,21 @@ def test_huge_ig_kappa_is_exit_2_naming_the_limit(runner, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "kappa must be <= 1.3407807929942596e+154" in result.stderr
     assert "1e+200" in result.stderr
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([f.value for f in Family]), finite_floats, finite_floats)
+def test_any_finite_input_exits_0_2_or_3_without_traceback(family, kappa, coord):
+    runner = CliRunner()  # not the fixture: hypothesis reruns the body per example
+    for args in (["eval", "--family", family, "--kappa", repr(kappa), "--coord", repr(coord)],
+                 ["infimum", "--family", family, "--kappa", repr(kappa)],
+                 ["root", "--kappa", repr(kappa)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code in (0, 2, 3), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
 
 
 class TestInfimumCommand:

@@ -107,16 +107,21 @@ class TestReducedProb:
 
     def test_log_normal_tiny_sigma_is_the_exact_limit(self):
         # log(kappa)/sigma overflows to +-inf; Phi's limits 1, 1/2, 0 come out
-        # without a warning, for scalar and array sigma
+        # without a warning, for scalar and array sigma, and likewise from the
+        # cdf at t = kappa (its (log t - mu)/sigma overflows the same way)
         sigmas = np.array([5e-324, 1e-320, 1e-310, 1e-300])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kappa, limit in ((2.0, 1.0), (1.0, 0.5), (0.5, 0.0)):
                 assert reduced_prob(Family.LOG_NORMAL, kappa, 1e-320) == limit
                 assert np.all(reduced_prob(Family.LOG_NORMAL, kappa, sigmas) == limit)
+                assert cdf(DistParams.log_normal(0.0, 1e-320), kappa) == limit
 
     def test_ig_kappa_above_its_limit_is_a_domain_error(self):
+        # the cdf's ratio t/mu plays kappa's part in the same curve
+        tiny_shape = DistParams.inverse_gaussian(1.0, 1e-300)
         assert reduced_prob(IG, IG_KAPPA_MAX, 1e-77) > 0.5
+        assert cdf(tiny_shape, IG_KAPPA_MAX) == 1.0
         for kappa in (math.nextafter(IG_KAPPA_MAX, math.inf), 1e200, 1.7e308):
             for call in (lambda: reduced_prob(IG, kappa, 1e-100),
                          lambda: ig_stationarity(kappa, 1e-100),
@@ -125,6 +130,8 @@ class TestReducedProb:
                          lambda: ig_peak_coord(kappa)):
                 with pytest.raises(DomainError, match="kappa must be <= 1.34"):
                     call()
+            with pytest.raises(DomainError, match="t/mu must be <= 1.34"):
+                cdf(tiny_shape, [1.0, kappa])
 
     def test_no_overflow_anywhere_in_range(self):
         xs = np.geomspace(1e-3, 1e3, 500)

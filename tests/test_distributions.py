@@ -80,6 +80,13 @@ class TestCdf:
             IG11_CDF_AT_1, abs=1e-10
         )
 
+    def test_non_numeric_input_is_a_domain_error(self):
+        for call in (lambda: reduced_prob(Family.INVERSE_GAUSSIAN, 2.0, "abc"),
+                     lambda: cdf(DistParams.gumbel(0.0, 1.0), "x"),
+                     lambda: pdf(DistParams.gumbel(0.0, 1.0), ["1", "a"])):
+            with pytest.raises(DomainError, match="must be a real number"):
+                call()
+
     def test_zero_below_positive_support(self):
         for params in ALL_PARAMS[:2]:
             assert cdf(params, 0.0) == 0.0

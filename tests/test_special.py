@@ -32,7 +32,8 @@ class TestStdNormalCdf:
     def test_matches_quadrature_at_one(self):
         assert std_normal_cdf(1.0) == pytest.approx(PHI_AT_1, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     1j, "abc", ["1", "a"]])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(DomainError):
             std_normal_cdf(bad)
