@@ -15,6 +15,7 @@ import sys
 from typing import Callable, Optional
 
 import click
+import numpy as np
 
 from .curves import reduce_params, reduced_prob
 from .distributions import SCALE_NAME, DistParams, Family
@@ -88,7 +89,8 @@ def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], di
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)  # no text + "\n": a curve file's text can be ~100 MB
+            fh.write("\n")
     else:
         click.echo(text)
 
@@ -158,6 +160,40 @@ def _infimum_row(result: InfimumResult) -> list:
 _INFIMUM_HEADERS = ["family", "kappa", "value", "attained", "constant",
                     "argmin", "limit_direction"]
 _CURVE_HEADERS = ["family", "kappa", "coord", "g"]
+# each JSON result holds this string as its "curve" until the curve's text
+# replaces it after json.dumps; no other string in the document holds a NUL
+_STAND_IN = "\0"
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """Shortest round-trip text of each value, as ``_cell`` writes a float."""
+    return list(map(repr, values.tolist()))
+
+
+def _curve_csv(family: str, kappa: list[float], coords: list[str],
+               curves: list[list[str]]) -> str:
+    """The family,kappa,coord,g rows, one per point and kappa, in the bytes
+    ``_render_csv`` writes: none of these cells needs quoting."""
+    lines = [",".join(_CURVE_HEADERS)]
+    for k, gs in zip(kappa, curves):
+        prefix = f"{family},{k!r}"
+        lines += [f"{prefix},{c},{g}" for c, g in zip(coords, gs)]
+    return "\n".join(lines)
+
+
+def _embed_curves(text: str, coords: list[str], curves: list[list[str]]) -> str:
+    """JSON ``text`` with its i-th stand-in replaced by the i-th curve, laid out
+    as json.dumps(..., indent=2) writes [{"coord": c, "g": g}, ...] there."""
+    first, *rest = text.split(json.dumps(_STAND_IN))
+    parts = [first]
+    for gs, tail in zip(curves, rest):
+        curve = "[" + ",".join([
+            f'\n        {{\n          "coord": {c},\n          "g": {g}\n        }}'
+            for c, g in zip(coords, gs)]) + "\n      ]"
+        # repr writes the non-finite floats as nan, inf, -inf and json.dumps as
+        # NaN, Infinity, -Infinity; neither key holds these letters
+        parts += [curve.replace("nan", "NaN").replace("inf", "Infinity"), tail]
+    return "".join(parts)
 
 
 @main.command("infimum")
@@ -175,29 +211,36 @@ def cmd_infimum(family, kappa, fmt, out, curve_points, curve_out) -> None:
     """Infimum of the probability over the parameter space, one row per kappa."""
     fam = Family(family)
     rows = [_infimum_row(infimum(fam, k)) for k in kappa]
-    # one curve array per kappa; every format renders from these
-    pts, curves_g, curve_rows = [], [], []
+    # one curve array per kappa; CSV and JSON render them from the repr of
+    # each value, written once, the table from the floats
+    grid, curves_g, coords, curves_text = None, [], [], []
     if curve_points is not None:
         grid = GridSpec.default_for(fam, curve_points).points()
-        pts = grid.tolist()
-        curves_g = [reduced_prob(fam, k, grid).tolist() for k in kappa]
-    if fmt != "json" or curve_out is not None:
-        curve_rows = [[fam.value, float(k), c, g]
-                      for k, g_list in zip(kappa, curves_g) for c, g in zip(pts, g_list)]
+        curves_g = [reduced_prob(fam, k, grid) for k in kappa]
+        if fmt != "table" or curve_out is not None:
+            coords, curves_text = _reprs(grid), [_reprs(g) for g in curves_g]
 
     def doc() -> dict:
         results = [dict(zip(_INFIMUM_HEADERS, row)) for row in rows]
-        for result, g_list in zip(results, curves_g):
-            result["curve"] = [{"coord": c, "g": g} for c, g in zip(pts, g_list)]
+        if curves_g:
+            for result in results:
+                result["curve"] = _STAND_IN
         return {"schema": "kappainf-infimum/1", "results": results}
 
     text = _render(fmt, _INFIMUM_HEADERS, rows, doc)
-    if curve_rows and curve_out is None:  # never for JSON: it embeds the curves
-        text += "\n\n" if fmt == "csv" else "\n\ncurve samples\n"
-        text += _render(fmt, _CURVE_HEADERS, curve_rows, dict)
+    if fmt == "json" and curves_g:
+        text = _embed_curves(text, coords, curves_text)
+    elif curves_g and curve_out is None:
+        if fmt == "csv":
+            text += "\n\n" + _curve_csv(fam.value, kappa, coords, curves_text)
+        else:
+            pts = grid.tolist()
+            text += "\n\ncurve samples\n" + _render_table(_CURVE_HEADERS, [
+                [fam.value, k, c, g] for k, g_arr in zip(kappa, curves_g)
+                for c, g in zip(pts, g_arr.tolist())])
     _emit(text, out)
-    if curve_rows and curve_out is not None:
-        _emit(_render_csv(_CURVE_HEADERS, curve_rows), curve_out)
+    if curves_g and curve_out is not None:
+        _emit(_curve_csv(fam.value, kappa, coords, curves_text), curve_out)
 
 
 _ROOT_HEADERS = ["kappa", "critical_coord", "upper_bound", "value", "residual"]

@@ -148,7 +148,8 @@ def reduced_prob(family: Family, kappa: float, coord):
         with np.errstate(over="ignore"):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
     else:
-        p = _sc.expit((k - 1.0) * x)
+        with np.errstate(over="ignore"):
+            p = _sc.expit((k - 1.0) * x)
     return unwrap(p, scalar)
 
 

@@ -179,16 +179,21 @@ def cdf(params: DistParams, t):
     t_arr, scalar = finite_array("t", t)
     p1, p2 = params.p1, params.p2
 
-    if params.family in POSITIVE_SUPPORT:
+    if params.family is Family.INVERSE_GAUSSIAN:
+        # masked on t/mu, not t: where t/mu underflows to 0 the cdf is 0 too;
+        # an overflowing t/mu is rejected by the limit check
+        with np.errstate(over="ignore"):
+            ratio = t_arr / p1
+        out = np.zeros_like(t_arr, dtype=float)
+        pos = ratio > 0.0
+        if np.any(pos):
+            _ig_ratio_limit("t/mu", float(ratio[pos].max()))
+            out[pos] = _ig_curve(ratio[pos], math.sqrt(p2 / p1))
+    elif params.family is Family.LOG_NORMAL:
         out = np.zeros_like(t_arr, dtype=float)
         pos = t_arr > 0.0
         if np.any(pos):
-            if params.family is Family.INVERSE_GAUSSIAN:
-                ratio = t_arr[pos] / p1
-                _ig_ratio_limit("t/mu", float(ratio.max()))
-                out[pos] = _ig_curve(ratio, math.sqrt(p2 / p1))
-            else:
-                out[pos] = _ln_phi(np.log(t_arr[pos]) - p1, p2)
+            out[pos] = _ln_phi(np.log(t_arr[pos]) - p1, p2)
     elif params.family is Family.GUMBEL:
         with np.errstate(over="ignore"):
             out = np.exp(-np.exp(-(t_arr - p1) / p2))

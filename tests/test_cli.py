@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kappainf.special
 from kappainf import DistParams, Family, reduce_params, reduced_prob
 from kappainf.distributions import SCALE_NAME
+from kappainf import cli
 from kappainf.cli import main
 
 
@@ -244,6 +245,51 @@ class TestInfimumCommand:
                 main, ["infimum", "--family", "logistic", "--kappa", bad]
             )
             assert result.exit_code == 2
+
+
+# floats a curve file must carry bit for bit, besides any that hypothesis draws
+# (nan and +-inf included)
+EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.0, 1.0]
+curve_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def curve_exports(draw):
+    """(family, 1-4 kappa, perhaps with a repeat, the coordinate array, one
+    value array per kappa)."""
+    n = draw(st.integers(2, 6))
+    kappa = draw(st.lists(curve_floats, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        kappa.append(draw(st.sampled_from(kappa)))
+    arrays = st.lists(curve_floats, min_size=n, max_size=n).map(np.array)
+    return (draw(st.sampled_from([f.value for f in Family])), kappa, draw(arrays),
+            [draw(arrays) for _ in kappa])
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_exports())
+@example(("logistic", [2.0, 2.0], np.array([-0.0, 5e-324]), [np.array([1e308, 0.0])] * 2))
+def test_curve_writers_match_the_generic_renderers(export):
+    # the column writers against csv.writer + _cell over [family, kappa,
+    # coord, g] rows and json.dumps(indent=2) over {coord, g} dicts
+    family, kappa, coords, curves = export
+    coord_text, curve_text = cli._reprs(coords), [cli._reprs(g) for g in curves]
+    rows = [[family, k, c, g] for k, g_arr in zip(kappa, curves)
+            for c, g in zip(coords.tolist(), g_arr.tolist())]
+    assert (cli._curve_csv(family, kappa, coord_text, curve_text)
+            == cli._render_csv(cli._CURVE_HEADERS, rows))
+
+    def doc(curve):
+        return {"schema": "kappainf-infimum/1", "results": [
+            {"family": family, "kappa": k, "value": 0.5, "attained": True,
+             "constant": False, "argmin": None, "limit_direction": "coord->+inf",
+             "curve": curve(g_arr)} for k, g_arr in zip(kappa, curves)]}
+
+    embedded = cli._embed_curves(json.dumps(doc(lambda g: cli._STAND_IN), indent=2),
+                                 coord_text, curve_text)
+    assert embedded == json.dumps(doc(lambda g: [
+        {"coord": c, "g": v} for c, v in zip(coords.tolist(), g.tolist())]), indent=2)
+    assert "nan" not in embedded
 
 
 class TestRootCommand:

@@ -70,6 +70,13 @@ class TestReducedProb:
         for y in (-17.3, 0.0, 3.7, 40.0):
             assert reduced_prob(Family.LOGISTIC, 1.0, y) == 0.5
 
+    def test_logistic_overflowing_exponent_is_silent(self):
+        # (kappa - 1)*y overflows to +-inf; expit's limits come out without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced_prob(Family.LOGISTIC, 1e100, 1.7976931348623157e308) == 1.0
+            assert reduced_prob(Family.LOGISTIC, 1e100, -1.7976931348623157e308) == 0.0
+
     def test_gumbel_is_constant_at_unit_multiplier(self):
         for x in (-40.0, -1.0, 0.0, 25.0):
             assert reduced_prob(Family.GUMBEL, 1.0, x) == pytest.approx(

@@ -1,6 +1,7 @@
 """Family definitions: moments, CDFs, densities, seeded sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,15 @@ class TestCdf:
                      lambda: pdf(DistParams.gumbel(0.0, 1.0), ["1", "a"])):
             with pytest.raises(DomainError, match="must be a real number"):
                 call()
+
+    def test_ig_underflowing_ratio_is_zero(self):
+        # t/mu underflows to 0 at t > 0: the exact value there is 0 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = DistParams.inverse_gaussian(1e300, 1.0)
+            assert cdf(params, 1e-300) == 0.0
+            assert cdf(params, [-1e300, 5e-324, 1e-300, 1e300]).tolist() == [
+                0.0, 0.0, 0.0, cdf(params, 1e300)]
 
     def test_zero_below_positive_support(self):
         for params in ALL_PARAMS[:2]:

@@ -2,7 +2,8 @@
 
 The stored files under ``tests/data/golden/`` pin the ``infimum`` CSV, JSON and
 table output (with embedded curve samples) for all four families, the
-``root`` CSV, and a set of ``eval --coord`` lines.  Any refactoring that
+``infimum --curve-out`` output (stdout and the curve file) for the CSV and
+table formats, the ``root`` CSV, and a set of ``eval --coord`` lines.  Any refactoring that
 changes a single printed digit fails here.
 
 Regenerate (only when an output change is intended) with::
@@ -10,6 +11,7 @@ Regenerate (only when an output change is intended) with::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,16 @@ CASES = {
     for fmt, ext in EXTENSIONS.items()
 }
 CASES["root.csv"] = ["root", "--kappa", ROOT_SWEEP, "--format", "csv"]
+
+# ``--curve-out``: the stdout file as named, the curve file as <stem>.curve.csv;
+# a repeated kappa writes its curve once per occurrence
+CURVE_OUT_KAPPA = "0.5,1,1.0001,2,2"
+CURVE_OUT_CASES = {
+    f"curve-out-{family}.{EXTENSIONS[fmt]}": [
+        "infimum", "--family", family, "--kappa", CURVE_OUT_KAPPA,
+        "--format", fmt, "--curve-points", "40"]
+    for family, fmt in [("inverse-gaussian", "csv"), ("logistic", "table")]
+}
 
 # (family, kappa, coord) for ``eval --coord``; one output line each
 EVAL_POINTS = [
@@ -57,6 +69,17 @@ def _run(args):
     return result.output
 
 
+def _curve_name(name):
+    return name.rsplit(".", 1)[0] + ".curve.csv"
+
+
+def _run_curve_out(args, directory):
+    """(stdout, curve file bytes) of one ``--curve-out`` invocation."""
+    path = Path(directory) / "curve.csv"
+    stdout = _run(args + ["--curve-out", str(path)])
+    return stdout, path.read_bytes()
+
+
 def _eval_lines():
     return "".join(
         f"{family} {kappa} {coord} "
@@ -70,6 +93,13 @@ def test_cli_output_matches_golden_bytes(name):
     assert _run(CASES[name]) == (DATA / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(CURVE_OUT_CASES))
+def test_curve_out_matches_golden_bytes(name, tmp_path):
+    stdout, curve = _run_curve_out(CURVE_OUT_CASES[name], tmp_path)
+    assert stdout == (DATA / name).read_text(encoding="utf-8")
+    assert curve == (DATA / _curve_name(name)).read_bytes()
+
+
 def test_eval_coord_matches_golden_bytes():
     assert _eval_lines() == (DATA / EVAL_FILE).read_text(encoding="utf-8")
 
@@ -78,4 +108,9 @@ if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, args in CASES.items():
         (DATA / name).write_text(_run(args), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args in CURVE_OUT_CASES.items():
+            stdout, curve = _run_curve_out(args, tmp)
+            (DATA / name).write_text(stdout, encoding="utf-8")
+            (DATA / _curve_name(name)).write_bytes(curve)
     (DATA / EVAL_FILE).write_text(_eval_lines(), encoding="utf-8")
