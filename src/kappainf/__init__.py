@@ -9,14 +9,13 @@ the family and on which side of kappa = 1 one sits.  Everything analytic can
 be re-derived numerically through the oracle and verification modules.
 """
 
-from .distributions import DistParams, Family, cdf, mean, pdf, sample, variance
+from .distributions import DistParams, Family, cdf, mean, pdf, sample
 from .curves import (
     ReducedPoint,
     ig_peak_coord,
     ig_prob_deriv,
     ig_stationarity,
     ig_stationarity_scaled,
-    ig_stationarity_slope_factor,
     reduce_params,
     reduced_prob,
 )
@@ -28,15 +27,9 @@ from .oracles import (
     grid_min,
     mc_prob,
     quadrature_prob,
-    total_density_mass,
 )
 from .solver import InfimumResult, LimitDirection, ig_critical_point, infimum
-from .special import (
-    EULER_GAMMA,
-    erfcx,
-    std_normal_cdf,
-    upper_gaussian_integral,
-)
+from .special import EULER_GAMMA, erfcx, std_normal_cdf
 from .verification import BUDGETS, Budget, run_verification
 
 __version__ = "0.1.0"
@@ -65,7 +58,6 @@ __all__ = [
     "ig_prob_deriv",
     "ig_stationarity",
     "ig_stationarity_scaled",
-    "ig_stationarity_slope_factor",
     "infimum",
     "mc_prob",
     "mean",
@@ -76,7 +68,4 @@ __all__ = [
     "run_verification",
     "sample",
     "std_normal_cdf",
-    "total_density_mass",
-    "upper_gaussian_integral",
-    "variance",
 ]

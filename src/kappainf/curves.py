@@ -63,7 +63,6 @@ __all__ = [
     "ig_stationarity",
     "ig_stationarity_scaled",
     "ig_prob_deriv",
-    "ig_stationarity_slope_factor",
     "ig_peak_coord",
 ]
 
@@ -194,19 +193,6 @@ def ig_prob_deriv(kappa: float, x):
         * np.exp(_ig_exponent(k, x_arr))
         * _ig_stationarity_kernel(k, x_arr)
     )
-    return unwrap(v, scalar)
-
-
-def ig_stationarity_slope_factor(kappa: float, x):
-    """1/kappa - kappa + 1/x^2: carries the sign of the stationarity slope.
-
-    For kappa <= 1 it is positive everywhere; for kappa > 1 its unique
-    positive root sqrt(kappa/(kappa^2-1)) is where the stationarity function
-    peaks.
-    """
-    k = require_kappa(kappa)
-    x_arr, scalar = finite_array("x", x, positive=True)
-    v = 1.0 / k - k + 1.0 / (x_arr * x_arr)
     return unwrap(v, scalar)
 
 

@@ -24,9 +24,10 @@ import numpy as np
 import scipy.special as _sc
 
 from . import special
-from .errors import DomainError, finite_array, require_finite, require_positive, unwrap
+from .errors import (DomainError, finite_array, require_count, require_finite,
+                     require_positive, unwrap)
 
-__all__ = ["Family", "DistParams", "mean", "variance", "cdf", "pdf", "sample"]
+__all__ = ["Family", "DistParams", "mean", "cdf", "pdf", "sample"]
 
 
 class Family(str, Enum):
@@ -101,19 +102,6 @@ def mean(params: DistParams) -> float:
     if params.family is Family.GUMBEL:
         return p1 + p2 * special.EULER_GAMMA
     return p1
-
-
-def variance(params: DistParams) -> float:
-    """Var[X], in closed form per family."""
-    p1, p2 = params.p1, params.p2
-    if params.family is Family.INVERSE_GAUSSIAN:
-        return p1**3 / p2
-    if params.family is Family.LOG_NORMAL:
-        s2 = p2 * p2
-        return math.expm1(s2) * math.exp(2.0 * p1 + s2)
-    if params.family is Family.GUMBEL:
-        return (math.pi * p2) ** 2 / 6.0
-    return (math.pi * p2) ** 2 / 3.0
 
 
 def _mode(params: DistParams) -> float:
@@ -240,9 +228,8 @@ def pdf(params: DistParams, t):
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws; identical output for identical (params, n, seed)."""
-    if n < 0:
-        raise DomainError(f"sample size must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    n = require_count("n", n)
+    rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
 
     if params.family is Family.INVERSE_GAUSSIAN:

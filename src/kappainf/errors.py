@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = [
     "require_finite",
     "require_positive",
     "require_kappa",
+    "require_count",
     "finite_array",
     "unwrap",
 ]
@@ -57,6 +59,17 @@ def require_positive(name: str, value: Any) -> float:
 def require_kappa(kappa: Any) -> float:
     """The mean multiplier in P(X <= kappa*E[X]) must be a positive real."""
     return require_positive("kappa", kappa)
+
+
+def require_count(name: str, value: Any) -> int:
+    """An integer >= 0 (a sample size or a seed); rejects floats and non-numbers."""
+    try:
+        n = operator.index(value)
+    except TypeError as exc:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    if n < 0:
+        raise DomainError(f"{name} must be >= 0, got {n}")
+    return n
 
 
 def finite_array(name: str, value: Any, positive: bool = False) -> tuple[np.ndarray, bool]:

@@ -22,14 +22,14 @@ import numpy as np
 
 from . import curves
 from .distributions import POSITIVE_SUPPORT, DistParams, Family, _mode, mean, pdf, sample
-from .errors import DomainError, NumericalError, finite_array, require_kappa
+from .errors import (DomainError, NumericalError, finite_array, require_count,
+                     require_finite, require_kappa)
 
 __all__ = [
     "OracleReport",
     "GridSpec",
     "adaptive_gauss_kronrod",
     "quadrature_prob",
-    "total_density_mass",
     "mc_prob",
     "grid_min",
 ]
@@ -104,13 +104,12 @@ _WK = np.concatenate([_POS_WK[:0:-1], _POS_WK])
 _WG = np.concatenate([_POS_WG[:0:-1], _POS_WG])
 
 
-def adaptive_gauss_kronrod(
-    f,
-    knots,
-    tol: float,
-    max_intervals: int = 20_000,
-    max_rounds: int = 64,
-) -> tuple[float, float]:
+# Subdivision budget of adaptive_gauss_kronrod: open intervals and rounds.
+_MAX_INTERVALS = 20_000
+_MAX_ROUNDS = 64
+
+
+def adaptive_gauss_kronrod(f, knots, tol: float) -> tuple[float, float]:
     """Integrate f over [knots[0], knots[-1]] to absolute accuracy tol.
 
     ``f`` must accept an ndarray.  The seed intervals are the consecutive
@@ -126,7 +125,7 @@ def adaptive_gauss_kronrod(
     integral = 0.0
     err_accepted = 0.0
     n_eval = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         x = mid[:, None] + half[:, None] * _NODES[None, :]
@@ -143,7 +142,7 @@ def adaptive_gauss_kronrod(
         a, b, mid = a[~done], b[~done], mid[~done]
         a = np.concatenate([a, mid])
         b = np.concatenate([mid, b])
-        if a.size > max_intervals:
+        if a.size > _MAX_INTERVALS:
             break
     raise NumericalError(
         f"quadrature did not converge: {a.size} open intervals, "
@@ -172,23 +171,25 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     return np.array([lo, *inner, hi])
 
 
-def _tail_cutoff(params: DistParams, start: float, step: float, sign: float) -> float:
-    """First point start + sign*step*2^j (j = 0, 1, ...) where the density
-    drops below 1e-16 of its value at start."""
+def _tail_cutoff(params: DistParams, start: float, step: float) -> float:
+    """First point start - step*2^j (j = 0, 1, ...) where the density drops
+    below 1e-16 of its value at start."""
     peak = pdf(params, start)
     for _ in range(200):
-        end = start + sign * step
+        end = start - step
         if pdf(params, end) <= 1e-16 * peak:
             return end
         step *= 2.0
-    side = "left" if sign < 0.0 else "right"
-    raise NumericalError(f"no negligible {side} tail found for {params!r}")
+    raise NumericalError(f"no negligible left tail found for {params!r}")
 
 
-def quadrature_prob(params: DistParams, kappa: float, tol: float = 1e-10) -> float:
+_QUAD_TOL = 1e-10
+
+
+def quadrature_prob(params: DistParams, kappa: float) -> float:
     """P(X <= kappa*mean) by adaptive quadrature of the density.
 
-    Never calls the closed-form CDF; absolute error target ``tol``.
+    Never calls the closed-form CDF; absolute error target 1e-10.
     """
     k = require_kappa(kappa)
     t_end = k * mean(params)
@@ -201,30 +202,16 @@ def quadrature_prob(params: DistParams, kappa: float, tol: float = 1e-10) -> flo
         peak_at = min(t_end, _mode(params))
         if pdf(params, peak_at) == 0.0:
             return 0.0  # target below every representable density value
-        knots = _interior_knots(params, _tail_cutoff(params, peak_at, params.p2, -1.0), t_end)
+        knots = _interior_knots(params, _tail_cutoff(params, peak_at, params.p2), t_end)
 
-    value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, tol)
-    return value
-
-
-def total_density_mass(params: DistParams, tol: float = 1e-10) -> float:
-    """Integral of the density over its support (should be 1).
-
-    The upper cutoff doubles away from the mode until the density falls
-    below 1e-16 of its peak, bounding the truncation error below ``tol``.
-    """
-    mode = _mode(params)
-    hi = _tail_cutoff(params, mode, max(abs(mode), params.p2, 1.0), 1.0)
-    lo = 0.0 if params.family in POSITIVE_SUPPORT else _tail_cutoff(params, mode, params.p2, -1.0)
-    knots = _interior_knots(params, lo, hi)
-    value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, tol)
+    value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, _QUAD_TOL)
     return value
 
 
 def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float, float]:
     """Fraction of n seeded draws at or below kappa*mean, with its binomial
     standard error sqrt(p(1-p)/n)."""
-    if n < 1000:
+    if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
     k = require_kappa(kappa)
     draws = sample(params, n, seed)
@@ -253,7 +240,10 @@ class GridSpec:
     def __post_init__(self):
         if self.kind not in ("geometric", "linear"):
             raise DomainError(f"grid kind must be geometric or linear, got {self.kind!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        object.__setattr__(self, "lo", require_finite("lo", self.lo))
+        object.__setattr__(self, "hi", require_finite("hi", self.hi))
+        object.__setattr__(self, "count", require_count("count", self.count))
+        if not self.lo < self.hi:
             raise DomainError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
         if self.kind == "geometric" and self.lo <= 0.0:
             raise DomainError("geometric grids need lo > 0")

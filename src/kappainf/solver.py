@@ -72,16 +72,15 @@ class InfimumResult:
             raise ValueError("constant curves are reported as non-attained")
 
 
+# Relative bracket width at which _bracketed_root stops, and its iteration cap.
+_ROOT_REL_TOL = 1e-14
+_ROOT_MAX_ITER = 200
+
+
 def _bracketed_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    rel_tol: float = 1e-14,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
 ) -> float:
-    """Root of f in (lo, hi) given f_lo < 0 < f_hi, to rel_tol bracket width.
+    """Root of f in (lo, hi) given f_lo < 0 < f_hi, to _ROOT_REL_TOL bracket width.
 
     Bisection interleaved with secant proposals: the secant point is used
     when it falls safely inside the bracket, and every other iteration takes
@@ -91,9 +90,9 @@ def _bracketed_root(
         raise NumericalError(
             f"invalid bracket: lo={lo!r} (f={f_lo!r}), hi={hi!r} (f={f_hi!r})"
         )
-    for iteration in range(max_iter):
+    for iteration in range(_ROOT_MAX_ITER):
         width = hi - lo
-        if width <= rel_tol * hi:
+        if width <= _ROOT_REL_TOL * hi:
             break
         if iteration % 2 == 0:
             x = lo + 0.5 * width

@@ -1,6 +1,6 @@
 """Standard-normal CDF and scaled complementary error function.
 
-Everything downstream is built on these three functions, so they carry the
+Everything downstream is built on these two functions, so they carry the
 tightest accuracy contracts in the package (<= 1e-13 relative).  They are
 thin, domain-checked wrappers over the scipy.special kernels: the normal CDF
 is *defined* through erfc so the two can never disagree, and erfcx is the
@@ -24,7 +24,6 @@ __all__ = [
     "SQRT_TWO_PI",
     "std_normal_cdf",
     "erfcx",
-    "upper_gaussian_integral",
 ]
 
 # Euler-Mascheroni constant, fixed to 16 digits (a constant, not a tunable).
@@ -57,12 +56,3 @@ def erfcx(z):
         raise DomainError(f"erfcx argument must be >= 0, got {z!r}")
     return unwrap(_sc.erfcx(z_arr), scalar)
 
-
-def upper_gaussian_integral(a):
-    """Integral of e^{-t^2/2} over [a, inf), i.e. sqrt(pi/2)*erfc(a/sqrt(2)).
-
-    Positive and strictly decreasing in a; equals sqrt(2*pi)*(1 - Phi(a)).
-    """
-    a_arr, scalar = finite_array("a", a)
-    v = SQRT_HALF_PI * _sc.erfc(a_arr / np.sqrt(2.0))
-    return unwrap(v, scalar)

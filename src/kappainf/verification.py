@@ -22,7 +22,7 @@ import numpy as np
 
 from . import curves, solver
 from .distributions import DistParams, Family, cdf, mean
-from .errors import DomainError
+from .errors import DomainError, require_count
 from .oracles import GridSpec, OracleReport, grid_min, mc_prob, quadrature_prob
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
@@ -241,7 +241,7 @@ def run_verification(budget: str = "quick", seed: int = 1) -> list[OracleReport]
     if budget not in BUDGETS:
         raise DomainError(f"budget must be one of {sorted(BUDGETS)}, got {budget!r}")
     limits = BUDGETS[budget]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_count("seed", seed))
 
     rows: list[OracleReport] = []
     rows += _closed_form_rows(limits, rng)

@@ -317,6 +317,12 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--budget", "quick", "--seed", "2"])
         assert result.exit_code == 0, result.output
 
+    def test_negative_seed_is_exit_2_without_traceback(self, runner):
+        result = runner.invoke(main, ["verify", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == "error: seed must be >= 0, got -1\n"
+
     def test_json_format(self, runner):
         result = runner.invoke(
             main, ["verify", "--budget", "quick", "--seed", "1", "--format", "json"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from kappainf import oracles
 from kappainf import (
     DistParams,
     DomainError,
@@ -23,6 +24,8 @@ from kappainf import (
     quadrature_prob,
     reduce_params,
     reduced_prob,
+    run_verification,
+    sample,
 )
 
 # 50-digit value of Phi(ln(1.4)/0.7 + 0.35)
@@ -58,11 +61,10 @@ class TestQuadratureEngine:
         )
         assert value == pytest.approx(1e-4 * math.sqrt(2.0 * math.pi), rel=1e-8)
 
-    def test_budget_exhaustion_raises_with_diagnostics(self):
+    def test_budget_exhaustion_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_MAX_INTERVALS", 8)
         with pytest.raises(NumericalError, match="did not converge"):
-            adaptive_gauss_kronrod(
-                lambda t: np.cos(1e5 * t), [0.0, 1.0], tol=1e-14, max_intervals=8
-            )
+            adaptive_gauss_kronrod(lambda t: np.cos(1e5 * t), [0.0, 1.0], tol=1e-14)
 
     def test_rejects_bad_knots(self):
         with pytest.raises(DomainError):
@@ -134,6 +136,16 @@ class TestGridMin:
             grid_min(Family.INVERSE_GAUSSIAN, 2.0, GridSpec("linear", -1.0, 1.0, 5000))
         with pytest.raises(DomainError):
             grid_min(Family.LOGISTIC, 2.0, GridSpec("linear", -1.0, 1.0, 500))
+        with pytest.raises(DomainError, match="lo must be a real number"):
+            GridSpec("linear", "a", 1.0, 10)
+        with pytest.raises(DomainError, match="hi must be finite"):
+            GridSpec("linear", 0.0, math.inf, 10)
+        with pytest.raises(DomainError, match="count must be an integer"):
+            GridSpec("linear", 0.0, 1.0, 2.5)
+        with pytest.raises(DomainError, match="need finite lo < hi"):
+            GridSpec("linear", 1.0, 1.0, 10)
+        with pytest.raises(DomainError, match="grid count must be >= 2"):
+            GridSpec("linear", 0.0, 1.0, 1)
 
     def test_default_grids(self):
         assert GridSpec.default_for(Family.LOG_NORMAL).kind == "geometric"
@@ -161,6 +173,16 @@ class TestMcProb:
         assert mc_prob(params, 1.3, 10**4, seed=5) == mc_prob(params, 1.3, 10**4, seed=5)
         with pytest.raises(DomainError):
             mc_prob(params, 1.3, 999, seed=5)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            mc_prob(params, 2.0, 1000, -1)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            sample(params, 10, -1)
+        with pytest.raises(DomainError, match="n must be an integer"):
+            sample(params, 2.5, 1)
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            sample(params, 10, 1.5)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            run_verification("quick", -1)
 
     def test_error_shrinks_with_tenfold_samples(self):
         # seeded regression: 10 fixed trials, fresh sub-seeds per size

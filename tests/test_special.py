@@ -9,15 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kappainf import DomainError, erfcx, std_normal_cdf, upper_gaussian_integral
+from kappainf import DomainError, erfcx, std_normal_cdf
 
 # 50-digit quadrature of e^{-t^2/2}/sqrt(2*pi) over (-inf, 1]
 PHI_AT_1 = 0.8413447460685429
 # 50-digit quadrature of (2/sqrt(pi)) e^{-t^2} over [1, inf)
 ERFC_AT_1 = 0.15729920705028513
-SQRT_HALF_PI = 1.2533141373155003
-# 50-digit quadrature of e^{-t^2/2} over [3, inf)
-UPPER_INT_AT_3 = 0.0033836925739527276
 
 
 class TestStdNormalCdf:
@@ -93,31 +90,3 @@ class TestErfcx:
     def test_decreasing_pairs(self, z, dz):
         assert erfcx(z + dz) < erfcx(z)
 
-
-class TestUpperGaussianIntegral:
-    def test_at_zero_half_gaussian_mass(self):
-        assert upper_gaussian_integral(0.0) == pytest.approx(SQRT_HALF_PI, abs=1e-12)
-
-    def test_matches_quadrature_at_three(self):
-        assert upper_gaussian_integral(3.0) == pytest.approx(UPPER_INT_AT_3, abs=1e-10)
-
-    def test_identity_with_normal_cdf(self):
-        a = 0.7
-        expected = np.sqrt(2.0 * np.pi) * (1.0 - std_normal_cdf(a))
-        assert upper_gaussian_integral(a) == pytest.approx(expected, abs=1e-13)
-
-    def test_identity_on_grid(self):
-        a = np.linspace(-38.0, 38.0, 10_000)
-        lhs = upper_gaussian_integral(a)
-        rhs = np.sqrt(2.0 * np.pi) * (1.0 - std_normal_cdf(a))
-        np.testing.assert_allclose(lhs, rhs, rtol=0.0, atol=1e-13)
-
-    def test_positive_and_decreasing(self):
-        a = np.linspace(-30.0, 30.0, 5_000)
-        v = upper_gaussian_integral(a)
-        assert np.all(v > 0.0)
-        assert np.all(np.diff(v) <= 0.0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            upper_gaussian_integral(float("nan"))
