@@ -29,7 +29,7 @@ from .oracles import (
     quadrature_prob,
 )
 from .solver import InfimumResult, LimitDirection, ig_critical_point, infimum
-from .special import EULER_GAMMA, erfcx, std_normal_cdf
+from .special import EULER_GAMMA, std_normal_cdf
 from .verification import BUDGETS, Budget, run_verification
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "RegimeError",
     "adaptive_gauss_kronrod",
     "cdf",
-    "erfcx",
     "grid_min",
     "ig_critical_point",
     "ig_peak_coord",

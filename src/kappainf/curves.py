@@ -13,16 +13,17 @@ The inverse Gaussian curve is
     Phi((kappa-1)x/sqrt(kappa)) + e^{2x^2} Phi(-(kappa+1)x/sqrt(kappa)),
 
 whose second term is the product of an exploding exponential and a Gaussian
-tail.  It is evaluated by one kernel, ``distributions._ig_curve``, shared
-with the inverse Gaussian ``cdf``: with c = (kappa+1)/sqrt(kappa) the term
-equals
+tail.  It is evaluated by one unchecked kernel, ``distributions._ig_curve``,
+shared with the inverse Gaussian ``cdf``: with c = (kappa+1)/sqrt(kappa) the
+term equals
 
     0.5 * exp((2 - c^2/2) x^2) * erfcx(c x / sqrt(2)),
 
 and 2 - c^2/2 <= 0 for every kappa > 0 (equality iff kappa = 1), so only
 non-positive exponents are ever formed; ``ig_prob_deriv`` reuses the same
 combined exponent.  Naive evaluation overflows near x ~ 19; these forms are
-finite for all x and kappa in range.
+finite for all x and kappa in range.  Arguments are checked once, at the
+public entry; the kernels call ``special._phi`` and ``_sc.erfcx`` unchecked.
 
 The curve's stationarity function, rescaled by e^{a^2/2} to
 
@@ -185,14 +186,12 @@ def ig_prob_deriv(kappa: float, x):
     evaluated with the exponents combined: the product of e^{2x^2} and the
     e^{-a^2/2} inside the stationarity function has exponent
     (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, so the result stays finite for
-    every positive x and kappa.
+    every positive x and kappa (an exponent that overflows to -inf gives 0).
     """
     k, x_arr, scalar = _stationarity_args(kappa, x)
-    v = (
-        2.0 * x_arr / special.SQRT_TWO_PI
-        * np.exp(_ig_exponent(k, x_arr))
-        * _ig_stationarity_kernel(k, x_arr)
-    )
+    with np.errstate(over="ignore"):
+        decay = np.exp(_ig_exponent(k, x_arr))
+    v = 2.0 * x_arr / special.SQRT_TWO_PI * decay * _ig_stationarity_kernel(k, x_arr)
     return unwrap(v, scalar)
 
 

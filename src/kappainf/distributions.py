@@ -143,19 +143,21 @@ def _ig_curve(ratio, x):
     """Inverse Gaussian P(X <= ratio*mu) at x = sqrt(lambda/mu), i.e.
     Phi((ratio-1)x/sqrt(ratio)) + e^{2x^2} Phi(-(ratio+1)x/sqrt(ratio)) with the
     second term as 0.5*exp(_ig_exponent)*erfcx(a/sqrt(2)), so no positive
-    exponent is ever formed.  Broadcasts over either argument."""
-    term1 = special.std_normal_cdf((ratio - 1.0) * x / np.sqrt(ratio))
-    carrier = special.erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
-    return np.clip(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 0.0, 1.0)
+    exponent is ever formed.  Unchecked: ratio and x > 0, either may be an
+    array.  An overflowing intermediate is an inf that gives the exact limit
+    (Phi(+-inf) = 1 or 0, erfcx(inf) = 0, exp(-inf) = 0)."""
+    with np.errstate(over="ignore"):
+        term1 = special._phi((ratio - 1.0) * x / np.sqrt(ratio))
+        carrier = _sc.erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
+        return np.minimum(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 1.0)
 
 
 def _ln_phi(u, sigma, shift=0.0):
-    """Phi(u/sigma + shift), the log-normal curve and CDF.  u/sigma overflows
-    for tiny sigma; Phi is exactly 0 or 1 beyond |z| ~ 38.6, so clipping z at
-    +-40 gives the limits 0, 1/2, 1 unchanged."""
+    """Phi(u/sigma + shift), the log-normal curve and CDF, unchecked.  u/sigma
+    overflows for tiny sigma; Phi(+-inf) is exactly 1 or 0, the true limit."""
     with np.errstate(over="ignore"):
         z = u / sigma + shift
-    return special.std_normal_cdf(np.clip(z, -40.0, 40.0))
+    return special._phi(z)
 
 
 def cdf(params: DistParams, t):

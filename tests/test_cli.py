@@ -101,6 +101,19 @@ class TestEval:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("kappa, coord, limit", [
+        ("1e-300", "1e100", "0"), ("1e100", "1e300", "1"), ("5e-324", "1e154", "0"),
+    ])
+    def test_ig_overflowing_intermediate_prints_its_limit(self, runner, kappa, coord, limit):
+        # an intermediate of the curve overflows to +-inf; the exact limit
+        # prints, with nothing on stderr
+        result = runner.invoke(
+            main, ["eval", "--family", "inverse-gaussian", "--kappa", kappa, "--coord", coord]
+        )
+        assert result.exit_code == 0
+        assert result.stdout == f"{limit}\n"
+        assert result.stderr == ""
+
     def test_unknown_family_is_usage_error(self, runner):
         result = runner.invoke(
             main, ["eval", "--family", "cauchy", "--kappa", "1", "--coord", "0"]
@@ -331,13 +344,15 @@ class TestVerifyCommand:
         assert payload["passed"] == payload["total"]
         assert all(r["status"] == "PASS" for r in payload["reports"])
 
-    def test_corrupted_normal_cdf_fails_the_suite(self, runner, monkeypatch):
-        # fault injection: a half-speed CDF must be caught by the oracles
-        true_cdf = kappainf.special.std_normal_cdf
+    @pytest.mark.parametrize("name", ["std_normal_cdf", "_phi"])
+    def test_corrupted_normal_cdf_fails_the_suite(self, runner, monkeypatch, name):
+        # fault injection: a half-speed CDF must be caught by the oracles,
+        # both in the checked entry and in the unchecked Phi of the curves
+        true_cdf = getattr(kappainf.special, name)
 
         def corrupted(z):
             return true_cdf(np.asarray(z) / 2.0)
 
-        monkeypatch.setattr(kappainf.special, "std_normal_cdf", corrupted)
+        monkeypatch.setattr(kappainf.special, name, corrupted)
         result = runner.invoke(main, ["verify", "--budget", "quick", "--seed", "1"])
         assert result.exit_code == 3

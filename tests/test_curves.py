@@ -122,6 +122,16 @@ class TestReducedProb:
                 assert np.all(reduced_prob(Family.LOG_NORMAL, kappa, sigmas) == limit)
                 assert cdf(DistParams.log_normal(0.0, 1e-320), kappa) == limit
 
+    def test_ig_overflowing_intermediates_give_the_exact_limits(self):
+        # (kappa -+ 1)*x/sqrt(kappa) or the combined exponent overflows to +-inf;
+        # Phi, erfcx and exp take the infinity to the curve's true limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced_prob(IG, 1e100, 1e300) == 1.0
+            assert reduced_prob(IG, 5e-324, 1e154) == 0.0
+            assert reduced_prob(IG, 1e-300, 1e100) == 0.0
+            assert ig_prob_deriv(1e-300, 1e100) == 0.0
+
     def test_ig_kappa_above_its_limit_is_a_domain_error(self):
         # the cdf's ratio t/mu plays kappa's part in the same curve
         tiny_shape = DistParams.inverse_gaussian(1.0, 1e-300)

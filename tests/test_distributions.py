@@ -102,6 +102,8 @@ class TestCdf:
             warnings.simplefilter("error")
             params = DistParams.inverse_gaussian(1e300, 1.0)
             assert cdf(params, 1e-300) == 0.0
+            # a subnormal t/mu overflows c*c/(2*ratio) in the exponent to inf
+            assert cdf(DistParams.inverse_gaussian(1e10, 1.0), 1e-300) == 0.0
             assert cdf(params, [-1e300, 5e-324, 1e-300, 1e300]).tolist() == [
                 0.0, 0.0, 0.0, cdf(params, 1e300)]
 

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "RegimeError",
     "adaptive_gauss_kronrod",
     "cdf",
-    "erfcx",
     "grid_min",
     "ig_critical_point",
     "ig_peak_coord",
