@@ -11,7 +11,6 @@ be re-derived numerically through the oracle and verification modules.
 
 from .distributions import DistParams, Family, cdf, mean, pdf, sample
 from .curves import (
-    ReducedPoint,
     ig_peak_coord,
     ig_prob_deriv,
     ig_stationarity,
@@ -47,7 +46,6 @@ __all__ = [
     "LimitDirection",
     "NumericalError",
     "OracleReport",
-    "ReducedPoint",
     "RegimeError",
     "adaptive_gauss_kronrod",
     "cdf",

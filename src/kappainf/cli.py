@@ -152,7 +152,7 @@ def _infimum_row(result: InfimumResult) -> list:
         float(result.value),
         bool(result.attained),
         bool(result.constant),
-        float(result.argmin.coord) if result.argmin is not None else None,
+        float(result.argmin) if result.argmin is not None else None,
         result.limit_direction.value if result.limit_direction is not None else None,
     ]
 
@@ -298,7 +298,3 @@ def cmd_verify(budget, seed, fmt, out) -> None:
     _emit(text, out)
     if n_pass != len(reports):
         sys.exit(3)
-
-
-if __name__ == "__main__":
-    main()

@@ -40,13 +40,13 @@ and raise ``DomainError`` above it.  The limit and its check live beside
 ``_ig_curve`` in ``distributions``, whose ``cdf`` applies them to t/mu;
 ``IG_KAPPA_MAX`` is re-exported here.
 
-Coordinate arguments accept a scalar or an ndarray.
+The reduced coordinate is a plain float, as ``reduce_params`` returns it;
+coordinate arguments accept a scalar or an ndarray.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as _sc
@@ -54,11 +54,10 @@ import scipy.special as _sc
 from . import special
 from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, DistParams, Family, _ig_curve,
                             _ig_exponent, _ig_ratio_limit, _ln_phi)
-from .errors import (DomainError, RegimeError, finite_array, require_finite, require_kappa,
-                     require_positive, unwrap)
+from .errors import (DomainError, RegimeError, finite_array, require_finite, require_positive,
+                     unwrap)
 
 __all__ = [
-    "ReducedPoint",
     "reduce_params",
     "reduced_prob",
     "ig_stationarity",
@@ -68,8 +67,8 @@ __all__ = [
 ]
 
 def _ig_kappa(kappa) -> float:
-    """require_kappa, plus the inverse Gaussian upper limit IG_KAPPA_MAX."""
-    k = require_kappa(kappa)
+    """A positive kappa, at most the inverse Gaussian upper limit IG_KAPPA_MAX."""
+    k = require_positive("kappa", kappa)
     _ig_ratio_limit("kappa", k)
     return k
 
@@ -98,46 +97,28 @@ def _stationarity_args(kappa, x):
     return k, x_arr, scalar
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A point of a family's reduced coordinate space."""
-
-    family: Family
-    coord: float
-
-    def __post_init__(self):
-        family = Family(self.family)
-        object.__setattr__(self, "family", family)
-        check = require_positive if family in POSITIVE_SUPPORT else require_finite
-        object.__setattr__(self, "coord", check("coord", self.coord))
-
-
-def reduce_params(params: DistParams) -> ReducedPoint:
-    """Map native parameters to the family's reduced coordinate."""
+def reduce_params(params: DistParams) -> float:
+    """The family's reduced coordinate of native parameters, as a float; raises
+    DomainError if it underflows to 0 (positive families) or overflows."""
     if params.family is Family.INVERSE_GAUSSIAN:
         coord = math.sqrt(params.p2 / params.p1)
     elif params.family is Family.LOG_NORMAL:
         coord = params.p2
     else:
         coord = params.p1 / params.p2
-    return ReducedPoint(params.family, coord)
+    check = require_positive if params.family in POSITIVE_SUPPORT else require_finite
+    return check("coord", coord)
 
 
 def reduced_prob(family: Family, kappa: float, coord):
     """P(X <= kappa*E[X]) as a function of the reduced coordinate.
 
-    Agrees with cdf(params, kappa*mean(params)) for any params that reduce
-    to the given coordinate.  ``coord`` may be a ReducedPoint, a scalar or
-    an ndarray.
+    Agrees with cdf(params, kappa*mean(params)) at coord = reduce_params(params)
+    for any params of the family.  ``coord`` may be a scalar or an ndarray.
     """
     family = Family(family)
-    k = _ig_kappa(kappa) if family is Family.INVERSE_GAUSSIAN else require_kappa(kappa)
-    if isinstance(coord, ReducedPoint):
-        if coord.family is not family:
-            raise DomainError(
-                f"reduced point belongs to {coord.family.value}, not {family.value}"
-            )
-        coord = coord.coord
+    k = (_ig_kappa(kappa) if family is Family.INVERSE_GAUSSIAN
+         else require_positive("kappa", kappa))
     x, scalar = finite_array("coord", coord, positive=family in POSITIVE_SUPPORT)
 
     if family is Family.INVERSE_GAUSSIAN:

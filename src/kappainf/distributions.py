@@ -93,12 +93,21 @@ class DistParams:
 
 
 def mean(params: DistParams) -> float:
-    """E[X]: mu / exp(mu + sigma^2/2) / mu + beta*gamma / mu per family."""
+    """E[X]: mu / exp(mu + sigma^2/2) / mu + beta*gamma / mu per family; a
+    log-normal mean that overflows or underflows to 0 is a DomainError."""
     p1, p2 = params.p1, params.p2
     if params.family is Family.INVERSE_GAUSSIAN:
         return p1
     if params.family is Family.LOG_NORMAL:
-        return math.exp(p1 + 0.5 * p2 * p2)
+        log_mean = p1 + 0.5 * p2 * p2
+        try:
+            m = math.exp(log_mean)
+        except OverflowError:
+            m = math.inf
+        if not 0.0 < m < math.inf:
+            raise DomainError(f"exp(mu + sigma^2/2) is not a positive float: "
+                              f"mu + sigma^2/2 = {log_mean!r}")
+        return m
     if params.family is Family.GUMBEL:
         return p1 + p2 * special.EULER_GAMMA
     return p1

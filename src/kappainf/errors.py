@@ -15,7 +15,6 @@ __all__ = [
     "NumericalError",
     "require_finite",
     "require_positive",
-    "require_kappa",
     "require_count",
     "finite_array",
     "unwrap",
@@ -54,11 +53,6 @@ def require_positive(name: str, value: Any) -> float:
     if x <= 0.0:
         raise DomainError(f"{name} must be > 0, got {x!r}")
     return x
-
-
-def require_kappa(kappa: Any) -> float:
-    """The mean multiplier in P(X <= kappa*E[X]) must be a positive real."""
-    return require_positive("kappa", kappa)
 
 
 def require_count(name: str, value: Any) -> int:

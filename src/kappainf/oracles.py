@@ -23,7 +23,7 @@ import numpy as np
 from . import curves
 from .distributions import POSITIVE_SUPPORT, DistParams, Family, _mode, mean, pdf, sample
 from .errors import (DomainError, NumericalError, finite_array, require_count,
-                     require_finite, require_kappa)
+                     require_finite, require_positive)
 
 __all__ = [
     "OracleReport",
@@ -191,7 +191,7 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
 
     Never calls the closed-form CDF; absolute error target 1e-10.
     """
-    k = require_kappa(kappa)
+    k = require_positive("kappa", kappa)
     t_end = k * mean(params)
 
     if params.family in POSITIVE_SUPPORT:
@@ -213,9 +213,9 @@ def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float,
     standard error sqrt(p(1-p)/n)."""
     if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
-    k = require_kappa(kappa)
+    t_end = require_positive("kappa", kappa) * mean(params)  # raises before any draw
     draws = sample(params, n, seed)
-    p_hat = float(np.count_nonzero(draws <= k * mean(params))) / n
+    p_hat = float(np.count_nonzero(draws <= t_end)) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
@@ -256,7 +256,7 @@ class GridSpec:
         return np.linspace(self.lo, self.hi, self.count)
 
     @classmethod
-    def default_for(cls, family: Family, count: int = 100_000) -> "GridSpec":
+    def default_for(cls, family: Family, count: int) -> "GridSpec":
         """Geometric for positive coordinates (resolving the 0+ boundary),
         symmetric linear for the real-line families."""
         return cls(*_DEFAULT_GRIDS[Family(family)], count)
@@ -270,7 +270,7 @@ def grid_min(family: Family, kappa: float, grid: GridSpec) -> tuple[float, float
     can never undercut the true infimum.
     """
     family = Family(family)
-    k = require_kappa(kappa)
+    k = require_positive("kappa", kappa)
     pts = grid.points()
     if family in POSITIVE_SUPPORT and pts[0] <= 0.0:
         raise DomainError(f"grid leaves the coordinate domain of {family.value}")

@@ -26,9 +26,8 @@ from enum import Enum
 from typing import Callable, Optional
 
 from . import curves, special
-from .curves import ReducedPoint
 from .distributions import POSITIVE_SUPPORT, Family
-from .errors import NumericalError, RegimeError, require_kappa, require_positive
+from .errors import NumericalError, RegimeError, require_positive
 
 __all__ = ["LimitDirection", "InfimumResult", "ig_critical_point", "infimum"]
 
@@ -54,7 +53,7 @@ class InfimumResult:
     kappa: float
     value: float
     attained: bool
-    argmin: Optional[ReducedPoint] = None
+    argmin: Optional[float] = None
     limit_direction: Optional[LimitDirection] = None
     constant: bool = False
 
@@ -156,7 +155,7 @@ _CONSTANT = {Family.GUMBEL: math.exp(-math.exp(-special.EULER_GAMMA)), Family.LO
 def infimum(family: Family, kappa: float) -> InfimumResult:
     """Infimum of P(X <= kappa*E[X]) over the family's parameter space."""
     family = Family(family)
-    k = require_kappa(kappa)
+    k = require_positive("kappa", kappa)
 
     if family in POSITIVE_SUPPORT:
         if k <= 1.0:
@@ -165,12 +164,12 @@ def infimum(family: Family, kappa: float) -> InfimumResult:
             return InfimumResult(family, k, 0.5 if k == 1.0 else 0.0, False,
                                  limit_direction=direction)
         if family is Family.INVERSE_GAUSSIAN:
-            point = ReducedPoint(family, ig_critical_point(k))
-            value = curves.reduced_prob(family, k, point)
+            x0 = ig_critical_point(k)
+            value = curves.reduced_prob(family, k, x0)
         else:
-            point = ReducedPoint(family, math.sqrt(2.0 * math.log(k)))
-            value = special.std_normal_cdf(point.coord)
-        return InfimumResult(family, k, value, True, argmin=point)
+            x0 = math.sqrt(2.0 * math.log(k))
+            value = special.std_normal_cdf(x0)
+        return InfimumResult(family, k, value, True, argmin=x0)
 
     if k == 1.0:
         return InfimumResult(family, k, _CONSTANT[family], False, constant=True)

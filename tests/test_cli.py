@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import kappainf.special
-from kappainf import DistParams, Family, reduce_params, reduced_prob
+from kappainf import DistParams, Family, NumericalError, reduce_params, reduced_prob
 from kappainf.distributions import SCALE_NAME
 from kappainf import cli
 from kappainf.cli import main
@@ -58,7 +58,7 @@ class TestEval:
             by_coord = runner.invoke(
                 main,
                 ["eval", "--family", family, "--kappa", repr(kappa),
-                 "--coord", repr(reduce_params(params).coord)],
+                 "--coord", repr(reduce_params(params))],
             )
             assert by_params.exit_code == by_coord.exit_code == 0, (params, kappa)
             assert by_params.output == by_coord.output, (params, kappa)
@@ -145,6 +145,28 @@ def test_huge_ig_kappa_is_exit_2_naming_the_limit(runner, args):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "kappa must be <= 1.3407807929942596e+154" in result.stderr
     assert "1e+200" in result.stderr
+
+
+# each command with the library call it makes, which the test below makes fail
+NUMERICAL_FAILURE_CALLS = [
+    ("reduced_prob", ["eval", "--family", "logistic", "--kappa", "2", "--coord", "1"]),
+    ("infimum", ["infimum", "--family", "gumbel", "--kappa", "2"]),
+    ("ig_critical_point", ["root", "--kappa", "2"]),
+    ("run_verification", ["verify", "--budget", "quick", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("name, args", NUMERICAL_FAILURE_CALLS,
+                         ids=[args[0] for _, args in NUMERICAL_FAILURE_CALLS])
+def test_numerical_failure_is_exit_3_without_traceback(runner, monkeypatch, name, args):
+    def fail(*_args, **_kwargs):
+        raise NumericalError("boom")
+
+    monkeypatch.setattr(cli, name, fail)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == "numerical failure: boom\n"
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)

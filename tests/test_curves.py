@@ -11,7 +11,6 @@ from kappainf import (
     DistParams,
     DomainError,
     Family,
-    ReducedPoint,
     cdf,
     ig_peak_coord,
     ig_prob_deriv,
@@ -45,22 +44,18 @@ def random_member(family, rng):
 
 class TestReducedPoint:
     def test_positive_domain_enforced(self):
-        with pytest.raises(DomainError):
-            ReducedPoint(IG, 0.0)
-        with pytest.raises(DomainError):
-            ReducedPoint(Family.LOG_NORMAL, -1.0)
-        ReducedPoint(Family.GUMBEL, -1.0)  # real-line family: fine
-
-    def test_family_mismatch_rejected(self):
-        point = ReducedPoint(Family.GUMBEL, 1.0)
-        with pytest.raises(DomainError):
-            reduced_prob(Family.LOGISTIC, 1.0, point)
+        # sqrt(lambda/mu) underflows to 0 and mu/beta overflows to inf
+        with pytest.raises(DomainError, match=r"coord must be > 0, got 0\.0"):
+            reduce_params(DistParams.inverse_gaussian(1e300, 1e-300))
+        with pytest.raises(DomainError, match=r"coord must be finite, got inf"):
+            reduce_params(DistParams.gumbel(1e300, 1e-300))
+        assert reduce_params(DistParams.gumbel(-1.0, 1.0)) == -1.0  # real line: fine
 
     def test_reduce_params(self):
-        assert reduce_params(DistParams.inverse_gaussian(4.0, 9.0)).coord == 1.5
-        assert reduce_params(DistParams.log_normal(0.3, 0.7)).coord == 0.7
-        assert reduce_params(DistParams.gumbel(3.0, 2.0)).coord == 1.5
-        assert reduce_params(DistParams.logistic(-3.0, 2.0)).coord == -1.5
+        assert reduce_params(DistParams.inverse_gaussian(4.0, 9.0)) == 1.5
+        assert reduce_params(DistParams.log_normal(0.3, 0.7)) == 0.7
+        assert reduce_params(DistParams.gumbel(3.0, 2.0)) == 1.5
+        assert reduce_params(DistParams.logistic(-3.0, 2.0)) == -1.5
 
 
 class TestReducedProb:

@@ -13,6 +13,7 @@ from kappainf import (
     Family,
     adaptive_gauss_kronrod,
     cdf,
+    mc_prob,
     mean,
     pdf,
     quadrature_prob,
@@ -73,6 +74,20 @@ class TestMean:
 
     def test_logistic_mean_is_location(self):
         assert mean(DistParams.logistic(-2.5, 9.0)) == -2.5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: mean(DistParams.log_normal(800.0, 1.0)),  # exp overflows
+        lambda: quadrature_prob(DistParams.log_normal(0.0, 40.0), 2.0),
+        lambda: mc_prob(DistParams.log_normal(710.0, 1.0), 2.0, 1000, 1),  # before sampling
+        lambda: quadrature_prob(DistParams.log_normal(-800.0, 1.0), 2.0),  # exp underflows to 0
+    ], ids=["mean-overflow", "quadrature-overflow", "mc-overflow", "quadrature-underflow"])
+    def test_log_normal_mean_outside_the_floats_is_a_domain_error(self, call):
+        with pytest.raises(DomainError, match=r"mu \+ sigma\^2/2 = "):
+            call()
+
+    def test_log_normal_mean_near_the_low_end_is_kept(self):
+        assert mean(DistParams.log_normal(-700.0, 1.0)) == 1.6255858439919858e-304
 
 
 class TestCdf:

@@ -148,9 +148,9 @@ class TestGridMin:
             GridSpec("linear", 0.0, 1.0, 1)
 
     def test_default_grids(self):
-        assert GridSpec.default_for(Family.LOG_NORMAL).kind == "geometric"
-        assert GridSpec.default_for(Family.LOG_NORMAL).lo == pytest.approx(1e-6)
-        assert GridSpec.default_for(Family.LOGISTIC).kind == "linear"
+        assert GridSpec.default_for(Family.LOG_NORMAL, 1000).kind == "geometric"
+        assert GridSpec.default_for(Family.LOG_NORMAL, 1000).lo == pytest.approx(1e-6)
+        assert GridSpec.default_for(Family.LOGISTIC, 1000).kind == "linear"
 
 
 class TestMcProb:
@@ -183,6 +183,8 @@ class TestMcProb:
             sample(params, 10, 1.5)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             run_verification("quick", -1)
+        with pytest.raises(DomainError, match=r"budget must be one of \['full', 'quick'\]"):
+            run_verification("huge", 1)
 
     def test_error_shrinks_with_tenfold_samples(self):
         # seeded regression: 10 fixed trials, fresh sub-seeds per size

@@ -19,7 +19,6 @@ PUBLIC_NAMES = [
     "LimitDirection",
     "NumericalError",
     "OracleReport",
-    "ReducedPoint",
     "RegimeError",
     "adaptive_gauss_kronrod",
     "cdf",

@@ -10,7 +10,6 @@ from kappainf import (
     GridSpec,
     InfimumResult,
     LimitDirection,
-    ReducedPoint,
     grid_min,
     ig_critical_point,
     ig_peak_coord,
@@ -121,7 +120,7 @@ class TestInfimumRegimes:
         r = infimum(IG, 2.0)
         assert r.attained and not r.constant
         assert r.value > 0.5
-        assert r.argmin.coord == pytest.approx(X0_AT_2, rel=1e-12)
+        assert r.argmin == pytest.approx(X0_AT_2, rel=1e-12)
 
     def test_log_normal(self):
         r = infimum(Family.LOG_NORMAL, 0.5)
@@ -130,7 +129,7 @@ class TestInfimumRegimes:
         assert (r.value, r.attained, r.limit_direction) == (0.5, False, LimitDirection.TO_ZERO)
         r = infimum(Family.LOG_NORMAL, math.e)
         assert r.attained
-        assert r.argmin.coord == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        assert r.argmin == pytest.approx(math.sqrt(2.0), abs=1e-14)
         assert r.value == pytest.approx(PHI_SQRT2, abs=1e-10)
 
     def test_gumbel(self):
@@ -173,7 +172,7 @@ class TestInfimumRegimes:
     def test_attained_minima_beat_neighbors(self):
         for family, kappa in ((IG, 1.5), (IG, 5.0), (Family.LOG_NORMAL, 4.0)):
             r = infimum(family, kappa)
-            x = r.argmin.coord
+            x = r.argmin
             assert r.value <= reduced_prob(family, kappa, x * (1 + 1e-3))
             assert r.value <= reduced_prob(family, kappa, x * (1 - 1e-3))
 
@@ -203,7 +202,7 @@ class TestInfimumRegimes:
 
     def test_tight_grid_confirms_ig_minimum_to_1e8(self):
         r = infimum(IG, 2.0)
-        lo, hi = r.argmin.coord * 0.9, r.argmin.coord * 1.1
+        lo, hi = r.argmin * 0.9, r.argmin * 1.1
         _, value = grid_min(IG, 2.0, GridSpec("linear", lo, hi, 100_000))
         assert abs(value - r.value) <= 1e-8
         assert value >= r.value - 1e-12  # grid can never beat the infimum
@@ -227,4 +226,8 @@ class TestInfimumResultInvariants:
 
     def test_value_must_be_probability(self):
         with pytest.raises(ValueError):
-            InfimumResult(IG, 2.0, 1.5, True, argmin=ReducedPoint(IG, 1.0))
+            InfimumResult(IG, 2.0, 1.5, True, argmin=1.0)
+
+    def test_constant_is_not_attained(self):
+        with pytest.raises(ValueError, match="constant curves are reported as non-attained"):
+            InfimumResult(IG, 2.0, 0.6, True, argmin=1.0, constant=True)
