@@ -29,10 +29,12 @@ The curve's stationarity function, rescaled by e^{a^2/2} to
 
     2*sqrt(pi/2)*erfcx((kappa+1)x/sqrt(2*kappa)) - 1/(sqrt(kappa)*x),
 
-is likewise one unchecked kernel, ``_ig_stationarity_kernel``: the public
+is likewise one unchecked kernel, ``_ig_stationarity_kernel``, which takes
+sqrt(2*kappa) and sqrt(kappa) precomputed: the public
 ``ig_stationarity_scaled``, ``ig_stationarity`` and ``ig_prob_deriv`` check
-their arguments and call it, and the root finder in ``solver`` calls it on
-Python floats, once per evaluation, without array round trips.
+their arguments and call it, and the root finder in ``solver`` takes the
+roots once per kappa and calls it on Python floats, once per evaluation,
+without array round trips.
 
 The inverse Gaussian curve, stationarity and critical-point formulas square
 kappa + 1, so they take kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154
@@ -40,8 +42,10 @@ and raise ``DomainError`` above it.  The limit and its check live beside
 ``_ig_curve`` in ``distributions``, whose ``cdf`` applies them to t/mu;
 ``IG_KAPPA_MAX`` is re-exported here.
 
-The reduced coordinate is a plain float, as ``reduce_params`` returns it;
-coordinate arguments accept a scalar or an ndarray.
+The reduced coordinate is a plain float, as ``reduce_params`` returns it.
+``reduced_prob``, ``ig_stationarity_scaled`` and ``ig_prob_deriv`` take kappa
+and the coordinate each as a scalar or an ndarray; the two broadcast against
+each other, and every element has exactly the bits of the scalar call.
 """
 
 from __future__ import annotations
@@ -73,28 +77,59 @@ def _ig_kappa(kappa) -> float:
     return k
 
 
-def _ig_stationarity_kernel(k, x):
+def _checked_args(kappa, name: str, coord, positive: bool, ig: bool):
+    """(k, coord array, was_scalar) of a scalar or ndarray kappa and coordinate.
+
+    A scalar kappa stays a Python float; an ndarray kappa is checked entry by
+    entry, its largest entry against IG_KAPPA_MAX when ``ig``.  was_scalar is
+    true when both are scalars; shapes that do not broadcast are a DomainError.
+    """
+    if not isinstance(kappa, np.ndarray):
+        k = _ig_kappa(kappa) if ig else require_positive("kappa", kappa)
+        return (k, *finite_array(name, coord, positive=positive))
+    k = finite_array("kappa", kappa, positive=True)[0]
+    if ig and k.size:
+        _ig_ratio_limit("kappa", float(k.max()))
+    x, scalar = finite_array(name, coord, positive=positive)
+    try:
+        np.broadcast_shapes(k.shape, x.shape)
+    except ValueError:
+        raise DomainError(f"kappa and {name} must broadcast against each other, "
+                          f"got shapes {k.shape} and {x.shape}") from None
+    return k, x, scalar and k.ndim == 0
+
+
+def _sqrt_2k_k(k):
+    """(sqrt(2k), sqrt(k)), the roots the stationarity kernel takes.  math.sqrt
+    and np.sqrt are both correctly rounded, so scalar and array kappa agree."""
+    if isinstance(k, np.ndarray):
+        return np.sqrt(2.0 * k), np.sqrt(k)
+    return math.sqrt(2.0 * k), math.sqrt(k)
+
+
+def _ig_stationarity_kernel(k, sqrt_2k, sqrt_k, x):
     """Scaled stationarity 2*sqrt(pi/2)*erfcx(s) - 1/(sqrt(k)*x), s = (k+1)x/sqrt(2k).
 
-    No validation: k must be a checked kappa and x > 0, a Python float or an
-    ndarray.  Scalar and array x give the same bits.
+    No validation: k must be a checked kappa with its roots from _sqrt_2k_k,
+    and x > 0; each a Python float or an ndarray.  Scalar and array arguments
+    give the same bits.
     """
-    s = (k + 1.0) * x / math.sqrt(2.0 * k)
-    return 2.0 * special.SQRT_HALF_PI * _sc.erfcx(s) - 1.0 / (math.sqrt(k) * x)
+    s = (k + 1.0) * x / sqrt_2k
+    return 2.0 * special.SQRT_HALF_PI * _sc.erfcx(s) - 1.0 / (sqrt_k * x)
 
 
 def _stationarity_args(kappa, x):
-    """(k, x array, was_scalar) checked for the kernel: kappa in the inverse
-    Gaussian range, x > 0, and its erfcx argument s finite (erfcx(inf) = 0
-    would silently flip the sign of the result)."""
-    k = _ig_kappa(kappa)
-    x_arr, scalar = finite_array("x", x, positive=True)
+    """((k, sqrt(2k), sqrt(k)), x array, was_scalar) checked for the kernel:
+    kappa in the inverse Gaussian range, x > 0, and its erfcx argument s finite
+    (erfcx(inf) = 0 would silently flip the sign of the result)."""
+    k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
+    sqrt_2k, sqrt_k = _sqrt_2k_k(k)
     with np.errstate(over="ignore"):
-        s = (k + 1.0) * x_arr / math.sqrt(2.0 * k)
+        s = (k + 1.0) * x_arr / sqrt_2k
     if not np.all(np.isfinite(s)):
         raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
                           f"overflows, got {x!r}")
-    return k, x_arr, scalar
+    return (k, sqrt_2k, sqrt_k), x_arr, scalar
 
 
 def reduce_params(params: DistParams) -> float:
@@ -110,21 +145,24 @@ def reduce_params(params: DistParams) -> float:
     return check("coord", coord)
 
 
-def reduced_prob(family: Family, kappa: float, coord):
+def reduced_prob(family: Family, kappa, coord):
     """P(X <= kappa*E[X]) as a function of the reduced coordinate.
 
     Agrees with cdf(params, kappa*mean(params)) at coord = reduce_params(params)
-    for any params of the family.  ``coord`` may be a scalar or an ndarray.
+    for any params of the family.  ``kappa`` and ``coord`` may each be a scalar
+    or an ndarray; arrays broadcast against each other.
     """
     family = Family(family)
-    k = (_ig_kappa(kappa) if family is Family.INVERSE_GAUSSIAN
-         else require_positive("kappa", kappa))
-    x, scalar = finite_array("coord", coord, positive=family in POSITIVE_SUPPORT)
+    k, x, scalar = _checked_args(kappa, "coord", coord, positive=family in POSITIVE_SUPPORT,
+                                 ig=family is Family.INVERSE_GAUSSIAN)
 
     if family is Family.INVERSE_GAUSSIAN:
         p = _ig_curve(k, x)
     elif family is Family.LOG_NORMAL:
-        p = _ln_phi(math.log(k), x, 0.5 * x)
+        # math.log per kappa: np.log can differ from it in the last bit
+        log_k = (np.array([math.log(v) for v in k.flat]).reshape(k.shape)
+                 if isinstance(k, np.ndarray) else math.log(k))
+        p = _ln_phi(log_k, x, 0.5 * x)
     elif family is Family.GUMBEL:
         with np.errstate(over="ignore"):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
@@ -140,27 +178,29 @@ def ig_stationarity(kappa: float, x):
     Defined as 2*int_a^inf e^{-t^2/2} dt - e^{-a^2/2}/(sqrt(kappa)*x) with
     a = (kappa+1)x/sqrt(kappa).  Its sign equals the sign of the curve's
     derivative: negative everywhere for kappa <= 1, and for kappa > 1
-    negative below the unique zero and positive above it.
+    negative below the unique zero and positive above it.  ``kappa`` is a
+    scalar; ``x`` may be a scalar or an ndarray.
     """
-    k, x_arr, scalar = _stationarity_args(kappa, x)
+    roots, x_arr, scalar = _stationarity_args(_ig_kappa(kappa), x)
+    k = roots[0]
     a2 = (k + 1.0) ** 2 * x_arr * x_arr / k
-    v = np.exp(-0.5 * a2) * _ig_stationarity_kernel(k, x_arr)
+    v = np.exp(-0.5 * a2) * _ig_stationarity_kernel(*roots, x_arr)
     return unwrap(v, scalar)
 
 
-def ig_stationarity_scaled(kappa: float, x):
+def ig_stationarity_scaled(kappa, x):
     """e^{a^2/2}-rescaled stationarity function: same zeros and signs.
 
     Equals 2*sqrt(pi/2)*erfcx((kappa+1)x/sqrt(2*kappa)) - 1/(sqrt(kappa)*x).
     Unlike the plain function it neither overflows nor underflows, so root
     finding can bracket it at any x; as x -> inf it tends to 0 with the sign
-    of kappa - 1.
+    of kappa - 1.  ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
-    k, x_arr, scalar = _stationarity_args(kappa, x)
-    return unwrap(_ig_stationarity_kernel(k, x_arr), scalar)
+    roots, x_arr, scalar = _stationarity_args(kappa, x)
+    return unwrap(_ig_stationarity_kernel(*roots, x_arr), scalar)
 
 
-def ig_prob_deriv(kappa: float, x):
+def ig_prob_deriv(kappa, x):
     """d/dx of the inverse Gaussian curve.
 
     The factorized form (2x e^{2x^2}/sqrt(2*pi)) * stationarity(x) is
@@ -168,11 +208,12 @@ def ig_prob_deriv(kappa: float, x):
     e^{-a^2/2} inside the stationarity function has exponent
     (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, so the result stays finite for
     every positive x and kappa (an exponent that overflows to -inf gives 0).
+    ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
-    k, x_arr, scalar = _stationarity_args(kappa, x)
+    roots, x_arr, scalar = _stationarity_args(kappa, x)
     with np.errstate(over="ignore"):
-        decay = np.exp(_ig_exponent(k, x_arr))
-    v = 2.0 * x_arr / special.SQRT_TWO_PI * decay * _ig_stationarity_kernel(k, x_arr)
+        decay = np.exp(_ig_exponent(roots[0], x_arr))
+    v = 2.0 * x_arr / special.SQRT_TWO_PI * decay * _ig_stationarity_kernel(*roots, x_arr)
     return unwrap(v, scalar)
 
 

@@ -243,16 +243,35 @@ def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
 
+    # The inverse Gaussian and logistic transforms run in place, in the
+    # order of their plain formulas (kept in the comments), so the draws keep
+    # their bits without full-size temporaries.
     if params.family is Family.INVERSE_GAUSSIAN:
-        y = rng.standard_normal(n) ** 2
-        w = p1 * y / (2.0 * p2)
-        root = p1 * (1.0 + w - np.sqrt(w * (w + 2.0)))
-        u = rng.random(n)
-        return np.where(u <= p1 / (p1 + root), root, p1 * p1 / root)
+        w = rng.standard_normal(n)
+        w *= w
+        w *= p1
+        w /= 2.0 * p2  # w = p1*y/(2*p2), y = z^2 chi-square
+        root = w + 2.0
+        root *= w
+        np.sqrt(root, out=root)
+        w += 1.0
+        np.subtract(w, root, out=root)
+        root *= p1  # root = p1*(1 + w - sqrt(w*(w + 2)))
+        np.add(root, p1, out=w)
+        np.divide(p1, w, out=w)
+        keep = rng.random(n) <= w  # u <= p1/(p1 + root)
+        np.divide(p1 * p1, root, out=root, where=~keep)
+        return root
 
     u = np.maximum(rng.random(n), 5e-324)  # keep inverse transforms finite
     if params.family is Family.LOG_NORMAL:
         return np.exp(p1 + p2 * _sc.ndtri(u))
     if params.family is Family.GUMBEL:
         return p1 - p2 * np.log(-np.log(u))
-    return p1 + p2 * (np.log(u) - np.log1p(-u))
+    logit = np.log(u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    logit -= u
+    logit *= p2
+    logit += p1  # p1 + p2*(log(u) - log1p(-u))
+    return logit

@@ -189,10 +189,10 @@ _QUAD_TOL = 1e-10
 def quadrature_prob(params: DistParams, kappa: float) -> float:
     """P(X <= kappa*mean) by adaptive quadrature of the density.
 
-    Never calls the closed-form CDF; absolute error target 1e-10.
+    Never calls the closed-form CDF; absolute error target 1e-10.  A
+    kappa*mean that overflows is a DomainError.
     """
-    k = require_positive("kappa", kappa)
-    t_end = k * mean(params)
+    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
 
     if params.family in POSITIVE_SUPPORT:
         if t_end <= 0.0:
@@ -210,10 +210,11 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
 
 def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float, float]:
     """Fraction of n seeded draws at or below kappa*mean, with its binomial
-    standard error sqrt(p(1-p)/n)."""
+    standard error sqrt(p(1-p)/n); a kappa*mean that overflows is a DomainError."""
     if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
-    t_end = require_positive("kappa", kappa) * mean(params)  # raises before any draw
+    # raises before any draw
+    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
     draws = sample(params, n, seed)
     p_hat = float(np.count_nonzero(draws <= t_end)) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)

@@ -125,11 +125,12 @@ def ig_critical_point(kappa: float) -> float:
             "decreases strictly toward its limit as the coordinate grows"
         )
     kernel = curves._ig_stationarity_kernel
+    sqrt_2k, sqrt_k = curves._sqrt_2k_k(k)
 
     def f(x: float) -> float:
         # kappa is checked once above and each iterate by the scalar guard:
         # no array validation or 0-d round trip per evaluation
-        return float(kernel(k, require_positive("x", x)))
+        return float(kernel(k, sqrt_2k, sqrt_k, require_positive("x", x)))
 
     hi = curves.ig_peak_coord(k)
     f_hi = f(hi)

@@ -69,20 +69,24 @@ def _random_params(family: Family, rng: np.random.Generator) -> DistParams:
 def _closed_form_rows(budget: Budget, rng: np.random.Generator) -> list[OracleReport]:
     rows = []
     for family in Family:
-        worst = (-1.0, 0.0, 0.0, "")
+        cases = []
         for _ in range(budget.quad_cases):
             params = _random_params(family, rng)
-            kappa = 10.0 ** rng.uniform(-1.0, 1.0)
-            analytic = curves.reduced_prob(family, kappa, curves.reduce_params(params))
-            estimate = quadrature_prob(params, kappa)
-            gap = abs(analytic - estimate)
-            if gap > worst[0]:
-                worst = (gap, analytic, estimate,
-                         f"p1={params.p1:.4g} p2={params.p2:.4g} kappa={kappa:.4g}")
+            cases.append((params, 10.0 ** rng.uniform(-1.0, 1.0)))
+        estimates = np.array([quadrature_prob(params, kappa) for params, kappa in cases])
+        analytic = curves.reduced_prob(
+            family,
+            np.array([kappa for _, kappa in cases]),
+            np.array([curves.reduce_params(params) for params, _ in cases]),
+        )
+        # argmax takes the first of equal gaps, as a running strict > would
+        worst = int(np.argmax(np.abs(analytic - estimates)))
+        params, kappa = cases[worst]
         rows.append(OracleReport(
-            "quadrature", worst[1], worst[2], 1e-9,
+            "quadrature", analytic[worst], estimates[worst], 1e-9,
             f"{family.value}: curve vs density quadrature, "
-            f"{budget.quad_cases} random cases, worst at {worst[3]}",
+            f"{budget.quad_cases} random cases, worst at "
+            f"p1={params.p1:.4g} p2={params.p2:.4g} kappa={kappa:.4g}",
         ))
     return rows
 
@@ -132,20 +136,18 @@ def _ig_critical_rows(budget: Budget) -> list[OracleReport]:
 def _derivative_rows(rng: np.random.Generator) -> list[OracleReport]:
     kappas = 10.0 ** rng.uniform(math.log10(0.2), 1.0, size=1000)
     xs = rng.uniform(0.05, 5.0, size=1000)
-    worst = 0.0
-    sign_mismatches = 0
-    for kappa, x in zip(kappas, xs):
-        step = 1e-6 * max(1.0, x)
-        fd = (
-            curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappa, x + step)
-            - curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappa, x - step)
-        ) / (2.0 * step)
-        deriv = curves.ig_prob_deriv(kappa, x)
-        # pass iff |fd - deriv| <= 1e-4*|deriv| + 1e-8; the absolute floor is
-        # the resolution limit of a step-1e-6 central difference in doubles
-        worst = max(worst, abs(fd - deriv) / (abs(deriv) + 1e-4))
-        if np.sign(deriv) != np.sign(curves.ig_stationarity(kappa, x)):
-            sign_mismatches += 1
+    step = 1e-6 * np.maximum(1.0, xs)
+    fd = (
+        curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappas, xs + step)
+        - curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappas, xs - step)
+    ) / (2.0 * step)
+    deriv = curves.ig_prob_deriv(kappas, xs)
+    # pass iff |fd - deriv| <= 1e-4*|deriv| + 1e-8; the absolute floor is
+    # the resolution limit of a step-1e-6 central difference in doubles
+    worst = np.max(np.abs(fd - deriv) / (np.abs(deriv) + 1e-4))
+    # the scaled stationarity is the plain one times e^{a^2/2} > 0: same signs
+    sign_mismatches = np.count_nonzero(
+        np.sign(deriv) != np.sign(curves.ig_stationarity_scaled(kappas, xs)))
     return [
         OracleReport(
             "finite_diff", 0.0, worst, 1e-4,

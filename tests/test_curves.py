@@ -20,7 +20,7 @@ from kappainf import (
     reduce_params,
     reduced_prob,
 )
-from kappainf.curves import IG_KAPPA_MAX, _ig_stationarity_kernel
+from kappainf.curves import IG_KAPPA_MAX, _ig_stationarity_kernel, _sqrt_2k_k
 from kappainf.errors import RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
@@ -210,11 +210,12 @@ class TestStationarity:
     @given(st.floats(1e-3, 1e3), st.lists(st.floats(1e-8, 1e6), min_size=1, max_size=20))
     @settings(max_examples=300, deadline=None)
     def test_kernel_is_the_public_function_bit_for_bit(self, kappa, xs):
+        roots = (kappa, *_sqrt_2k_k(kappa))
         public = ig_stationarity_scaled(kappa, np.array(xs))
-        kernel = _ig_stationarity_kernel(kappa, np.array(xs))
+        kernel = _ig_stationarity_kernel(*roots, np.array(xs))
         assert public.tobytes() == kernel.tobytes()
         for x, value in zip(xs, public):
-            scalar = _ig_stationarity_kernel(kappa, x)
+            scalar = _ig_stationarity_kernel(*roots, x)
             assert float(scalar).hex() == ig_stationarity_scaled(kappa, x).hex() == value.hex()
 
 
@@ -257,3 +258,57 @@ class TestProbDeriv:
             stable = ig_prob_deriv(kappa, x)
             if abs(stable) > 1e-250:
                 assert literal == pytest.approx(stable, rel=1e-9)
+
+
+# kappa log-uniform in [1e-3, 1e3], or 1 + 10^u for u in [-12, -1]
+KAPPAS = st.one_of(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u),
+                   st.floats(-12.0, -1.0).map(lambda u: 1.0 + 10.0 ** u))
+
+
+class TestArrayKappa:
+    @given(st.lists(st.tuples(KAPPAS, st.floats(1e-3, 30.0), st.floats(-50.0, 50.0)),
+                    min_size=1, max_size=30),
+           st.sampled_from(list(Family)))
+    @settings(max_examples=200, deadline=None)
+    def test_reduced_prob_is_the_scalar_call_bit_for_bit(self, points, family):
+        kappas, xs, ys = (np.array(column) for column in zip(*points))
+        coords = xs if family in (IG, Family.LOG_NORMAL) else ys
+        array = reduced_prob(family, kappas, coords)
+        scalar = [reduced_prob(family, float(k), float(c)) for k, c in zip(kappas, coords)]
+        assert array.tobytes() == np.array(scalar).tobytes()
+
+    @given(st.lists(st.tuples(KAPPAS, st.floats(1e-3, 30.0)), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_stationarity_kernels_are_the_scalar_calls_bit_for_bit(self, points):
+        kappas, xs = (np.array(column) for column in zip(*points))
+        for call in (ig_prob_deriv, ig_stationarity_scaled):
+            scalar = [call(float(k), float(x)) for k, x in zip(kappas, xs)]
+            assert call(kappas, xs).tobytes() == np.array(scalar).tobytes()
+
+    def test_kappa_broadcasts_against_the_coordinate(self):
+        kappas = np.array([[0.5], [2.0]])
+        xs = np.array([0.3, 1.0, 4.0])
+        grid = reduced_prob(IG, kappas, xs)
+        assert grid.shape == (2, 3)
+        assert grid[1, 2] == reduced_prob(IG, 2.0, 4.0)
+        assert reduced_prob(Family.GUMBEL, np.array(2.0), -1.0) == reduced_prob(
+            Family.GUMBEL, 2.0, -1.0)
+
+    def test_bad_array_kappa_is_a_domain_error(self):
+        xs = np.array([0.5, 1.0])
+        calls = [lambda k, f=family: reduced_prob(f, k, xs) for family in Family]
+        calls += [lambda k: ig_prob_deriv(k, xs), lambda k: ig_stationarity_scaled(k, xs)]
+        for call in calls:
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError, match="kappa must be"):
+                    call(np.array([2.0, bad]))
+            with pytest.raises(DomainError, match=r"kappa and (coord|x) must broadcast.*"
+                                                  r"\(3,\) and \(2,\)"):
+                call(np.array([0.5, 2.0, 3.0]))
+        above = np.array([2.0, math.nextafter(IG_KAPPA_MAX, math.inf)])
+        for call in (lambda k: reduced_prob(IG, k, xs), lambda k: ig_prob_deriv(k, xs),
+                     lambda k: ig_stationarity_scaled(k, xs)):
+            with pytest.raises(DomainError, match="kappa must be <= 1.34"):
+                call(above)
+        for family in (Family.LOG_NORMAL, Family.GUMBEL, Family.LOGISTIC):
+            assert reduced_prob(family, above, xs).shape == (2,)

@@ -1,6 +1,8 @@
 """Family definitions: moments, CDFs, densities, seeded sampling."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -209,6 +211,30 @@ class TestSample:
             np.testing.assert_array_equal(a, b)
             c = sample(params, 10_000, seed=124)
             assert not np.array_equal(a, c)
+
+    def test_draws_are_frozen_bit_for_bit(self):
+        # SHA-256 of sample(params, 10_000, seed=123) for each of ALL_PARAMS,
+        # recorded from the plain (not in-place) transformations
+        frozen = [
+            "72ad1c947424247ce699571f241fcf03423c03b371747d7f7ae6e25c48423e07",
+            "f3b4fd57bd83246f197ff0a9980d4812d5e0a8bad884334375b8d0c8e97c8fed",
+            "f08d3195e03ec7a6ae5a888dea067a79bfffe1923c437c3d491608ae284b5268",
+            "52edb9d5e9c751d7fd28495548ecbf581f56c365d9dc770f3cd29ae8d4239d1f",
+        ]
+        for params, digest in zip(ALL_PARAMS, frozen):
+            draws = sample(params, 10_000, seed=123)
+            assert hashlib.sha256(draws.tobytes()).hexdigest() == digest, params
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
+    def test_million_draws_peak_below_25_mib(self, params):
+        # the 8 MB result plus at most two more full-size arrays and a mask
+        tracemalloc.start()
+        try:
+            sample(params, 10**6, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20
 
     def test_zero_draws_is_empty_not_an_error(self):
         assert sample(ALL_PARAMS[0], 0, seed=1).size == 0

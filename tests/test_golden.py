@@ -3,8 +3,9 @@
 The stored files under ``tests/data/golden/`` pin the ``infimum`` CSV, JSON and
 table output (with embedded curve samples) for all four families, the
 ``infimum --curve-out`` output (stdout and the curve file) for the CSV and
-table formats, the ``root`` CSV, and a set of ``eval --coord`` lines.  Any refactoring that
-changes a single printed digit fails here.
+table formats, the ``root`` CSV, the ``verify --budget quick --seed 1`` JSON report,
+and a set of ``eval --coord`` lines.  Any refactoring that changes a single printed
+digit fails here.
 
 Regenerate (only when an output change is intended) with::
 
@@ -34,6 +35,8 @@ CASES = {
     for fmt, ext in EXTENSIONS.items()
 }
 CASES["root.csv"] = ["root", "--kappa", ROOT_SWEEP, "--format", "csv"]
+CASES["verify-quick-seed1.json"] = ["verify", "--budget", "quick", "--seed", "1",
+                                    "--format", "json"]
 
 # ``--curve-out``: the stdout file as named, the curve file as <stem>.curve.csv;
 # a repeated kappa writes its curve once per occurrence

@@ -2,6 +2,7 @@
 analytic path."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,16 @@ class TestMcProb:
         with pytest.raises(DomainError, match=r"budget must be one of \['full', 'quick'\]"):
             run_verification("huge", 1)
 
+    def test_overflowing_kappa_times_mean_is_a_domain_error(self):
+        # exp(709.5) is a float but 2*exp(709.5) is not: no draw, knot or warning
+        params = DistParams.log_normal(709.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"kappa\*mean must be finite"):
+                mc_prob(params, 2.0, 1000, 1)
+            with pytest.raises(DomainError, match=r"kappa\*mean must be finite"):
+                quadrature_prob(params, 2.0)
+
     def test_error_shrinks_with_tenfold_samples(self):
         # seeded regression: 10 fixed trials, fresh sub-seeds per size
         trials = [
@@ -219,3 +230,23 @@ class TestOracleReport:
     def test_unknown_method_rejected(self):
         with pytest.raises(DomainError):
             OracleReport("guessing", 1.0, 1.0, 1e-9)
+
+
+class TestVerificationRows:
+    def test_array_rows_make_few_curve_calls(self, monkeypatch):
+        from kappainf import curves, verification
+
+        calls = []
+        for name in ("reduced_prob", "ig_prob_deriv", "ig_stationarity_scaled", "ig_stationarity"):
+            def counted(*args, _f=getattr(curves, name), _name=name):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(curves, name, counted)
+
+        rows = verification._derivative_rows(np.random.default_rng(1))
+        assert len(calls) <= 4 and all(row.passed for row in rows)
+        calls.clear()
+        rows = verification._closed_form_rows(verification.Budget(1000, 1000, 5),
+                                              np.random.default_rng(1))
+        assert calls == ["reduced_prob"] * len(Family)
+        assert all(row.passed for row in rows)

@@ -67,10 +67,10 @@ class TestCriticalPoint:
         calls = 0
         kernel = curves._ig_stationarity_kernel
 
-        def counting_kernel(k, x):
+        def counting_kernel(k, sqrt_2k, sqrt_k, x):
             nonlocal calls
             calls += 1
-            return kernel(k, x)
+            return kernel(k, sqrt_2k, sqrt_k, x)
 
         monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
         rng = np.random.default_rng(2024)
