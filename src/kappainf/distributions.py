@@ -201,39 +201,42 @@ def cdf(params: DistParams, t):
     return unwrap(out, scalar)
 
 
-def pdf(params: DistParams, t):
-    """Density at t.  Positive-support families reject t <= 0.
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _density(family: Family, t, p1, p2, log_p2):
+    """Density of ``family`` at t, unchecked: t inside the support, valid p1
+    and p2, and log_p2 = math.log(p2).  t, p1, p2 and log_p2 may be arrays
+    that broadcast together, so one call can serve many members of a family.
 
     Computed through the log-density so far-tail evaluations underflow to 0
     instead of producing inf*0.
     """
-    t_arr, scalar = finite_array("t", t, positive=params.family in POSITIVE_SUPPORT)
-    p1, p2 = params.p1, params.p2
-
-    if params.family is Family.INVERSE_GAUSSIAN:
+    if family is Family.INVERSE_GAUSSIAN:
         log_pdf = (
-            0.5 * (math.log(p2) - math.log(2.0 * math.pi))
-            - 1.5 * np.log(t_arr)
-            - p2 * (t_arr - p1) ** 2 / (2.0 * p1 * p1 * t_arr)
+            0.5 * (log_p2 - _LOG_2PI)
+            - 1.5 * np.log(t)
+            - p2 * (t - p1) ** 2 / (2.0 * p1 * p1 * t)
         )
-        out = np.exp(log_pdf)
-    elif params.family is Family.LOG_NORMAL:
-        log_t = np.log(t_arr)
-        log_pdf = (
-            -math.log(p2) - 0.5 * math.log(2.0 * math.pi)
-            - log_t
-            - (log_t - p1) ** 2 / (2.0 * p2 * p2)
-        )
-        out = np.exp(log_pdf)
-    elif params.family is Family.GUMBEL:
-        z = (t_arr - p1) / p2
+        return np.exp(log_pdf)
+    if family is Family.LOG_NORMAL:
+        log_t = np.log(t)
+        log_pdf = -log_p2 - 0.5 * _LOG_2PI - log_t - (log_t - p1) ** 2 / (2.0 * p2 * p2)
+        return np.exp(log_pdf)
+    if family is Family.GUMBEL:
+        z = (t - p1) / p2
         with np.errstate(over="ignore"):
-            log_pdf = -math.log(p2) - z - np.exp(-z)
-        out = np.exp(log_pdf)
-    else:
-        z = np.abs(t_arr - p1) / p2
-        e = np.exp(-z)
-        out = e / (p2 * (1.0 + e) ** 2)
+            log_pdf = -log_p2 - z - np.exp(-z)
+        return np.exp(log_pdf)
+    z = np.abs(t - p1) / p2
+    e = np.exp(-z)
+    return e / (p2 * (1.0 + e) ** 2)
+
+
+def pdf(params: DistParams, t):
+    """Density at t.  Positive-support families reject t <= 0."""
+    t_arr, scalar = finite_array("t", t, positive=params.family in POSITIVE_SUPPORT)
+    out = _density(params.family, t_arr, params.p1, params.p2, math.log(params.p2))
     return unwrap(out, scalar)
 
 

@@ -73,11 +73,22 @@ def finite_array(name: str, value: Any, positive: bool = False) -> tuple[np.ndar
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise DomainError(f"{name} must be finite, got {_first_bad(value, arr, ~finite)}")
     if positive and np.any(arr <= 0.0):
-        raise DomainError(f"{name} must be > 0, got {value!r}")
+        raise DomainError(f"{name} must be > 0, got {_first_bad(value, arr, arr <= 0.0)}")
     return arr, arr.ndim == 0
+
+
+def _first_bad(value, arr: np.ndarray, bad: np.ndarray) -> str:
+    """A scalar as given, or an array's first bad entry with its index and
+    the array's size (the whole array could run to megabytes)."""
+    if arr.ndim == 0:
+        return repr(value)
+    index = np.unravel_index(int(np.argmax(bad)), arr.shape)
+    at = int(index[0]) if arr.ndim == 1 else tuple(int(i) for i in index)
+    return f"{float(arr[index])!r} at index {at} of {arr.size} entries"
 
 
 def unwrap(value, scalar: bool):

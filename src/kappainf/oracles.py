@@ -8,20 +8,25 @@ these estimates and the analytic path is meaningful evidence.
 The quadrature engine is a 7/15 Gauss-Kronrod pair applied to a list of
 seed intervals, with repeated bisection of every interval whose nested-rule
 error estimate exceeds its share (proportional to length) of the error
-budget.  The inverse Gaussian density looks singular near 0 (an x^{-3/2}
-factor, tamed by the exponential) and can be a needle when lambda/mu is
-large, so the seed knots always straddle the density mode.
+budget.  It runs many integrals at once: ``verify`` integrates all density
+cases of one family in one run, with one unchecked density call per round
+over the open intervals of every case, and each result keeps the bits of a
+run on its own.  ``quadrature_prob`` and ``adaptive_gauss_kronrod`` are
+one-integral runs.  The inverse Gaussian density looks singular near 0 (an
+x^{-3/2} factor, tamed by the exponential) and can be a needle when
+lambda/mu is large, so the seed knots always straddle the density mode.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import curves
-from .distributions import POSITIVE_SUPPORT, DistParams, Family, _mode, mean, pdf, sample
+from .distributions import POSITIVE_SUPPORT, DistParams, Family, _density, _mode, mean, sample
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -104,9 +109,80 @@ _WK = np.concatenate([_POS_WK[:0:-1], _POS_WK])
 _WG = np.concatenate([_POS_WG[:0:-1], _POS_WG])
 
 
-# Subdivision budget of adaptive_gauss_kronrod: open intervals and rounds.
+# Subdivision budget of each integral: open intervals and rounds.
 _MAX_INTERVALS = 20_000
 _MAX_ROUNDS = 64
+
+
+def _runs(ids: np.ndarray):
+    """(start, end, id) of each run of equal entries of a sorted int array."""
+    if ids.size == 0:
+        return []
+    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+    starts = [0, *cuts]
+    return zip(starts, [*cuts, ids.size], ids[starts].tolist())
+
+
+def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate several functions at once, each over its own knots.
+
+    ``knots[i]`` is a strictly increasing array whose consecutive pairs are
+    the seed intervals of integral i, whose absolute accuracy target is tol.
+    ``f(x, case)`` gets the (n, 15) nodes of n intervals and the integral
+    each interval belongs to, and returns the integrands at x: one call per
+    round covers the open intervals of every integral.
+
+    Each integral keeps its intervals contiguous and in the order a run on
+    its own would give them, and its rule products and sums run over its own
+    rows only (a BLAS product row and a pairwise sum depend on the row
+    count), so each result has the bits of a one-integral run.  Returns
+    (integrals, error estimates); raises NumericalError for the first
+    integral to exhaust its subdivision budget.
+    """
+    count = len(knots)
+    case = np.repeat(np.arange(count), [k.size - 1 for k in knots])
+    a = np.concatenate([k[:-1] for k in knots])
+    b = np.concatenate([k[1:] for k in knots])
+    total_len = np.array([k[-1] - k[0] for k in knots])
+    integral = np.zeros(count)
+    err_accepted = np.zeros(count)
+    n_eval = np.zeros(count, dtype=np.int64)
+    for _ in range(_MAX_ROUNDS):
+        mid = 0.5 * a + 0.5 * b  # 0.5*(a + b) overflows near DBL_MAX
+        half = 0.5 * (b - a)
+        fx = f(mid[:, None] + half[:, None] * _NODES[None, :], case)
+        n_eval += _NODES.size * np.bincount(case, minlength=count)
+        k15 = np.empty_like(half)
+        g7 = np.empty_like(half)
+        for s, e, _i in _runs(case):
+            k15[s:e] = fx[s:e] @ _WK
+            g7[s:e] = fx[s:e] @ _WG
+        k15 *= half
+        g7 *= half
+        err = np.abs(k15 - g7)
+        done = err <= tol * (b - a) / total_len[case]
+        k15_done, err_done = k15[done], err[done]
+        for s, e, i in _runs(case[done]):
+            integral[i] += k15_done[s:e].sum()
+            err_accepted[i] += err_done[s:e].sum()
+        keep = ~done
+        if not keep.any():
+            return integral, err_accepted
+        # per integral: [a, mid] of each of its open intervals, then [mid, b]
+        case = np.concatenate([case[keep], case[keep]])
+        order = np.argsort(case, kind="stable")
+        case = case[order]
+        a = np.concatenate([a[keep], mid[keep]])[order]
+        b = np.concatenate([mid[keep], b[keep]])[order]
+        sizes = np.bincount(case, minlength=count)
+        if sizes.max() > _MAX_INTERVALS:
+            break
+    over = sizes > _MAX_INTERVALS
+    i = int(np.argmax(over)) if over.any() else int(case[0])
+    raise NumericalError(
+        f"quadrature did not converge: {sizes[i]} open intervals, "
+        f"{n_eval[i]} evaluations, accepted error {err_accepted[i]:.3e}, tol {tol:.3e}"
+    )
 
 
 def adaptive_gauss_kronrod(f, knots, tol: float) -> tuple[float, float]:
@@ -119,39 +195,18 @@ def adaptive_gauss_kronrod(f, knots, tol: float) -> tuple[float, float]:
     pts = np.unique(finite_array("knots", knots)[0])
     if pts.size < 2:
         raise DomainError("need at least two distinct knots")
-    a, b = pts[:-1], pts[1:]
-    total_len = pts[-1] - pts[0]
 
-    integral = 0.0
-    err_accepted = 0.0
-    n_eval = 0
-    for _ in range(_MAX_ROUNDS):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _NODES[None, :]
-        fx = np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
-        n_eval += x.size
-        k15 = (fx @ _WK) * half
-        g7 = (fx @ _WG) * half
-        err = np.abs(k15 - g7)
-        done = err <= tol * (b - a) / total_len
-        integral += float(k15[done].sum())
-        err_accepted += float(err[done].sum())
-        if bool(done.all()):
-            return integral, err_accepted
-        a, b, mid = a[~done], b[~done], mid[~done]
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-        if a.size > _MAX_INTERVALS:
-            break
-    raise NumericalError(
-        f"quadrature did not converge: {a.size} open intervals, "
-        f"{n_eval} evaluations, accepted error {err_accepted:.3e}, tol {tol:.3e}"
-    )
+    def values(x, _case):
+        return np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
+
+    integral, err = _gauss_kronrod(values, [pts], tol)
+    return float(integral[0]), float(err[0])
 
 
 # Multiples of the density's spread at which seed knots flank its mode.
 _GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# Largest exponent whose exp is a float.
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
@@ -159,7 +214,9 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     center = _mode(params)
     cand = [center]
     if params.family is Family.LOG_NORMAL:
-        cand += [math.exp(params.p1 + j * params.p2) for j in range(-8, 9)]
+        # an exponent past log(DBL_MAX) would give a knot past every float hi
+        exps = (params.p1 + j * params.p2 for j in range(-8, 9))
+        cand += [math.exp(u) for u in exps if u < _LOG_DBL_MAX]
     else:
         ig = params.family is Family.INVERSE_GAUSSIAN
         s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2
@@ -171,19 +228,69 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     return np.array([lo, *inner, hi])
 
 
-def _tail_cutoff(params: DistParams, start: float, step: float) -> float:
-    """First point start - step*2^j (j = 0, 1, ...) where the density drops
-    below 1e-16 of its value at start."""
-    peak = pdf(params, start)
-    for _ in range(200):
-        end = start - step
-        if pdf(params, end) <= 1e-16 * peak:
-            return end
-        step *= 2.0
-    raise NumericalError(f"no negligible left tail found for {params!r}")
+# Left-tail search of a real-line density: the points start - p2*2^j.
+_TAIL_STEPS = np.arange(200)
+
+
+def _tail_cutoffs(members, start, peak, p2, density) -> np.ndarray:
+    """Per member, the first point start - p2*2^j (j = 0..199) where the
+    density drops below 1e-16 of its value ``peak`` at start.  start, peak
+    and p2 are columns; ``density(t)`` takes member i's row i of t."""
+    with np.errstate(over="ignore"):
+        pts = start - np.ldexp(p2, _TAIL_STEPS)
+    finite = np.isfinite(pts)
+    low = ~finite | (density(np.where(finite, pts, start)) <= 1e-16 * peak)
+    cut = pts[np.arange(len(members)), np.argmax(low, axis=1)]
+    bad = np.flatnonzero(~low.any(axis=1) | ~np.isfinite(cut))
+    if bad.size:
+        i = int(bad[0])
+        if not low[i].any():
+            raise NumericalError(f"no negligible left tail found for {members[i]!r}")
+        require_finite("t", cut[i])  # the search ran off the float range
+    return cut
 
 
 _QUAD_TOL = 1e-10
+
+
+def _quadrature_batch(cases) -> np.ndarray:
+    """quadrature_prob of every (params, kappa) in ``cases``, all of one
+    family, from one adaptive Gauss-Kronrod run with one density call per
+    round; each estimate has the bits of a run on its own."""
+    family = cases[0][0].family
+    if any(params.family is not family for params, _ in cases):
+        raise DomainError("a quadrature batch takes one family")
+    t_end = np.array([
+        require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
+        for params, kappa in cases
+    ])
+    # (p1, p2, math.log(p2)) of each case: np.log can misround
+    coef = np.array([(params.p1, params.p2, math.log(params.p2)) for params, _ in cases])
+    if family in POSITIVE_SUPPORT:
+        live = np.flatnonzero(t_end > 0.0)
+    else:
+        start = np.minimum(t_end, [_mode(params) for params, _ in cases])
+        peak = _density(family, start, *coef.T)
+        live = np.flatnonzero(peak != 0.0)  # 0: target below every density value
+    members = [cases[i][0] for i in live.tolist()]
+    p1, p2, log_p2 = (column[live, None] for column in coef.T)
+
+    def density(x, case=slice(None)):
+        """The density of member case[i] (default: member i) on row i of x.
+        Checked, since the nodes of a subnormal interval can round to 0."""
+        t = finite_array("t", x, positive=family in POSITIVE_SUPPORT)[0]
+        return _density(family, t, p1[case], p2[case], log_p2[case])
+
+    if family in POSITIVE_SUPPORT:
+        lo = np.zeros(live.size)
+    else:
+        lo = _tail_cutoffs(members, start[live, None], peak[live, None], p2, density)
+    out = np.zeros(len(cases))
+    if members:
+        knots = [_interior_knots(params, lo[i], t_end[j])
+                 for i, (params, j) in enumerate(zip(members, live.tolist()))]
+        out[live] = _gauss_kronrod(density, knots, _QUAD_TOL)[0]
+    return out
 
 
 def quadrature_prob(params: DistParams, kappa: float) -> float:
@@ -192,20 +299,7 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
     Never calls the closed-form CDF; absolute error target 1e-10.  A
     kappa*mean that overflows is a DomainError.
     """
-    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
-
-    if params.family in POSITIVE_SUPPORT:
-        if t_end <= 0.0:
-            return 0.0
-        knots = _interior_knots(params, 0.0, t_end)
-    else:
-        peak_at = min(t_end, _mode(params))
-        if pdf(params, peak_at) == 0.0:
-            return 0.0  # target below every representable density value
-        knots = _interior_knots(params, _tail_cutoff(params, peak_at, params.p2), t_end)
-
-    value, _ = adaptive_gauss_kronrod(lambda xs: pdf(params, xs), knots, _QUAD_TOL)
-    return value
+    return float(_quadrature_batch([(params, kappa)])[0])
 
 
 def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float, float]:

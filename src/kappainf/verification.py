@@ -23,7 +23,7 @@ import numpy as np
 from . import curves, solver
 from .distributions import DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
-from .oracles import GridSpec, OracleReport, grid_min, mc_prob, quadrature_prob
+from .oracles import GridSpec, OracleReport, _quadrature_batch, grid_min, mc_prob
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
 
@@ -73,7 +73,7 @@ def _closed_form_rows(budget: Budget, rng: np.random.Generator) -> list[OracleRe
         for _ in range(budget.quad_cases):
             params = _random_params(family, rng)
             cases.append((params, 10.0 ** rng.uniform(-1.0, 1.0)))
-        estimates = np.array([quadrature_prob(params, kappa) for params, kappa in cases])
+        estimates = _quadrature_batch(cases)
         analytic = curves.reduced_prob(
             family,
             np.array([kappa for _, kappa in cases]),

@@ -192,6 +192,18 @@ class TestPdf:
         with pytest.raises(DomainError):
             pdf(DistParams.log_normal(0.0, 1.0), -1.0)
 
+    def test_bad_entry_named_by_index_not_by_array(self):
+        # an array argument names its first bad entry; a scalar keeps its message
+        with pytest.raises(DomainError) as info:
+            pdf(DistParams.log_normal(0.0, 1.0), np.r_[np.ones(10_000), -1.0, 0.0])
+        assert str(info.value) == "t must be > 0, got -1.0 at index 10000 of 10002 entries"
+        with pytest.raises(DomainError) as info:
+            pdf(DistParams.gumbel(0.0, 1.0), [[1.0, 2.0], [math.nan, math.inf]])
+        assert str(info.value) == "t must be finite, got nan at index (1, 0) of 4 entries"
+        with pytest.raises(DomainError) as info:
+            pdf(DistParams.gumbel(0.0, 1.0), math.inf)
+        assert str(info.value) == "t must be finite, got inf"
+
     def test_far_tails_underflow_to_zero(self):
         assert pdf(DistParams.inverse_gaussian(1.0, 1.0), 1e-300) == 0.0
         assert pdf(DistParams.gumbel(0.0, 1.0), -1000.0) == 0.0

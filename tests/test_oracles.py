@@ -1,13 +1,14 @@
 """Quadrature, Monte Carlo and grid oracles, and their agreement with the
 analytic path."""
 
+import hashlib
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from kappainf import oracles
+from kappainf import oracles, verification
 from kappainf import (
     DistParams,
     DomainError,
@@ -104,6 +105,41 @@ class TestQuadratureProb:
     def test_deep_left_tail_is_zero(self):
         # target far below any representable density: mass is 0 to 1e-10
         assert quadrature_prob(DistParams.gumbel(1000.0, 1.0), 1e-6) == 0.0
+
+    def test_log_normal_at_the_top_of_the_float_range(self):
+        # knots exp(mu + j*sigma) pass DBL_MAX and so does a + b of the last
+        # interval, but the mean exp(709.5) and the target are floats
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = quadrature_prob(DistParams.log_normal(709.0, 1.0), 1.0)
+        assert value == pytest.approx(0.691462461274013, abs=1e-13)  # Phi(1/2)
+
+
+class TestQuadratureBatch:
+    def test_zero_peak_case_inside_a_batch(self):
+        cases = [(DistParams.gumbel(0.0, 1.0), 1.0), (DistParams.gumbel(1000.0, 1.0), 1e-6),
+                 (DistParams.gumbel(2.0, 0.5), 1.3)]
+        estimates = oracles._quadrature_batch(cases)
+        assert estimates[1] == 0.0
+        assert estimates.tolist() == [quadrature_prob(*case) for case in cases]
+
+    def test_first_bad_case_raises(self):
+        cases = [(DistParams.log_normal(0.0, 1.0), 1.0), (DistParams.log_normal(709.0, 1.0), 2.0),
+                 (DistParams.log_normal(0.0, 1.0), -1.0)]
+        with pytest.raises(DomainError, match=r"kappa\*mean must be finite"):
+            oracles._quadrature_batch(cases)
+        with pytest.raises(DomainError, match="one family"):
+            oracles._quadrature_batch([cases[0], (DistParams.gumbel(0.0, 1.0), 1.0)])
+
+    def test_unconverged_case_raises_as_alone(self):
+        bad = (DistParams.log_normal(0.0, 5.0), 2.0)
+        with pytest.raises(NumericalError) as alone:
+            quadrature_prob(*bad)
+        cases = [(DistParams.log_normal(0.3, 0.7), 1.4), bad, (DistParams.log_normal(0.0, 1.0), 1.0)]
+        with pytest.raises(NumericalError) as batch:
+            oracles._quadrature_batch(cases)
+        assert str(batch.value) == str(alone.value)
+        assert "did not converge" in str(batch.value)
 
 
 class TestGridMin:
@@ -250,3 +286,75 @@ class TestVerificationRows:
                                               np.random.default_rng(1))
         assert calls == ["reduced_prob"] * len(Family)
         assert all(row.passed for row in rows)
+
+    @pytest.mark.parametrize("quad_cases", [5, 200])
+    def test_one_density_call_per_quadrature_round(self, monkeypatch, quad_cases):
+        density_calls, rounds = [], []
+
+        def counted_density(*args, _f=oracles._density):
+            density_calls.append(args[0])
+            return _f(*args)
+
+        def counted_engine(f, knots, tol, _g=oracles._gauss_kronrod):
+            def counted_f(x, case):
+                rounds.append(x.shape[0])
+                return f(x, case)
+            return _g(counted_f, knots, tol)
+
+        monkeypatch.setattr(oracles, "_density", counted_density)
+        monkeypatch.setattr(oracles, "_gauss_kronrod", counted_engine)
+        rows = verification._closed_form_rows(verification.Budget(1000, 1000, quad_cases),
+                                              np.random.default_rng(1))
+        assert all(row.passed for row in rows)
+        # a round per call, plus the peaks and the left tails of the real-line families
+        assert len(density_calls) == len(rounds) + 2 * 2
+        assert len(rounds) <= 10 * len(Family)
+
+
+# SHA-256 of the quadrature estimates of _closed_form_rows, one per family in
+# Family order, as produced by one adaptive run per case.
+FROZEN_QUADRATURE = {
+    ("quick", 1): [
+        "ae4066582325cbde4d6c54e98072795eb8bc79add836ed9612525b63306f9036",
+        "23d1154c868a7fe8888ebcf9ea2321db6d90785f7ee8d078a6fbd24e1fa1cfc2",
+        "7af0e96a915b04da50e86cde6444d8b2527be58395b7f54c459dc1228e8b3b56",
+        "9342f61b38cb36505a90a74e8f77abd9de5b2e987323ce397d92c995259ecd2a",
+    ],
+    ("quick", 2): [
+        "ea87f9e04a2cbf2fc3b8c4ab14d31821ec2db40f6ff3b4830e19b95600157b7e",
+        "1b40add17fe7431096abfc7313d23dac007a4bd78c8502f4733cdc0b05313a34",
+        "0c307c0476051b9f28fff43a53f181038163d48e489bd58eb10a1e107f9dd534",
+        "a0cb40f9ba198361b51f9c6c9508d435d18cf37fc264034cae471b7d381754b3",
+    ],
+    ("quick", 3): [
+        "d1d829368c3d83a0d02eb255bf2052683edb4d19959d874696a771b424840362",
+        "42cfe53e89b212f2a5048e927c4f29c931baba5be915cec4a54cd78d7e76f4e8",
+        "6ccf98304054da81a49ed25547bb3233c7d9c839d64b91c41b7a582ea43994e0",
+        "5edebd993ca49fd91c8c355788d1f226a6c1c109cde98ea617c91e67406eaedf",
+    ],
+    ("full", 1): [
+        "8a732aaf20c7a55f8e2f5da927579878e8cadcbae4012268c5ec859bf3209722",
+        "cc09284a2175b389bbfe9ea0d935479490e83c0bcaa07bd2f7100e90a89cdbb2",
+        "40d4a483a8443a892f9ff3a4a959d45f957dc117e4d132b2d81f6028d4d00e9f",
+        "83a8a54cbf0d48e32040dc8de770c2e2fdbe6a93e43dc6f4e20fbf3c8445119f",
+    ],
+}
+
+
+@pytest.mark.parametrize("budget, seed", list(FROZEN_QUADRATURE), ids=lambda v: str(v))
+def test_batched_quadrature_keeps_the_bits(monkeypatch, budget, seed):
+    batches = []
+
+    def recorded(cases, _f=verification._quadrature_batch):
+        estimates = _f(cases)
+        batches.append((cases, estimates))
+        return estimates
+
+    monkeypatch.setattr(verification, "_quadrature_batch", recorded)
+    verification._closed_form_rows(verification.BUDGETS[budget], np.random.default_rng(seed))
+    digests = [hashlib.sha256(estimates.astype("<f8").tobytes()).hexdigest()
+               for _, estimates in batches]
+    assert digests == FROZEN_QUADRATURE[budget, seed]
+    for cases, estimates in batches:
+        alone = np.array([quadrature_prob(params, kappa) for params, kappa in cases])
+        assert alone.tobytes() == estimates.tobytes()
