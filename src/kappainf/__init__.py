@@ -22,7 +22,6 @@ from .errors import DomainError, KappainfError, NumericalError, RegimeError
 from .oracles import (
     GridSpec,
     OracleReport,
-    adaptive_gauss_kronrod,
     grid_min,
     mc_prob,
     quadrature_prob,
@@ -47,7 +46,6 @@ __all__ = [
     "NumericalError",
     "OracleReport",
     "RegimeError",
-    "adaptive_gauss_kronrod",
     "cdf",
     "grid_min",
     "ig_critical_point",

@@ -1,9 +1,10 @@
 """Command line surface: eval, infimum, root, verify.
 
-Exit codes are a stable contract: 0 success, 2 usage or domain error,
-3 numerical failure (including any failed verification report).  CSV and
-JSON outputs print floats in shortest round-trip form, so re-reading a file
-and re-evaluating the curve reproduces the written values bit for bit.
+Exit codes are a stable contract: 0 success, 2 usage or domain error
+(including an output path that cannot be opened), 3 numerical failure
+(including any failed verification report).  CSV and JSON outputs print
+floats in shortest round-trip form, so re-reading a file and re-evaluating
+the curve reproduces the written values bit for bit.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ class _Main(click.Group):
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
+        except OSError as exc:
+            if exc.filename is None:  # not a path, e.g. a closed stdout pipe
+                raise
+            click.echo(f"error: cannot write {exc.filename}: {exc.strerror}", err=True)
+            sys.exit(2)
 
 
 @click.group(cls=_Main)

@@ -23,7 +23,7 @@ and 2 - c^2/2 <= 0 for every kappa > 0 (equality iff kappa = 1), so only
 non-positive exponents are ever formed; ``ig_prob_deriv`` reuses the same
 combined exponent.  Naive evaluation overflows near x ~ 19; these forms are
 finite for all x and kappa in range.  Arguments are checked once, at the
-public entry; the kernels call ``special._phi`` and ``_sc.erfcx`` unchecked.
+public entry; the kernels call ``special._phi`` and ``special._erfcx`` unchecked.
 
 The curve's stationarity function, rescaled by e^{a^2/2} to
 
@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special as _sc
 
 from . import special
 from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, DistParams, Family, _ig_curve,
@@ -115,7 +114,7 @@ def _ig_stationarity_kernel(k, sqrt_2k, sqrt_k, x):
     give the same bits.
     """
     s = (k + 1.0) * x / sqrt_2k
-    return 2.0 * special.SQRT_HALF_PI * _sc.erfcx(s) - 1.0 / (sqrt_k * x)
+    return 2.0 * special.SQRT_HALF_PI * special._erfcx(s) - 1.0 / (sqrt_k * x)
 
 
 def _stationarity_args(kappa, x):
@@ -168,7 +167,7 @@ def reduced_prob(family: Family, kappa, coord):
             p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
     else:
         with np.errstate(over="ignore"):
-            p = _sc.expit((k - 1.0) * x)
+            p = special._expit((k - 1.0) * x)
     return unwrap(p, scalar)
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.special as _sc
 
 from . import special
 from .errors import (DomainError, finite_array, require_count, require_finite,
@@ -157,7 +156,7 @@ def _ig_curve(ratio, x):
     (Phi(+-inf) = 1 or 0, erfcx(inf) = 0, exp(-inf) = 0)."""
     with np.errstate(over="ignore"):
         term1 = special._phi((ratio - 1.0) * x / np.sqrt(ratio))
-        carrier = _sc.erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
+        carrier = special._erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
         return np.minimum(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 1.0)
 
 
@@ -193,11 +192,10 @@ def cdf(params: DistParams, t):
         pos = t_arr > 0.0
         if np.any(pos):
             out[pos] = _ln_phi(np.log(t_arr[pos]) - p1, p2)
-    elif params.family is Family.GUMBEL:
-        with np.errstate(over="ignore"):
-            out = np.exp(-np.exp(-(t_arr - p1) / p2))
     else:
-        out = _sc.expit((t_arr - p1) / p2)
+        with np.errstate(over="ignore"):  # an overflowing z gives the exact limit
+            z = (t_arr - p1) / p2
+            out = np.exp(-np.exp(-z)) if params.family is Family.GUMBEL else special._expit(z)
     return unwrap(out, scalar)
 
 
@@ -268,7 +266,7 @@ def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
 
     u = np.maximum(rng.random(n), 5e-324)  # keep inverse transforms finite
     if params.family is Family.LOG_NORMAL:
-        return np.exp(p1 + p2 * _sc.ndtri(u))
+        return np.exp(p1 + p2 * special._ndtri(u))
     if params.family is Family.GUMBEL:
         return p1 - p2 * np.log(-np.log(u))
     logit = np.log(u)

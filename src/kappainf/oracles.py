@@ -11,10 +11,10 @@ error estimate exceeds its share (proportional to length) of the error
 budget.  It runs many integrals at once: ``verify`` integrates all density
 cases of one family in one run, with one unchecked density call per round
 over the open intervals of every case, and each result keeps the bits of a
-run on its own.  ``quadrature_prob`` and ``adaptive_gauss_kronrod`` are
-one-integral runs.  The inverse Gaussian density looks singular near 0 (an
-x^{-3/2} factor, tamed by the exponential) and can be a needle when
-lambda/mu is large, so the seed knots always straddle the density mode.
+run on its own; ``quadrature_prob`` is a one-integral run.  The inverse
+Gaussian density looks singular near 0 (an x^{-3/2} factor, tamed by the
+exponential) and can be a needle when lambda/mu is large, so the seed knots
+always straddle the density mode.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (DomainError, NumericalError, finite_array, require_count,
 __all__ = [
     "OracleReport",
     "GridSpec",
-    "adaptive_gauss_kronrod",
     "quadrature_prob",
     "mc_prob",
     "grid_min",
@@ -185,24 +184,6 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     )
 
 
-def adaptive_gauss_kronrod(f, knots, tol: float) -> tuple[float, float]:
-    """Integrate f over [knots[0], knots[-1]] to absolute accuracy tol.
-
-    ``f`` must accept an ndarray.  The seed intervals are the consecutive
-    knot pairs.  Returns (integral, error_estimate); raises NumericalError
-    if the subdivision budget is exhausted first.
-    """
-    pts = np.unique(finite_array("knots", knots)[0])
-    if pts.size < 2:
-        raise DomainError("need at least two distinct knots")
-
-    def values(x, _case):
-        return np.asarray(f(x.reshape(-1)), dtype=float).reshape(x.shape)
-
-    integral, err = _gauss_kronrod(values, [pts], tol)
-    return float(integral[0]), float(err[0])
-
-
 # Multiples of the density's spread at which seed knots flank its mode.
 _GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 # Largest exponent whose exp is a float.
@@ -340,6 +321,8 @@ class GridSpec:
         object.__setattr__(self, "count", require_count("count", self.count))
         if not self.lo < self.hi:
             raise DomainError(f"need finite lo < hi, got [{self.lo!r}, {self.hi!r}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError(f"grid span hi - lo overflows, got [{self.lo!r}, {self.hi!r}]")
         if self.kind == "geometric" and self.lo <= 0.0:
             raise DomainError("geometric grids need lo > 0")
         if self.count < 2:
@@ -355,7 +338,6 @@ class GridSpec:
         """Geometric for positive coordinates (resolving the 0+ boundary),
         symmetric linear for the real-line families."""
         return cls(*_DEFAULT_GRIDS[Family(family)], count)
-
 
 
 def grid_min(family: Family, kappa: float, grid: GridSpec) -> tuple[float, float]:

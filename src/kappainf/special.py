@@ -1,12 +1,14 @@
-"""Standard-normal CDF and the package's constants.
+"""Standard-normal CDF, the unchecked special-function kernels, constants.
+
+The one module that imports scipy: erfc, erfcx, the logistic sigmoid and
+the normal quantile reach the rest of the package only through the
+unchecked kernels ``_phi``, ``_erfcx``, ``_expit`` and ``_ndtri``, which the
+curve kernels call on arguments their public entry has already checked.
 
 The normal CDF is *defined* through erfc, so it carries the tightest
-accuracy contract in the package (<= 1e-13 relative).  ``std_normal_cdf`` is
-the checked public entry; the curve kernels, whose arguments their own
-public entry has already checked, call the unchecked ``_phi`` and
-``scipy.special.erfcx`` directly.
-
-All functions accept a scalar or an ndarray and are pure.
+accuracy contract in the package (<= 1e-13 relative); ``std_normal_cdf`` is
+its checked public entry.  All functions accept a scalar or an ndarray and
+are pure.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ EULER_GAMMA = 0.5772156649015329
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # integral of e^{-t^2/2} over [0, inf)
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 SQRT_TWO = math.sqrt(2.0)
+
+# Unchecked kernels, bound as scipy's ufuncs themselves (no wrapper, same bits):
+# erfcx(z) = e^{z^2} erfc(z), expit(z) = 1/(1 + e^{-z}), ndtri = Phi^{-1}.
+_erfcx = _sc.erfcx
+_expit = _sc.expit
+_ndtri = _sc.ndtri
 
 
 def _phi(z):

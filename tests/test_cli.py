@@ -169,6 +169,25 @@ def test_numerical_failure_is_exit_3_without_traceback(runner, monkeypatch, name
     assert result.stderr == "numerical failure: boom\n"
 
 
+# each flag that names an output file, with a command that writes it
+OUTPUT_FLAG_CALLS = [
+    ("--out", ["infimum", "--family", "gumbel", "--kappa", "2"]),
+    ("--curve-out", ["infimum", "--family", "gumbel", "--kappa", "2", "--curve-points", "5"]),
+    ("--out", ["root", "--kappa", "2"]),
+    ("--out", ["verify", "--budget", "quick", "--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("flag, args", OUTPUT_FLAG_CALLS,
+                         ids=[f"{args[0]}{flag}" for flag, args in OUTPUT_FLAG_CALLS])
+def test_unopenable_output_path_is_exit_2_naming_it(runner, tmp_path, flag, args):
+    path = str(tmp_path / "missing" / "x.csv")
+    result = runner.invoke(main, [*args, flag, path])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == f"error: cannot write {path}: No such file or directory\n"
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 

@@ -1,6 +1,8 @@
 """The public API is pinned: adding or removing a name has to change this list."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +22,6 @@ PUBLIC_NAMES = [
     "NumericalError",
     "OracleReport",
     "RegimeError",
-    "adaptive_gauss_kronrod",
     "cdf",
     "grid_min",
     "ig_critical_point",
@@ -54,3 +55,28 @@ def test_every_layer_export_exists(layer):
     module = importlib.import_module(f"kappainf.{layer}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _scipy_importers(directory: Path) -> list[str]:
+    """Names of the .py files under ``directory`` that import scipy."""
+    found = []
+    for path in sorted(directory.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append(path.relative_to(directory).as_posix())
+                break
+    return found
+
+
+def test_special_is_the_only_module_that_imports_scipy():
+    # replacing scipy is then a change to special.py alone, and the tests
+    # check the package's own kernels rather than scipy's
+    root = Path(__file__).resolve().parents[1]
+    assert _scipy_importers(root / "src" / "kappainf") == ["special.py"]
+    assert _scipy_importers(root / "tests") == []

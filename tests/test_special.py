@@ -2,16 +2,20 @@
 
 Frozen reference values come from 50-digit adaptive quadrature of the
 Gaussian density (mpmath tanh-sinh), independent of every code path under
-test.  The curve kernels call ``scipy.special.erfcx`` directly, so its
-properties are pinned here against the same references.
+test.  The curve kernels call the unchecked ``special._erfcx``,
+``special._expit`` and ``special._ndtri``, so those are pinned here against
+the same references and against the standard library.
 """
+
+import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erfcx
 
 from kappainf import DomainError, std_normal_cdf
+from kappainf.special import _erfcx as erfcx, _expit, _ndtri
 
 # 50-digit quadrature of e^{-t^2/2}/sqrt(2*pi) over (-inf, 1]
 PHI_AT_1 = 0.8413447460685429
@@ -76,14 +80,25 @@ class TestErfcx:
 
     def test_scaling_identity_against_erfc(self):
         # e^{-z^2} erfcx(z) = erfc(z) wherever erfc is comfortably normal
-        from scipy.special import erfc as scipy_erfc
         z = np.linspace(0.0, 25.0, 2_000)
-        keep = scipy_erfc(z) > 5e-300
+        erfc = np.array([math.erfc(v) for v in z])
+        keep = erfc > 5e-300
         lhs = erfcx(z[keep]) * np.exp(-z[keep] ** 2)
-        np.testing.assert_allclose(lhs, scipy_erfc(z[keep]), rtol=1e-12)
+        np.testing.assert_allclose(lhs, erfc[keep], rtol=1e-12)
 
     @given(st.floats(0.0, 1e6), st.floats(1e-9, 10.0))
     @settings(max_examples=300, deadline=None)
     def test_decreasing_pairs(self, z, dz):
         assert erfcx(z + dz) < erfcx(z)
 
+
+def test_expit_against_its_formula():
+    z = np.linspace(-700.0, 700.0, 5_001)
+    reference = [1.0 / (1.0 + math.exp(-v)) for v in z]
+    np.testing.assert_allclose(_expit(z), reference, rtol=1e-15)
+
+
+def test_ndtri_against_the_stdlib_normal_quantile():
+    u = np.concatenate([np.geomspace(1e-300, 0.5, 2_000), 1.0 - np.geomspace(1e-16, 0.5, 2_000)])
+    reference = [statistics.NormalDist().inv_cdf(v) for v in u.tolist()]
+    np.testing.assert_allclose(_ndtri(u), reference, rtol=1e-14)
