@@ -209,23 +209,35 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     return np.array([lo, *inner, hi])
 
 
-# Left-tail search of a real-line density: the points start - p2*2^j.
+# Left-tail search of a real-line density: the points start - p2*2^j.  The
+# cutoff is usually found by j ~ 7, so the first pass stops at j = 15 and
+# only the members it misses run the whole ladder.
 _TAIL_STEPS = np.arange(200)
+_FIRST_PASS_STEPS = _TAIL_STEPS[:16]
 
 
 def _tail_cutoffs(members, start, peak, p2, density) -> np.ndarray:
     """Per member, the first point start - p2*2^j (j = 0..199) where the
     density drops below 1e-16 of its value ``peak`` at start.  start, peak
-    and p2 are columns; ``density(t)`` takes member i's row i of t."""
-    with np.errstate(over="ignore"):
-        pts = start - np.ldexp(p2, _TAIL_STEPS)
-    finite = np.isfinite(pts)
-    low = ~finite | (density(np.where(finite, pts, start)) <= 1e-16 * peak)
-    cut = pts[np.arange(len(members)), np.argmax(low, axis=1)]
-    bad = np.flatnonzero(~low.any(axis=1) | ~np.isfinite(cut))
+    and p2 are columns; ``density(t, rows)`` takes member rows[i]'s row i
+    of t."""
+
+    def first_low(rows, steps):
+        with np.errstate(over="ignore"):
+            pts = start[rows] - np.ldexp(p2[rows], steps)
+        finite = np.isfinite(pts)
+        low = ~finite | (density(np.where(finite, pts, start[rows]), rows)
+                         <= 1e-16 * peak[rows])
+        return pts[np.arange(rows.size), np.argmax(low, axis=1)], low.any(axis=1)
+
+    cut, found = first_low(np.arange(len(members)), _FIRST_PASS_STEPS)
+    missed = np.flatnonzero(~found)
+    if missed.size:
+        cut[missed], found[missed] = first_low(missed, _TAIL_STEPS)
+    bad = np.flatnonzero(~found | ~np.isfinite(cut))
     if bad.size:
         i = int(bad[0])
-        if not low[i].any():
+        if not found[i]:
             raise NumericalError(f"no negligible left tail found for {members[i]!r}")
         require_finite("t", cut[i])  # the search ran off the float range
     return cut
@@ -256,8 +268,8 @@ def _quadrature_batch(cases) -> np.ndarray:
     members = [cases[i][0] for i in live.tolist()]
     p1, p2, log_p2 = (column[live, None] for column in coef.T)
 
-    def density(x, case=slice(None)):
-        """The density of member case[i] (default: member i) on row i of x.
+    def density(x, case):
+        """The density of member case[i] on row i of x.
         Checked, since the nodes of a subnormal interval can round to 0."""
         t = finite_array("t", x, positive=family in POSITIVE_SUPPORT)[0]
         return _density(family, t, p1[case], p2[case], log_p2[case])

@@ -248,16 +248,52 @@ class TestSample:
             draws = sample(params, 10_000, seed=123)
             assert hashlib.sha256(draws.tobytes()).hexdigest() == digest, params
 
+    # SHA-256 of sample(params, n, seed=123) for each of ALL_PARAMS at sizes
+    # around the samplers' 65,536-element chunk, recorded from the whole-array
+    # transformations before the samplers worked chunk by chunk
+    FROZEN_AT_CHUNK_EDGES = {
+        65_535: [
+            "a31a9b847ffb9469b65752f69cad4f367b40046a71f76788a14b745ed8a571bd",
+            "53cb7b36499539a4dc6b85de7ee7fd2141aab6de45f99a069483a3d5a475dae4",
+            "755179a91b7bce35b555f6569fde46bb7ee0f3cfa95e932050bb280ee26c2482",
+            "2d6a9504442d59379fb443828f8e7c354443adba040d6ee289dee5857d1d804c",
+        ],
+        65_536: [
+            "9a7e473e8129ed7ec6e7d94820360769c2bb6f29f5c6dee7280c9b9e2b59df6a",
+            "9627eb882e62224cfdfb84e343d9c0235a29b77dd860facff3ceaf84dcdb1989",
+            "77481798ed3e9efcf78b37cbd17a44f0c1bada730c5b0e470210f30c9f67d86d",
+            "ca08c39d231502f929fb5c11502a31675ee0aebd05918ee56f8d9ea8f7b46f15",
+        ],
+        65_537: [
+            "6a45772399c302040022ac61cc0121e433b53ee3810940287bdead4353d9f845",
+            "593fc4063d4eb29e0502cb17950babb03ce6ed10bd7698b2ebb4d674cbfecb6a",
+            "58c888ea4e2d0fe6cc90a47d8ba674b85f306ac0ad1f9b62a469d5541cbde2bf",
+            "2c86ad776589f99e339a70d9db828a1b951055d5488a7acb3a23a6af88f51243",
+        ],
+        200_001: [
+            "0c9b794711a1bf17cb317fd015b378d7488f61aa18d8710b1a14d9e073606601",
+            "11bbe6f5b298db5c8b33c44d2a547582baac1f76e5f24b030f0e1f644b04a58f",
+            "497f02fe5ab2d7c8bf068f050f565dfe841199bca5b6afcc093f409b3dbd4dda",
+            "f0415f5944250d5dbb13d5d6e5bda41ee38e88beeb73f2b2829c6f6549f9b2e8",
+        ],
+    }
+
+    @pytest.mark.parametrize("n", sorted(FROZEN_AT_CHUNK_EDGES))
+    def test_draws_are_frozen_across_chunk_edges(self, n):
+        for params, digest in zip(ALL_PARAMS, self.FROZEN_AT_CHUNK_EDGES[n]):
+            draws = sample(params, n, seed=123)
+            assert hashlib.sha256(draws.tobytes()).hexdigest() == digest, params
+
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
-    def test_million_draws_peak_below_25_mib(self, params):
-        # the 8 MB result plus at most two more full-size arrays and a mask
+    def test_million_draws_peak_below_10_mib(self, params):
+        # the 8 MB result plus chunk-size buffers, no second full-size array
         tracemalloc.start()
         try:
             sample(params, 10**6, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * 2**20
+        assert peak <= 10 * 2**20
 
     def test_zero_draws_is_empty_not_an_error(self):
         assert sample(ALL_PARAMS[0], 0, seed=1).size == 0

@@ -4,14 +4,18 @@ The stored files under ``tests/data/golden/`` pin the ``infimum`` CSV, JSON and
 table output (with embedded curve samples) for all four families, the
 ``infimum --curve-out`` output (stdout and the curve file) for the CSV and
 table formats, the ``root`` CSV, the ``verify --budget quick --seed 1`` JSON report,
-and a set of ``eval --coord`` lines.  Any refactoring that changes a single printed
-digit fails here.
+and a set of ``eval --coord`` lines.  The ``verify --budget full --seed 1`` JSON
+report is pinned by its SHA-256 instead of a file.  Any refactoring that changes a
+single printed digit fails here.
 
 Regenerate (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+which also prints the new digest of the full-budget report.
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -65,6 +69,11 @@ EVAL_POINTS = [
 ]
 EVAL_FILE = "eval-coord.txt"
 
+# the only budget that draws 1e6 samples per Monte Carlo case, through many
+# sampler chunks and on every worker thread
+VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
+VERIFY_FULL_SHA256 = "0eeaacdc4e6b8ef4b38df120a751a4082a1ff1481b658977ed63185ea32f8d9b"
+
 
 def _run(args):
     result = CliRunner().invoke(main, args)
@@ -107,6 +116,14 @@ def test_eval_coord_matches_golden_bytes():
     assert _eval_lines() == (DATA / EVAL_FILE).read_text(encoding="utf-8")
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_verify_full_budget_matches_its_digest():
+    assert _digest(_run(VERIFY_FULL_ARGS)) == VERIFY_FULL_SHA256
+
+
 if __name__ == "__main__":
     DATA.mkdir(parents=True, exist_ok=True)
     for name, args in CASES.items():
@@ -117,3 +134,4 @@ if __name__ == "__main__":
             (DATA / name).write_text(stdout, encoding="utf-8")
             (DATA / _curve_name(name)).write_bytes(curve)
     (DATA / EVAL_FILE).write_text(_eval_lines(), encoding="utf-8")
+    print("VERIFY_FULL_SHA256 =", _digest(_run(VERIFY_FULL_ARGS)))

@@ -15,6 +15,7 @@ from kappainf import (
     EULER_GAMMA,
     Family,
     GridSpec,
+    KappainfError,
     NumericalError,
     OracleReport,
     cdf,
@@ -135,6 +136,42 @@ class TestQuadratureBatch:
             oracles._quadrature_batch(cases)
         assert str(batch.value) == str(alone.value)
         assert "did not converge" in str(batch.value)
+
+
+class TestTailCutoffs:
+    # rows 0 and 2 decay like a Cauchy density and reach 1e-16 of their peak
+    # past j = 15; row 1 is Gaussian and stops in the first pass
+    CENTERS = np.array([[0.0], [1.0], [-2.0]])
+    P2 = np.array([[1.0], [0.5], [3.0]])
+    SLOW = np.array([[True], [False], [True]])
+
+    def density(self, t, rows):
+        z = t - self.CENTERS[rows]
+        return np.where(self.SLOW[rows], 1.0 / (1.0 + z * z), np.exp(-0.5 * z * z))
+
+    def test_fallback_gives_the_one_pass_cutoffs(self):
+        rows = np.arange(3)
+        peak = self.density(self.CENTERS, rows)
+        shapes = []
+
+        def counted(t, rows):
+            shapes.append(t.shape)
+            return self.density(t, rows)
+
+        cut = oracles._tail_cutoffs(["a", "b", "c"], self.CENTERS, peak, self.P2, counted)
+        ladder = self.CENTERS - np.ldexp(self.P2, np.arange(200))
+        first = np.argmax(self.density(ladder, rows) <= 1e-16 * peak, axis=1)
+        assert first.tolist() == [27, 5, 25]
+        assert cut.tolist() == ladder[rows, first].tolist()
+        # 16 points per row, then the whole ladder for the two slow rows only
+        assert shapes == [(3, 16), (2, 200)]
+
+    def test_no_negligible_tail_names_the_first_such_member(self):
+        def flat(t, rows):
+            return np.where(self.SLOW[rows], 1.0, np.exp(-0.5 * t * t))
+
+        with pytest.raises(NumericalError, match="no negligible left tail found for 'a'"):
+            oracles._tail_cutoffs(["a", "b", "c"], self.CENTERS, np.ones((3, 1)), self.P2, flat)
 
 
 class TestGridMin:
@@ -307,6 +344,48 @@ class TestVerificationRows:
         # a round per call, plus the peaks and the left tails of the real-line families
         assert len(density_calls) == len(rounds) + 2 * 2
         assert len(rounds) <= 10 * len(Family)
+
+
+def _serial_mc_rows(budget, seed_source):
+    """(analytic, estimate, tolerance, child seed) of each Monte Carlo case
+    from a plain loop over verification._MC_CASES."""
+    rows = []
+    for params, kappa in verification._MC_CASES:
+        child_seed = int(seed_source.integers(2**63))
+        analytic = cdf(params, kappa * mean(params))
+        estimate, se = mc_prob(params, kappa, budget.mc_samples, child_seed)
+        rows.append((analytic, estimate, 4.0 * se, child_seed))
+    return rows
+
+
+class TestMcRowsPool:
+    BUDGET = verification.Budget(2000, 1000, 5)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_rows_equal_a_serial_loop(self, monkeypatch, workers):
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: workers)
+        rows = verification._mc_rows(self.BUDGET, np.random.default_rng(5))
+        serial = _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
+        assert len(rows) == len(serial) == len(verification._MC_CASES)
+        for row, (analytic, estimate, tolerance, child_seed) in zip(rows, serial):
+            assert (row.analytic, row.estimate, row.tolerance) == (analytic, estimate, tolerance)
+            assert row.detail.endswith(f" seed={child_seed}")
+
+    def test_first_invalid_case_raises_the_serial_error(self, monkeypatch):
+        cases = [
+            (DistParams.gumbel(0.0, 1.0), 1.0),
+            (DistParams.logistic(1.0, 0.3), -1.5),
+            (DistParams.log_normal(0.0, 1.0), 1.0),
+            (DistParams.log_normal(709.0, 1.0), 2.0),
+        ]
+        monkeypatch.setattr(verification, "_MC_CASES", cases)
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
+        with pytest.raises(KappainfError) as serial:
+            _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
+        with pytest.raises(KappainfError) as pooled:
+            verification._mc_rows(self.BUDGET, np.random.default_rng(5))
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got -1.5"
 
 
 # SHA-256 of the quadrature estimates of _closed_form_rows, one per family in
