@@ -13,7 +13,6 @@ from .distributions import DistParams, Family, cdf, mean, pdf, sample
 from .curves import (
     ig_peak_coord,
     ig_prob_deriv,
-    ig_stationarity,
     ig_stationarity_scaled,
     reduce_params,
     reduced_prob,
@@ -51,7 +50,6 @@ __all__ = [
     "ig_critical_point",
     "ig_peak_coord",
     "ig_prob_deriv",
-    "ig_stationarity",
     "ig_stationarity_scaled",
     "infimum",
     "mc_prob",

@@ -268,7 +268,7 @@ def cmd_root(kappa, fmt, out) -> None:
             float(x0),
             float(curves.ig_peak_coord(k)),
             float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
-            float(curves.ig_stationarity(k, x0)),
+            float(curves.ig_stationarity_scaled(k, x0)),
         ])
     _emit(_render(fmt, _ROOT_HEADERS, rows, lambda: {
         "schema": "kappainf-root/1",

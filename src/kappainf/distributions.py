@@ -128,7 +128,8 @@ def _mode(params: DistParams) -> float:
 
 
 # Largest ratio (kappa or t/mu) the inverse Gaussian formulas take: beyond it
-# the (ratio+1)^2 in _ig_exponent overflows and the curve drops its second term.
+# the (ratio-1)(ratio+1) of the stationarity peak overflows, and the curve and
+# cdf keep the same domain.
 IG_KAPPA_MAX = math.sqrt(sys.float_info.max)
 
 
@@ -143,12 +144,13 @@ def _ig_ratio_limit(name: str, largest: float) -> None:
 
 
 def _ig_exponent(ratio, x):
-    """(2 - (ratio+1)^2/(2*ratio)) x^2 <= 0: e^{2x^2} times the e^{-a^2/2} of the
-    Gaussian tail at a = (ratio+1)x/sqrt(ratio).  Squared by a product since
-    ``** 2`` on a Python float calls libm pow, which can misround, and scalar
-    and array ratios must agree bit for bit."""
-    c = ratio + 1.0
-    return (2.0 - c * c / (2.0 * ratio)) * x * x
+    """-(ratio-1)^2 x^2/(2*ratio) <= 0: e^{2x^2} times the e^{-a^2/2} of the
+    Gaussian tail at a = (ratio+1)x/sqrt(ratio), the exact form of
+    (2 - (ratio+1)^2/(2*ratio)) x^2.  Nothing cancels near ratio = 1, and with
+    d = (ratio-1)x the product d*(d/ratio) keeps its factors normal where
+    x^2 or 1/ratio alone would underflow or overflow."""
+    d = (ratio - 1.0) * x
+    return -0.5 * d * (d / ratio)
 
 
 def _ig_curve(ratio, x):

@@ -4,8 +4,8 @@ Regime summary (value, how the infimum is reached):
 
 * inverse Gaussian: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as x -> inf;
   kappa > 1 -> attained at the unique zero x0(kappa) of the stationarity
-  function, located by safeguarded root finding inside the guaranteed
-  bracket (0, sqrt(kappa/(kappa^2-1))].
+  function, located by safeguarded Newton steps inside the guaranteed
+  bracket (0, sqrt(kappa/((kappa-1)(kappa+1)))].
 * log-normal: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as sigma -> 0+;
   kappa > 1 -> attained at sigma = sqrt(2 ln kappa) with value
   Phi(sqrt(2 ln kappa)) > 1/2.
@@ -21,6 +21,7 @@ numerical approximation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -71,43 +72,61 @@ class InfimumResult:
             raise ValueError("constant curves are reported as non-attained")
 
 
-# Relative bracket width at which _bracketed_root stops, and its iteration cap.
-_ROOT_REL_TOL = 1e-14
-_ROOT_MAX_ITER = 200
+# _safeguarded_newton stops once a Newton step moves the iterate by at most
+# _ROOT_REL_STEP of it (4 ulp), or once its safeguard refuses a step below
+# _ROOT_NOISE_STEP of it; its iteration cap.
+_ROOT_REL_STEP = 4.0 * sys.float_info.epsilon
+_ROOT_NOISE_STEP = 2.0 ** -26
+_ROOT_MAX_ITER = 100
 
 
-def _bracketed_root(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
+def _safeguarded_newton(
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float,
+    at_lo: tuple[float, float], at_hi: tuple[float, float],
 ) -> float:
-    """Root of f in (lo, hi) given f_lo < 0 < f_hi, to _ROOT_REL_TOL bracket width.
+    """Root of f in (lo, hi), where f(x) gives (value, slope) and at_lo, at_hi
+    are f at the ends, with value < 0 at lo and > 0 at hi.
 
-    Bisection interleaved with secant proposals: the secant point is used
-    when it falls safely inside the bracket, and every other iteration takes
-    the midpoint, so the bracket provably halves at least every two steps.
+    Newton steps, safeguarded as in rtsafe (Numerical Recipes 9.4): a step
+    that would leave the bracket, meets a slope <= 0, or is not at most half
+    the step before it is replaced by the bracket midpoint, and each new
+    value shrinks the bracket.  It starts from the end with the smaller
+    |value| and returns the Newton point once a step is at most
+    _ROOT_REL_STEP of the iterate.  A step refused by the safeguard while
+    below _ROOT_NOISE_STEP is set by the rounding noise of f, not by the
+    distance to the root (a converging step of 2^-26 leaves an error of order
+    2^-52), so the search ends at the iterate instead of bisecting from the
+    far end of a bracket that Newton approached from one side.
     """
+    (f_lo, slope_lo), (f_hi, slope_hi) = at_lo, at_hi
     if not (lo < hi and f_lo < 0.0 < f_hi):
         raise NumericalError(
             f"invalid bracket: lo={lo!r} (f={f_lo!r}), hi={hi!r} (f={f_hi!r})"
         )
-    for iteration in range(_ROOT_MAX_ITER):
-        width = hi - lo
-        if width <= _ROOT_REL_TOL * hi:
-            break
-        if iteration % 2 == 0:
-            x = lo + 0.5 * width
+    x, fx, slope = (lo, f_lo, slope_lo) if -f_lo < f_hi else (hi, f_hi, slope_hi)
+    step = hi - lo
+    for _ in range(_ROOT_MAX_ITER):
+        delta = fx / slope if slope > 0.0 else math.inf
+        newton = x - delta
+        if lo < newton < hi and abs(2.0 * delta) <= abs(step):
+            if abs(delta) <= _ROOT_REL_STEP * x:
+                return newton
+            step, x = delta, newton
+        elif abs(delta) <= _ROOT_NOISE_STEP * x:
+            return x
         else:
-            x = lo - f_lo * width / (f_hi - f_lo)
-            margin = 0.01 * width
-            if not (lo + margin < x < hi - margin):
-                x = lo + 0.5 * width
-        fx = f(x)
+            mid = lo + 0.5 * (hi - lo)
+            if mid in (lo, hi):
+                return mid
+            step, x = x - mid, mid
+        fx, slope = f(x)
         if fx == 0.0:
             return x
         if fx < 0.0:
-            lo, f_lo = x, fx
+            lo = x
         else:
-            hi, f_hi = x, fx
-    return 0.5 * (lo + hi)
+            hi = x
+    return lo + 0.5 * (hi - lo)
 
 
 def ig_critical_point(kappa: float) -> float:
@@ -115,8 +134,10 @@ def ig_critical_point(kappa: float) -> float:
 
     Exists only for kappa > 1.  The rescaled stationarity function is
     positive at the peak coordinate and tends to -inf as x -> 0+, so the
-    bracket is built by halving down from the peak; the root is then
-    refined to a relative bracket width of 1e-14.
+    bracket is built by halving down from the peak; safeguarded Newton steps
+    on the kernel's value and slope then refine the root to a few ulp
+    (about 6 evaluations per root in all, bracket included, on kappa in
+    (1 + 1e-15, 1e8]).
     """
     k = curves._ig_kappa(kappa)
     if k <= 1.0:
@@ -127,26 +148,26 @@ def ig_critical_point(kappa: float) -> float:
     kernel = curves._ig_stationarity_kernel
     sqrt_2k, sqrt_k = curves._sqrt_2k_k(k)
 
-    def f(x: float) -> float:
+    def f(x: float) -> tuple[float, float]:
         # kappa is checked once above and each iterate by the scalar guard:
         # no array validation or 0-d round trip per evaluation
-        return float(kernel(k, sqrt_2k, sqrt_k, require_positive("x", x)))
+        return kernel(k, sqrt_2k, sqrt_k, require_positive("x", x), slope=True)
 
     hi = curves.ig_peak_coord(k)
-    f_hi = f(hi)
-    if not f_hi > 0.0:
+    at_hi = f(hi)
+    if not at_hi[0] > 0.0:
         raise NumericalError(
-            f"stationarity not positive at its peak (kappa={k!r}, value={f_hi!r})"
+            f"stationarity not positive at its peak (kappa={k!r}, value={at_hi[0]!r})"
         )
-    lo, f_lo = hi, f_hi
+    lo = hi
     for _ in range(2000):
         lo *= 0.5
-        f_lo = f(lo)
-        if f_lo < 0.0:
+        at_lo = f(lo)
+        if at_lo[0] < 0.0:
             break
     else:
         raise NumericalError(f"could not find a negative bracket end for kappa={k!r}")
-    return _bracketed_root(f, lo, hi, f_lo, f_hi)
+    return _safeguarded_newton(f, lo, hi, at_lo, at_hi)
 
 
 # The kappa = 1 value of the Gumbel and logistic curves, constant in the coordinate.

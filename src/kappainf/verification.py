@@ -117,7 +117,7 @@ def _ig_critical_rows(budget: Budget) -> list[OracleReport]:
         value = curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappa, x0)
         if not 0.0 < x0 < curves.ig_peak_coord(kappa):
             invariant_violations += 1
-        if abs(curves.ig_stationarity(kappa, x0)) > 1e-10:
+        if abs(curves.ig_stationarity_scaled(kappa, x0)) > 1e-10:
             invariant_violations += 1
         if not value > 0.5:
             invariant_violations += 1
@@ -255,6 +255,60 @@ def _phase_transition_rows() -> list[OracleReport]:
     return rows
 
 
+def _ig_near_one_rows() -> list[OracleReport]:
+    """The inverse Gaussian critical point and infimum as kappa -> 1+.
+
+    With e = kappa - 1, the stationarity is
+    sqrt(2*pi)*B(s) + e/(sqrt(kappa)(kappa+1)x), where
+    B(s) = erfcx(s) - 1/(s*sqrt(pi)) = -(1/(2s^3))(1 - 3/(2s^2) + ...)/sqrt(pi)
+    and x = s*sqrt(2*kappa)/(kappa+1).  Its zero has
+    s^2 = kappa/e - 3/2 + O(e) = 1/e - 1/2 + O(e), so, as
+    2*kappa/(kappa+1)^2 = 1/2 + O(e^2),
+
+        x0*sqrt(2e) = sqrt(1 - e/2 + O(e^2)) = 1 - e/4 + O(e^2).
+
+    At x0, z = e*x0/sqrt(kappa) has z^2 = (e/2)(1 - 3e/2 + O(e^2)), and the
+    curve is Phi(z) + exp(-z^2/2)*erfcx(s)/2 with
+    Phi(z) = 1/2 + z/sqrt(2*pi) - z^3/(6*sqrt(2*pi)) + ... and
+    erfcx(s) = (1 - 1/(2s^2) + ...)/(s*sqrt(pi)) = sqrt(e/pi)(1 - e/4 + O(e^2)).
+    The first term is 1/2 + sqrt(e/(4*pi))(1 - 3e/4 - e/12 + O(e^2)), the
+    second sqrt(e/(4*pi))(1 - e/2 + O(e^2)), so
+
+        (inf - 1/2)/sqrt(e/pi) = 1 - 2e/3 + O(e^2),
+
+    the leading term of the log-normal Phi(sqrt(2 ln kappa)) too.  Each row
+    takes the largest |ratio - 1|/(e + floor) over e = 1e-12 .. 1e-3, which
+    the first-order terms keep at about 1/4 and 2/3, below the tolerance 1.
+    The floor covers rounding: 1e-13 for x0, which the solver gives to a few
+    ulp, and 1e-8 for the infimum, where inf - 1/2 ~ 5.6e-7 at e = 1e-12
+    carries the ~1e-16 absolute rounding of a value near 1/2.
+    """
+    worst_x = worst_inf = 0.0
+    for gap in 10.0 ** np.arange(-12.0, -2.0):
+        kappa = 1.0 + gap
+        e = kappa - 1.0  # exact
+        result = solver.infimum(Family.INVERSE_GAUSSIAN, kappa)
+        x_ratio = result.argmin * math.sqrt(2.0 * e)
+        inf_ratio = (result.value - 0.5) / math.sqrt(e / math.pi)
+        worst_x = max(worst_x, abs(x_ratio - 1.0) / (e + 1e-13))
+        worst_inf = max(worst_inf, abs(inf_ratio - 1.0) / (e + 1e-8))
+    ladder = "over kappa-1 = 1e-12..1e-3"
+    return [
+        OracleReport(
+            "closed_form", 0.0, worst_x, 1.0,
+            f"inverse-gaussian x0*sqrt(2(kappa-1)) -> 1 as kappa -> 1+, "
+            f"= 1 - (kappa-1)/4 + O((kappa-1)^2); estimate is the largest "
+            f"|ratio - 1|/(kappa-1 + 1e-13) {ladder}",
+        ),
+        OracleReport(
+            "closed_form", 0.0, worst_inf, 1.0,
+            f"inverse-gaussian (inf - 1/2)/sqrt((kappa-1)/pi) -> 1 as kappa -> 1+, "
+            f"= 1 - 2(kappa-1)/3 + O((kappa-1)^2); estimate is the largest "
+            f"|ratio - 1|/(kappa-1 + 1e-8) {ladder}",
+        ),
+    ]
+
+
 def run_verification(budget: str = "quick", seed: int = 1) -> list[OracleReport]:
     """Run the whole matrix and return one report per check."""
     if budget not in BUDGETS:
@@ -271,4 +325,5 @@ def run_verification(budget: str = "quick", seed: int = 1) -> list[OracleReport]
     rows += _location_scale_rows()
     rows += _mc_rows(limits, rng)
     rows += _phase_transition_rows()
+    rows += _ig_near_one_rows()
     return rows

@@ -24,7 +24,7 @@ from kappainf import (
     ig_critical_point,
     ig_peak_coord,
     ig_prob_deriv,
-    ig_stationarity,
+    ig_stationarity_scaled,
     infimum,
     mc_prob,
     mean,
@@ -87,7 +87,7 @@ def test_criterion_3_critical_points_and_grid_agreement():
         for kappa in (1.5, 2.0, 3.0, 5.0, 10.0):
             x0 = ig_critical_point(kappa)
             assert 0.0 < x0 < ig_peak_coord(kappa)
-            assert abs(ig_stationarity(kappa, x0)) <= 1e-10
+            assert abs(ig_stationarity_scaled(kappa, x0)) <= 1e-10
             value = reduced_prob(IG, kappa, x0)
             assert value > 0.5
             coord, grid_value = grid_min(
@@ -109,7 +109,7 @@ def test_criterion_4_derivative_factorization():
                   - reduced_prob(IG, kappa, x - step)) / (2.0 * step)
             deriv = ig_prob_deriv(kappa, x)
             assert abs(fd - deriv) <= 1e-4 * abs(deriv) + 1e-8, (kappa, x)
-            assert np.sign(deriv) == np.sign(ig_stationarity(kappa, x)), (kappa, x)
+            assert np.sign(deriv) == np.sign(ig_stationarity_scaled(kappa, x)), (kappa, x)
 
 
 def test_criterion_5_log_normal_infimum_formula():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from kappainf import (
     cdf,
     ig_peak_coord,
     ig_prob_deriv,
-    ig_stationarity,
     ig_stationarity_scaled,
     mean,
     reduce_params,
     reduced_prob,
 )
 from kappainf.curves import IG_KAPPA_MAX, _ig_stationarity_kernel, _sqrt_2k_k
+from kappainf.distributions import _ig_exponent
 from kappainf.errors import RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
@@ -28,8 +29,8 @@ IG = Family.INVERSE_GAUSSIAN
 # frozen 50-digit references (quadrature / direct evaluation)
 GUMBEL_UNIT_CONSTANT = 0.5703760016750230  # exp(-exp(-EULER_GAMMA))
 IG11_PROB_AT_TWICE_MEAN = 0.8854754259860064
-STATIONARITY_1_AT_1 = -0.021283035250828595
-STATIONARITY_2_AT_PEAK = 0.015476804703309131
+STATIONARITY_1_AT_1 = -0.15726154142389105  # scaled
+STATIONARITY_2_AT_PEAK = 0.069362226482577289  # scaled, at sqrt(2/3)
 
 
 def random_member(family, rng):
@@ -40,6 +41,13 @@ def random_member(family, rng):
     if family is Family.GUMBEL:
         return DistParams.gumbel(rng.uniform(-5, 5), 10.0 ** rng.uniform(-1, 1))
     return DistParams.logistic(rng.uniform(-5, 5), 10.0 ** rng.uniform(-1, 1))
+
+
+def unscaled_stationarity(kappa, x):
+    """2*int_a^inf e^{-t^2/2} dt - e^{-a^2/2}/(sqrt(kappa) x), a = (kappa+1)x/sqrt(kappa):
+    the scaled function times e^{-a^2/2}."""
+    a = (kappa + 1.0) * x / math.sqrt(kappa)
+    return np.exp(-0.5 * a * a) * ig_stationarity_scaled(kappa, x)
 
 
 class TestReducedPoint:
@@ -127,6 +135,43 @@ class TestReducedProb:
             assert reduced_prob(IG, 1e-300, 1e100) == 0.0
             assert ig_prob_deriv(1e-300, 1e100) == 0.0
 
+    def test_ig_tiny_ratio_keeps_the_second_term(self):
+        # a form with (ratio+1)^2/(2*ratio) overflows at ratio = 1e-310, drops
+        # the second term and leaves Phi(-1e-5) = 0.4999960106; the cdf's
+        # ratio t/mu and x = sqrt(lambda/mu) are the same pair
+        assert reduced_prob(IG, 1e-310, 1e-160) == pytest.approx(0.9999920212, abs=1e-10)
+        tiny = DistParams.inverse_gaussian(1e300, 1e-20)
+        assert cdf(tiny, 1e-10) == pytest.approx(0.9999920212, abs=1e-10)
+
+    def test_ig_exponent_is_exact_near_unit_ratio(self):
+        # -(ratio-1)^2 x^2/(2*ratio) with nothing cancelling: within 2 ulp of
+        # the exact rational value where 2 - (ratio+1)^2/(2*ratio) loses all digits
+        for ratio, x in ((1.0 + 2.0 ** -30, 1024.0), (1.0 - 2.0 ** -40, 3.0), (7.0, 0.5)):
+            exact = -(Fraction(ratio) - 1) ** 2 * Fraction(x) ** 2 / (2 * Fraction(ratio))
+            assert _ig_exponent(ratio, x) == pytest.approx(float(exact), rel=4.5e-16, abs=0.0)
+
+    def test_float_coordinate_keeps_bits_and_messages(self):
+        # a Python float takes the scalar guards instead of a 0-d array
+        for family in Family:
+            for coord in (0.3, 2.5, 40.0):
+                value = reduced_prob(family, 2.0, coord)
+                assert type(value) is float
+                assert value.hex() == reduced_prob(family, 2.0, np.array(coord)).hex()
+        for call in (ig_prob_deriv, ig_stationarity_scaled):
+            assert call(2.0, 0.7).hex() == call(2.0, np.array(0.7)).hex()
+        for bad, message in ((0.0, "coord must be > 0, got 0.0"),
+                             (-1.5, "coord must be > 0, got -1.5"),
+                             (math.nan, "coord must be finite, got nan"),
+                             (math.inf, "coord must be finite, got inf")):
+            with pytest.raises(DomainError) as raised:
+                reduced_prob(IG, 2.0, bad)
+            assert str(raised.value) == message
+        with pytest.raises(DomainError) as raised:
+            reduced_prob(Family.GUMBEL, 2.0, -math.inf)
+        assert str(raised.value) == "coord must be finite, got -inf"
+        with pytest.raises(DomainError, match="x must be > 0, got 0.0"):
+            ig_stationarity_scaled(2.0, 0.0)
+
     def test_ig_kappa_above_its_limit_is_a_domain_error(self):
         # the cdf's ratio t/mu plays kappa's part in the same curve
         tiny_shape = DistParams.inverse_gaussian(1.0, 1e-300)
@@ -134,7 +179,6 @@ class TestReducedProb:
         assert cdf(tiny_shape, IG_KAPPA_MAX) == 1.0
         for kappa in (math.nextafter(IG_KAPPA_MAX, math.inf), 1e200, 1.7e308):
             for call in (lambda: reduced_prob(IG, kappa, 1e-100),
-                         lambda: ig_stationarity(kappa, 1e-100),
                          lambda: ig_stationarity_scaled(kappa, 1e-100),
                          lambda: ig_prob_deriv(kappa, 1e-100),
                          lambda: ig_peak_coord(kappa)):
@@ -161,41 +205,43 @@ class TestReducedProb:
 
 class TestStationarity:
     def test_negative_everywhere_at_unit_multiplier(self):
-        assert ig_stationarity(1.0, 1.0) == pytest.approx(STATIONARITY_1_AT_1, abs=1e-12)
+        assert ig_stationarity_scaled(1.0, 1.0) == pytest.approx(STATIONARITY_1_AT_1, abs=1e-12)
         xs = np.geomspace(1e-3, 50.0, 500)
         assert np.all(ig_stationarity_scaled(1.0, xs) < 0.0)
 
     def test_positive_at_its_peak_for_large_multiplier(self):
         peak = ig_peak_coord(2.0)
         assert peak == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-15)
-        assert ig_stationarity(2.0, peak) == pytest.approx(STATIONARITY_2_AT_PEAK, abs=1e-12)
+        assert ig_stationarity_scaled(2.0, peak) == pytest.approx(STATIONARITY_2_AT_PEAK, abs=1e-12)
 
     def test_blows_down_near_zero(self):
         # dominated by -1/(sqrt(kappa) x)
-        value = ig_stationarity(2.0, 1e-4)
+        value = ig_stationarity_scaled(2.0, 1e-4)
         assert value < -5000.0
         assert value == pytest.approx(-1.0 / (math.sqrt(2.0) * 1e-4), rel=1e-3)
 
     def test_scaled_variant_same_signs(self):
+        # the literal unscaled form 2*int_a^inf e^{-t^2/2} dt - e^{-a^2/2}/(sqrt(kappa) x)
         rng = np.random.default_rng(11)
         kappas = 10.0 ** rng.uniform(-0.7, 1.0, 300)
         xs = 10.0 ** rng.uniform(-2.0, 1.0, 300)
         for kappa, x in zip(kappas, xs):
-            assert np.sign(ig_stationarity(kappa, x)) == np.sign(
-                ig_stationarity_scaled(kappa, x)
-            )
+            a = (kappa + 1.0) * x / math.sqrt(kappa)
+            literal = (2.0 * math.sqrt(math.pi / 2.0) * math.erfc(a / math.sqrt(2.0))
+                       - math.exp(-0.5 * a * a) / (math.sqrt(kappa) * x))
+            assert np.sign(literal) == np.sign(ig_stationarity_scaled(kappa, x))
 
     def test_slope_factor_predicts_stationarity_slope(self):
         # the slope factor 1/kappa - kappa + 1/x^2 has the sign of
         # peak - x: rising below the peak coordinate, falling above it
         xs = np.geomspace(0.05, 5.0, 200)
         h = 1e-7
-        fd = (ig_stationarity(2.0, xs + h) - ig_stationarity(2.0, xs - h)) / (2 * h)
+        fd = (unscaled_stationarity(2.0, xs + h) - unscaled_stationarity(2.0, xs - h)) / (2 * h)
         assert np.all(np.sign(fd) == np.sign(ig_peak_coord(2.0) - xs))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            ig_stationarity(2.0, 0.0)
+            ig_stationarity_scaled(2.0, 0.0)
         with pytest.raises(DomainError):
             ig_stationarity_scaled(2.0, -1.0)
         with pytest.raises(RegimeError):
@@ -203,7 +249,7 @@ class TestStationarity:
 
     def test_overflowing_erfcx_argument_is_a_domain_error(self):
         # erfcx(inf) = 0 would leave -1/(sqrt(kappa) x): the wrong sign for kappa > 1
-        for call in (ig_stationarity, ig_stationarity_scaled, ig_prob_deriv):
+        for call in (ig_stationarity_scaled, ig_prob_deriv):
             with pytest.raises(DomainError, match="too large"):
                 call(2.0, np.array([1.0, 1e308]))
 
@@ -239,7 +285,7 @@ class TestProbDeriv:
         kappas = 10.0 ** rng.uniform(math.log10(0.2), 1.0, 1000)
         xs = rng.uniform(0.05, 5.0, 1000)
         d = np.array([ig_prob_deriv(k, x) for k, x in zip(kappas, xs)])
-        s = np.array([ig_stationarity(k, x) for k, x in zip(kappas, xs)])
+        s = np.array([ig_stationarity_scaled(k, x) for k, x in zip(kappas, xs)])
         assert np.all(np.sign(d) == np.sign(s))
 
     def test_stabilized_form_matches_literal_product_small_x(self):

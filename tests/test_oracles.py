@@ -308,7 +308,7 @@ class TestVerificationRows:
         from kappainf import curves, verification
 
         calls = []
-        for name in ("reduced_prob", "ig_prob_deriv", "ig_stationarity_scaled", "ig_stationarity"):
+        for name in ("reduced_prob", "ig_prob_deriv", "ig_stationarity_scaled"):
             def counted(*args, _f=getattr(curves, name), _name=name):
                 calls.append(_name)
                 return _f(*args)

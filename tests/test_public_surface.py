@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "ig_critical_point",
     "ig_peak_coord",
     "ig_prob_deriv",
-    "ig_stationarity",
     "ig_stationarity_scaled",
     "infimum",
     "mc_prob",

@@ -13,13 +13,13 @@ from kappainf import (
     grid_min,
     ig_critical_point,
     ig_peak_coord,
-    ig_stationarity,
+    ig_stationarity_scaled,
     infimum,
     reduced_prob,
     std_normal_cdf,
 )
 from kappainf import curves, solver
-from kappainf.errors import DomainError, RegimeError
+from kappainf.errors import DomainError, NumericalError, RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
 
@@ -28,6 +28,17 @@ X0_AT_2 = 0.6479001883889423
 VALUE_AT_X0_OF_2 = 0.8725831654781596
 # 50-digit quadrature of the normal density up to sqrt(2)
 PHI_SQRT2 = 0.9213503964748574
+# frozen 50-digit mpmath bisection of the stationarity function for the
+# critical coordinate at kappa = 1.0 + gap (the double nearest to it)
+X0_NEAR_ONE = {
+    1e-12: 707075.35217958558898,
+    1e-9: 22360.67884434231402,
+    1e-6: 707.10660443935772711,
+}
+
+# kappa in (1 + 1e-15, 1e8]: the kappa -> 1+ edge and the far end
+SOLVER_GRID = np.concatenate([1.0 + np.geomspace(2e-15, 0.1, 150),
+                              np.geomspace(1.1, 1e8, 150)])
 
 
 class TestCriticalPoint:
@@ -35,7 +46,7 @@ class TestCriticalPoint:
         x0 = ig_critical_point(2.0)
         assert x0 == pytest.approx(X0_AT_2, rel=1e-12)
         assert 0.0 < x0 < math.sqrt(2.0 / 3.0)
-        assert abs(ig_stationarity(2.0, x0)) <= 1e-12
+        assert abs(ig_stationarity_scaled(2.0, x0)) <= 1e-12
         assert reduced_prob(IG, 2.0, x0) == pytest.approx(VALUE_AT_X0_OF_2, abs=1e-11)
 
     def test_near_degenerate_multiplier(self):
@@ -67,10 +78,10 @@ class TestCriticalPoint:
         calls = 0
         kernel = curves._ig_stationarity_kernel
 
-        def counting_kernel(k, sqrt_2k, sqrt_k, x):
+        def counting_kernel(k, sqrt_2k, sqrt_k, x, slope=False):
             nonlocal calls
-            calls += 1
-            return kernel(k, sqrt_2k, sqrt_k, x)
+            calls += slope  # the root finder's calls, not the public value's
+            return kernel(k, sqrt_2k, sqrt_k, x, slope)
 
         monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
         rng = np.random.default_rng(2024)
@@ -92,23 +103,64 @@ class TestCriticalPoint:
                 with pytest.raises(DomainError, match="kappa must be <= 1.34"):
                     call(kappa)
 
+    def test_few_kernel_calls_per_root(self, monkeypatch):
+        calls = 0
+        kernel = curves._ig_stationarity_kernel
+
+        def counting_kernel(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
+        counts = []
+        for kappa in SOLVER_GRID:
+            calls = 0
+            ig_critical_point(kappa)
+            counts.append(calls)
+        assert np.mean(counts) < 16.0 and max(counts) <= 30, (np.mean(counts), max(counts))
+
+    def test_zero_scaled_residual_over_the_whole_range(self):
+        residuals = [ig_stationarity_scaled(k, ig_critical_point(k)) for k in SOLVER_GRID]
+        assert np.max(np.abs(residuals)) <= 1e-12
+
+    @pytest.mark.parametrize("gap", sorted(X0_NEAR_ONE))
+    def test_near_one_against_frozen_references(self, gap):
+        x0 = ig_critical_point(1.0 + gap)
+        assert abs(x0 - X0_NEAR_ONE[gap]) <= 1e-13 * X0_NEAR_ONE[gap]
+
+    def test_newton_falls_back_to_bisection(self):
+        # a slope that points the wrong way: every step is a midpoint
+        def f(x):
+            return x - 2.0, -1.0
+
+        root = solver._safeguarded_newton(f, 0.0, 3.0, f(0.0), f(3.0))
+        assert abs(root - 2.0) <= 1e-15
+        with pytest.raises(NumericalError, match="invalid bracket"):
+            solver._safeguarded_newton(f, 3.0, 0.0, f(3.0), f(0.0))
+
 
 def reference_critical_point(kappa):
-    """The root finder over the public, argument-checked stationarity function:
-    the same peak bracket, halving loop and ``_bracketed_root``."""
+    """The root finder over the checked public path: each iterate through the
+    argument checks of ``ig_stationarity_scaled`` as a 0-d array, its value
+    equal to the public function's, and the same peak bracket, halving loop
+    and ``_safeguarded_newton``."""
 
     def f(x):
-        return curves.ig_stationarity_scaled(kappa, x)
+        roots, x_arr, _ = curves._stationarity_args(kappa, np.float64(x))
+        value, slope = curves._ig_stationarity_kernel(*roots, x_arr, slope=True)
+        assert value.hex() == ig_stationarity_scaled(kappa, x).hex()
+        return value, slope
 
     hi = curves.ig_peak_coord(kappa)
-    f_hi = f(hi)
-    assert f_hi > 0.0
+    at_hi = f(hi)
+    assert at_hi[0] > 0.0
     lo = hi
     while True:
         lo *= 0.5
-        f_lo = f(lo)
-        if f_lo < 0.0:
-            return solver._bracketed_root(f, lo, hi, f_lo, f_hi)
+        at_lo = f(lo)
+        if at_lo[0] < 0.0:
+            return solver._safeguarded_newton(f, lo, hi, at_lo, at_hi)
 
 
 class TestInfimumRegimes:
