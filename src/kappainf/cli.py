@@ -36,8 +36,6 @@ def _parse_kappas(ctx, param, value: str) -> list[float]:
         raise click.BadParameter(f"expected a comma list of numbers, got {value!r}")
     if not kappas:
         raise click.BadParameter("at least one kappa value is required")
-    if any(not k > 0 for k in kappas):
-        raise click.BadParameter("every kappa must be > 0")
     return kappas
 
 

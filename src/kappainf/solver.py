@@ -4,8 +4,8 @@ Regime summary (value, how the infimum is reached):
 
 * inverse Gaussian: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as x -> inf;
   kappa > 1 -> attained at the unique zero x0(kappa) of the stationarity
-  function, located by safeguarded Newton steps inside the guaranteed
-  bracket (0, sqrt(kappa/((kappa-1)(kappa+1)))].
+  function, located by safeguarded Newton steps inside the closed-form
+  bracket (peak/2, peak], peak = sqrt(kappa/((kappa-1)(kappa+1))).
 * log-normal: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as sigma -> 0+;
   kappa > 1 -> attained at sigma = sqrt(2 ln kappa) with value
   Phi(sqrt(2 ln kappa)) > 1/2.
@@ -84,8 +84,9 @@ def _safeguarded_newton(
     f: Callable[[float], tuple[float, float]], lo: float, hi: float,
     at_lo: tuple[float, float], at_hi: tuple[float, float],
 ) -> float:
-    """Root of f in (lo, hi), where f(x) gives (value, slope) and at_lo, at_hi
-    are f at the ends, with value < 0 at lo and > 0 at hi.
+    """Root of f in (lo, hi], where f(x) gives (value, slope) and at_lo, at_hi
+    are f at the ends, with value < 0 at lo and >= 0 at hi (a value of 0 at
+    hi returns hi).
 
     Newton steps, safeguarded as in rtsafe (Numerical Recipes 9.4): a step
     that would leave the bracket, meets a slope <= 0, or is not at most half
@@ -99,7 +100,7 @@ def _safeguarded_newton(
     far end of a bracket that Newton approached from one side.
     """
     (f_lo, slope_lo), (f_hi, slope_hi) = at_lo, at_hi
-    if not (lo < hi and f_lo < 0.0 < f_hi):
+    if not (lo < hi and f_lo < 0.0 <= f_hi):
         raise NumericalError(
             f"invalid bracket: lo={lo!r} (f={f_lo!r}), hi={hi!r} (f={f_hi!r})"
         )
@@ -132,12 +133,12 @@ def _safeguarded_newton(
 def ig_critical_point(kappa: float) -> float:
     """The minimizing coordinate x0(kappa) of the inverse Gaussian curve.
 
-    Exists only for kappa > 1.  The rescaled stationarity function is
-    positive at the peak coordinate and tends to -inf as x -> 0+, so the
-    bracket is built by halving down from the peak; safeguarded Newton steps
-    on the kernel's value and slope then refine the root to a few ulp
-    (about 6 evaluations per root in all, bracket included, on kappa in
-    (1 + 1e-15, 1e8]).
+    Exists only for kappa > 1.  The stationarity is negative below x0 and
+    positive from x0 up to peak = ig_peak_coord(kappa), and x0/peak runs from
+    y* = 0.612... (kappa -> inf) up to 1 (kappa -> 1+), so (peak/2, peak]
+    brackets x0; a peak value that rounds to 0 returns the peak, within 1 ulp
+    of x0.  Safeguarded Newton steps on the kernel's value and slope refine
+    the root to a few ulp (about 5 evaluations per root, bracket included).
     """
     k = curves._ig_kappa(kappa)
     if k <= 1.0:
@@ -149,25 +150,13 @@ def ig_critical_point(kappa: float) -> float:
     sqrt_2k, sqrt_k = curves._sqrt_2k_k(k)
 
     def f(x: float) -> tuple[float, float]:
-        # kappa is checked once above and each iterate by the scalar guard:
-        # no array validation or 0-d round trip per evaluation
-        return kernel(k, sqrt_2k, sqrt_k, require_positive("x", x), slope=True)
+        # kappa is checked once above and every iterate lies in the bracket:
+        # no validation or 0-d round trip per evaluation
+        return kernel(k, sqrt_2k, sqrt_k, x, slope=True)
 
     hi = curves.ig_peak_coord(k)
     at_hi = f(hi)
-    if not at_hi[0] > 0.0:
-        raise NumericalError(
-            f"stationarity not positive at its peak (kappa={k!r}, value={at_hi[0]!r})"
-        )
-    lo = hi
-    for _ in range(2000):
-        lo *= 0.5
-        at_lo = f(lo)
-        if at_lo[0] < 0.0:
-            break
-    else:
-        raise NumericalError(f"could not find a negative bracket end for kappa={k!r}")
-    return _safeguarded_newton(f, lo, hi, at_lo, at_hi)
+    return _safeguarded_newton(f, 0.5 * hi, hi, f(0.5 * hi), at_hi)
 
 
 # The kappa = 1 value of the Gumbel and logistic curves, constant in the coordinate.

@@ -300,6 +300,13 @@ class TestInfimumCommand:
             )
             assert result.exit_code == 2
 
+    def test_non_positive_kappa_is_the_library_error(self, runner):
+        # the library checks kappa, so the rows before the bad one never print
+        result = runner.invoke(main, ["infimum", "--family", "logistic", "--kappa", "2,0"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: kappa must be > 0, got 0.0\n"
+
 
 # floats a curve file must carry bit for bit, besides any that hypothesis draws
 # (nan and +-inf included)
@@ -359,6 +366,19 @@ class TestRootCommand:
     def test_no_critical_point_regime_is_exit_2(self, runner):
         result = runner.invoke(main, ["root", "--kappa", "1"])
         assert result.exit_code == 2
+
+    def test_first_float_above_one(self, runner):
+        # the stationarity at the peak rounds to 0 there, and the peak is the root
+        result = runner.invoke(main, ["root", "--kappa", "1.0000000000000002", "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        row = parse_csv(result.output)[0]
+        assert row["critical_coord"] == row["upper_bound"] == "47453132.81212578"
+        assert row["residual"] == "0.0"
+
+    def test_nan_kappa_is_exit_2(self, runner):
+        result = runner.invoke(main, ["root", "--kappa", "nan"])
+        assert result.exit_code == 2
+        assert "kappa must be finite, got nan" in result.stderr
 
 
 class TestVerifyCommand:

@@ -129,6 +129,31 @@ class TestCriticalPoint:
         x0 = ig_critical_point(1.0 + gap)
         assert abs(x0 - X0_NEAR_ONE[gap]) <= 1e-13 * X0_NEAR_ONE[gap]
 
+    def test_root_lies_in_the_closed_form_bracket(self):
+        # x0/peak runs from y* = 0.612... (kappa -> inf) to 1 (kappa -> 1+),
+        # so (peak/2, peak] brackets the root, the first floats above 1 included
+        ulp = 2.0 ** -52
+        kappas = np.concatenate([1.0 + ulp * np.arange(1, 65),
+                                 1.0 + np.geomspace(1.5e-14, 0.1, 100),
+                                 np.geomspace(1.1, curves.IG_KAPPA_MAX, 100)])
+        for kappa in kappas:
+            ratio = ig_critical_point(kappa) / ig_peak_coord(kappa)
+            assert 0.5 < ratio <= 1.0, kappa
+
+    def test_first_floats_above_one_follow_the_asymptotics(self):
+        # the expansions derived in verification._ig_near_one_rows, with
+        # e = kappa - 1: x0*sqrt(2e) = 1 - e/4 + O(e^2) and
+        # inf = 1/2 + sqrt(e/pi)(1 - 2e/3 + O(e^2)); at e <= 256 * 2^-52
+        # = 5.7e-14 the O(e^2) terms and the e*sqrt(e) one are below double
+        # precision
+        for j in range(1, 257):
+            kappa = 1.0 + j * 2.0 ** -52
+            e = kappa - 1.0  # exact
+            x0 = ig_critical_point(kappa)
+            assert abs(x0 * math.sqrt(2.0 * e) / (1.0 - e / 4.0) - 1.0) <= 1e-15, j
+            value = infimum(IG, kappa).value
+            assert abs(value - 0.5 - math.sqrt(e / math.pi)) <= 4.4e-16, j
+
     def test_newton_falls_back_to_bisection(self):
         # a slope that points the wrong way: every step is a midpoint
         def f(x):
