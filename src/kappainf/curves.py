@@ -25,18 +25,14 @@ non-positive exponents are ever formed and nothing cancels near kappa = 1;
 near x ~ 19; these forms are finite for all x and kappa in range.  Arguments are checked once, at the
 public entry; the kernels call ``special._phi`` and ``special._erfcx`` unchecked.
 
-The curve's stationarity function, rescaled by e^{a^2/2} to
-
-    2*sqrt(pi/2)*erfcx((kappa+1)x/sqrt(2*kappa)) - 1/(sqrt(kappa)*x),
-
-is likewise one unchecked kernel, ``_ig_stationarity_kernel``, which takes
-sqrt(2*kappa) and sqrt(kappa) precomputed: the public
-``ig_stationarity_scaled`` and ``ig_prob_deriv`` check their arguments and
-call it, and the Newton root finder in ``solver`` takes the roots once per
-kappa and calls it on Python floats for the value and its slope, once per
-evaluation, without array round trips.  Near kappa = 1 its two terms agree
-to ~2 log10(s) digits, so from erfcx argument s = 3 on it takes erfcx from
-a continued fraction in a form where only that last difference cancels.
+The curve's stationarity function, rescaled by e^{a^2/2}, depends on kappa
+only through q = (kappa-1)/(2*kappa): in the erfcx argument
+s = (kappa+1)x/sqrt(2*kappa) it is (sqrt(2)/s)*(q - D(s)), with
+D(s) = 1 - sqrt(pi)*s*erfcx(s).  One unchecked kernel, ``_ig_d``, gives D
+and its slope; ``ig_stationarity_scaled`` and ``ig_prob_deriv`` reach it
+through ``_ig_gap``, which checks their arguments, and the Newton root finder
+in ``solver`` calls it on Python floats, once per evaluation.  From s = 3 on it takes erfcx from a
+continued fraction in which nothing cancels, so only q - D does near kappa = 1.
 
 The inverse Gaussian curve, stationarity and critical-point formulas take
 kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154 (the peak coordinate
@@ -104,105 +100,86 @@ def _checked_args(kappa, name: str, coord, positive: bool, ig: bool):
     return k, x, scalar and k.ndim == 0
 
 
-def _sqrt_2k_k(k):
-    """(sqrt(2k), sqrt(k)), the roots the stationarity kernel takes.  math.sqrt
-    and np.sqrt are both correctly rounded, so scalar and array kappa agree."""
-    if isinstance(k, np.ndarray):
-        return np.sqrt(2.0 * k), np.sqrt(k)
-    return math.sqrt(2.0 * k), math.sqrt(k)
-
-
-# From this erfcx argument on, the stationarity kernel takes erfcx from its
-# continued fraction (Abramowitz-Stegun 7.1.14) instead of special._erfcx.
+# From this erfcx argument on, _ig_d takes erfcx from its continued fraction
+# (Abramowitz-Stegun 7.1.14) instead of special._erfcx.
 _CF_FROM = 3.0
-_TWO_SQRT_HALF_PI = 2.0 * special.SQRT_HALF_PI
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
-def _ig_stationarity_kernel(k, sqrt_2k, sqrt_k, x, slope=False):
-    """Scaled stationarity 2*sqrt(pi/2)*erfcx(s) - 1/(sqrt(k)*x), s = (k+1)x/sqrt(2k),
-    and with ``slope`` the pair (value, d/dx of it), both from one erfcx.
+def _ig_d(s, slope=False):
+    """D(s) = 1 - sqrt(pi)*s*erfcx(s), falling from 1 (s -> 0) to 0 (s -> inf),
+    and with ``slope`` the pair (D, D'(s)).
 
-    For s < _CF_FROM the value is that direct form and its slope is
-    2*sqrt(pi/2)*(2s*erfcx(s) - 2/sqrt(pi))*(k+1)/sqrt(2k) + 1/(sqrt(k)*x^2).
-    From _CF_FROM on, where both forms cancel (catastrophically as k -> 1+),
-    they come from the continued fraction instead (``_cf_form``).
+    For s < _CF_FROM, D is that direct form and D' = 2s - sqrt(pi)*erfcx(s)*(1 + 2s^2).
+    From _CF_FROM on, both come from the tail t2 of the continued fraction
+    sqrt(pi)*erfcx(s) = 1/(s + t), t = (1/2)/(s + t2),
+    t2 = 1/(s + (3/2)/(s + 2/(s + ...))):
 
-    No validation: k must be a checked kappa with its roots from _sqrt_2k_k,
-    and x > 0.  A Python float or numpy scalar x gives floats; an ndarray
-    (no ``slope``) is computed element by element with the same bits.
+        D = t/(s + t),    D' = -t2/((s + t)(s + t2)).
+
+    Every sum adds positive terms, so nothing cancels; near kappa = 1, where
+    D ~ 1/(2s^2) is small, the direct form would lose ~2 log10(s) digits.
+    The fraction runs to 6 + floor(140/s) terms (52 at s = 3, 6 above
+    s = 140); in 40-digit mpmath, t is then within 2e-17 relative on a
+    geometric grid of s in [2, 1e6], where 37 terms are needed at s = 3, 26 at
+    s = 4 and 5 at s = 100.
+
+    No validation: s > 0 and finite.  A Python float or numpy scalar s gives
+    floats; an ndarray (no ``slope``) is computed element by element with
+    the same bits.
     """
-    s = (k + 1.0) * x / sqrt_2k
     if isinstance(s, np.ndarray):
-        g = _TWO_SQRT_HALF_PI * special._erfcx(s) - 1.0 / (sqrt_k * x)
+        d = 1.0 - _SQRT_PI * s * special._erfcx(s)
         tail = s >= _CF_FROM
         if tail.any():
-            k, sqrt_k, x, s = (np.broadcast_to(v, g.shape)[tail] for v in (k, sqrt_k, x, s))
-            terms = 6.0 + np.floor(140.0 / s)
-            t2 = np.zeros_like(s)
+            st = s[tail]
+            terms = 6.0 + np.floor(140.0 / st)
+            t2 = np.zeros_like(st)
             for n in range(int(terms.max()), 1, -1):  # each entry as in the scalar loop
-                t2 = np.where(n <= terms, 0.5 * n / (s + t2), t2)
-            with np.errstate(over="ignore"):  # s*(s + t) -> inf only drives 0
-                g[tail] = _cf_form(k, sqrt_k, x, s, t2)
-        return g
+                t2 = np.where(n <= terms, 0.5 * n / (st + t2), t2)
+            t = 0.5 / (st + t2)
+            d[tail] = t / (st + t)
+        return d
     if s < _CF_FROM:
         e = float(special._erfcx(s))
-        g = _TWO_SQRT_HALF_PI * e - 1.0 / (sqrt_k * x)
-        if not slope:
-            return g
-        return g, (_TWO_SQRT_HALF_PI * (2.0 * s * e - _TWO_OVER_SQRT_PI) * (k + 1.0) / sqrt_2k
-                   + 1.0 / (sqrt_k * x * x))
+        d = 1.0 - _SQRT_PI * s * e
+        return (d, 2.0 * s - _SQRT_PI * e * (1.0 + 2.0 * s * s)) if slope else d
     t2 = 0.0
     for n in range(6 + int(140.0 / s), 1, -1):
         t2 = 0.5 * n / (s + t2)
-    return _cf_form(k, sqrt_k, x, s, t2, slope)
-
-
-def _cf_form(k, sqrt_k, x, s, t2, slope=False):
-    """The stationarity (and with ``slope`` its d/dx) at s >= _CF_FROM, from
-    the tail t2 of the continued fraction sqrt(pi)*erfcx(s) = 1/(s + t),
-    t = (1/2)/(s + t2), t2 = 1/(s + (3/2)/(s + 2/(s + ...))) (A-S 7.1.14).
-
-    Exactly, with c = (k-1)/(sqrt(k)(k+1)x),
-
-        value = sqrt(2*pi)*[erfcx(s) - 1/(s*sqrt(pi))] + c
-              = c - sqrt(2)*t/(s(s + t)),
-
-    and since s' = s/x and d/ds [erfcx(s) - 1/(s*sqrt(pi))] =
-    (t + s*t2/(s + t2))/(sqrt(pi)*s^2*(s + t)),
-
-        slope = [sqrt(2)*(t + s*t2/(s + t2))/(s(s + t)) - c]/x.
-
-    Every sum adds positive terms, so nothing cancels but the final
-    difference, which is the one that locates the root.  The fraction runs
-    to 6 + floor(140/s) terms (52 at s = 3, 6 above s = 140); in 40-digit
-    mpmath, t is then within 2e-17 relative on a geometric grid of s in
-    [2, 1e6], where 37 terms are needed at s = 3, 26 at s = 4 and 5 at
-    s = 100.
-    """
     t = 0.5 / (s + t2)
-    c = (k - 1.0) / (sqrt_k * (k + 1.0) * x)
-    g = c - special.SQRT_TWO * t / (s * (s + t))
-    if not slope:
-        return g
-    return g, (special.SQRT_TWO * (t + s * t2 / (s + t2)) / (s * (s + t)) - c) / x
+    d = t / (s + t)
+    return (d, -t2 / ((s + t) * (s + t2))) if slope else d
 
 
-def _stationarity_args(kappa, x):
-    """((k, sqrt(2k), sqrt(k)), x, was_scalar) checked for the kernel: kappa in
-    the inverse Gaussian range, x > 0, and its erfcx argument s finite
-    (erfcx(inf) = 0 would silently flip the sign of the result)."""
+def _ig_gap(kappa, x):
+    """(k, x, h, was_scalar) with h = (x/s)*(q - D(s)), checked: kappa in the
+    inverse Gaussian range, x > 0, and its erfcx argument s = (k+1)x/sqrt(2k)
+    finite (at s = inf, D = 0 would silently drop the 1/x behaviour of the
+    scaled stationarity sqrt(2)*h/x).
+
+    x/s is exactly sqrt(2k)/(k+1), so h = (k-1)/((k+1)sqrt(2k)) - D*sqrt(2k)/(k+1)
+    needs no division by s, and unlike q = (k-1)/(2k) its terms stay finite
+    for every k > 0 (|h| <= 1/sqrt(2k)).  math.sqrt and np.sqrt are both
+    correctly rounded, so scalar and array kappa agree; s >= sqrt(2)*x > 0,
+    since k + 1 >= 2*sqrt(k).
+    """
     k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
-    sqrt_2k, sqrt_k = _sqrt_2k_k(k)
     if type(x_arr) is float:  # then k is a float too, and float overflow is silent
-        finite = math.isfinite((k + 1.0) * x_arr / sqrt_2k)
+        sqrt_2k = math.sqrt(2.0 * k)
+        s = (k + 1.0) * x_arr / sqrt_2k
+        finite = math.isfinite(s)
     else:
+        sqrt_2k = np.sqrt(2.0 * k)
         with np.errstate(over="ignore"):
-            finite = np.all(np.isfinite((k + 1.0) * x_arr / sqrt_2k))
+            s = (k + 1.0) * x_arr / sqrt_2k
+        finite = np.all(np.isfinite(s))
     if not finite:
         raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
                           f"overflows, got {x!r}")
-    return (k, sqrt_2k, sqrt_k), x_arr, scalar
+    h = (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s)
+    return k, x_arr, h, scalar
 
 
 def reduce_params(params: DistParams) -> float:
@@ -248,13 +225,17 @@ def reduced_prob(family: Family, kappa, coord):
 def ig_stationarity_scaled(kappa, x):
     """e^{a^2/2}-rescaled stationarity function: same zeros and signs.
 
-    Equals 2*sqrt(pi/2)*erfcx((kappa+1)x/sqrt(2*kappa)) - 1/(sqrt(kappa)*x).
+    Equals 2*sqrt(pi/2)*erfcx(s) - 1/(sqrt(kappa)*x), s = (kappa+1)x/sqrt(2*kappa),
+    which is (sqrt(2)/s)*(q - D(s)) with q = (kappa-1)/(2*kappa) (``_ig_d``),
+    evaluated as sqrt(2)*h/x with h = (x/s)*(q - D(s)) from ``_ig_gap``.
     Unlike the plain function it neither overflows nor underflows, so root
     finding can bracket it at any x; as x -> inf it tends to 0 with the sign
-    of kappa - 1.  ``kappa`` and ``x`` may each be a scalar or an ndarray.
+    of kappa - 1, and where it lies below -DBL_MAX (x -> 0+) it is -inf.
+    ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
-    roots, x_arr, scalar = _stationarity_args(kappa, x)
-    return unwrap(_ig_stationarity_kernel(*roots, x_arr), scalar)
+    _, x_arr, h, scalar = _ig_gap(kappa, x)
+    with np.errstate(over="ignore"):  # h/x -> -inf at subnormal x: the true limit
+        return unwrap(special.SQRT_TWO * h / x_arr, scalar)
 
 
 def ig_prob_deriv(kappa, x):
@@ -263,15 +244,17 @@ def ig_prob_deriv(kappa, x):
     The factorized form (2x e^{2x^2}/sqrt(2*pi)) * stationarity(x) is
     evaluated with the exponents combined: the product of e^{2x^2} and the
     e^{-a^2/2} inside the stationarity function has exponent
-    (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, so the result stays finite for
-    every positive x and kappa (an exponent that overflows to -inf gives 0).
-    ``kappa`` and ``x`` may each be a scalar or an ndarray.
+    (2 - (kappa+1)^2/(2*kappa)) x^2 <= 0, and x times the scaled
+    stationarity is sqrt(2)*h (``_ig_gap``), so the derivative is
+    (2/sqrt(pi)) * e^{...} * h.  It stays finite for every positive x and
+    kappa, with the limit -sqrt(2/(pi*kappa)) as x -> 0+ (an exponent that
+    overflows to -inf gives 0).  ``kappa`` and ``x`` may each be a scalar or
+    an ndarray.
     """
-    roots, x_arr, scalar = _stationarity_args(kappa, x)
+    k, x_arr, h, scalar = _ig_gap(kappa, x)
     with np.errstate(over="ignore"):
-        decay = np.exp(_ig_exponent(roots[0], x_arr))
-    v = 2.0 * x_arr / special.SQRT_TWO_PI * decay * _ig_stationarity_kernel(*roots, x_arr)
-    return unwrap(v, scalar)
+        decay = np.exp(_ig_exponent(k, x_arr))
+    return unwrap(_TWO_OVER_SQRT_PI * decay * h, scalar)
 
 
 def ig_peak_coord(kappa: float) -> float:

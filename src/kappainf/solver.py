@@ -4,8 +4,9 @@ Regime summary (value, how the infimum is reached):
 
 * inverse Gaussian: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as x -> inf;
   kappa > 1 -> attained at the unique zero x0(kappa) of the stationarity
-  function, located by safeguarded Newton steps inside the closed-form
-  bracket (peak/2, peak], peak = sqrt(kappa/((kappa-1)(kappa+1))).
+  function, located by safeguarded Newton steps on q - D(s) = 0 in the
+  erfcx argument s = (kappa+1)x/sqrt(2*kappa), inside the closed-form
+  bracket x0*sqrt(kappa-1) in [pi^-1/2, 2^-1/2] (Abramowitz-Stegun 7.1.13).
 * log-normal: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as sigma -> 0+;
   kappa > 1 -> attained at sigma = sqrt(2 ln kappa) with value
   Phi(sqrt(2 ln kappa)) > 1/2.
@@ -82,31 +83,33 @@ _ROOT_MAX_ITER = 100
 
 def _safeguarded_newton(
     f: Callable[[float], tuple[float, float]], lo: float, hi: float,
-    at_lo: tuple[float, float], at_hi: tuple[float, float],
+    x: float, at_x: tuple[float, float],
 ) -> float:
-    """Root of f in (lo, hi], where f(x) gives (value, slope) and at_lo, at_hi
-    are f at the ends, with value < 0 at lo and >= 0 at hi (a value of 0 at
-    hi returns hi).
+    """Root of f in [lo, hi], where f(x) gives (value, slope), the value is
+    < 0 at lo and >= 0 at hi, and the search starts at x in [lo, hi] with
+    at_x = f(x) (a value of 0 returns that point).
 
     Newton steps, safeguarded as in rtsafe (Numerical Recipes 9.4): a step
     that would leave the bracket, meets a slope <= 0, or is not at most half
     the step before it is replaced by the bracket midpoint, and each new
-    value shrinks the bracket.  It starts from the end with the smaller
-    |value| and returns the Newton point once a step is at most
-    _ROOT_REL_STEP of the iterate.  A step refused by the safeguard while
-    below _ROOT_NOISE_STEP is set by the rounding noise of f, not by the
-    distance to the root (a converging step of 2^-26 leaves an error of order
-    2^-52), so the search ends at the iterate instead of bisecting from the
-    far end of a bracket that Newton approached from one side.
+    value shrinks the bracket.  It returns the Newton point once a step is
+    at most _ROOT_REL_STEP of the iterate.  A step refused by the safeguard
+    while below _ROOT_NOISE_STEP is set by the rounding noise of f, not by
+    the distance to the root (a converging step of 2^-26 leaves an error of
+    order 2^-52), so the search ends at the iterate instead of bisecting
+    from the far end of a bracket that Newton approached from one side.
     """
-    (f_lo, slope_lo), (f_hi, slope_hi) = at_lo, at_hi
-    if not (lo < hi and f_lo < 0.0 <= f_hi):
-        raise NumericalError(
-            f"invalid bracket: lo={lo!r} (f={f_lo!r}), hi={hi!r} (f={f_hi!r})"
-        )
-    x, fx, slope = (lo, f_lo, slope_lo) if -f_lo < f_hi else (hi, f_hi, slope_hi)
+    if not (lo < hi and lo <= x <= hi):
+        raise NumericalError(f"invalid bracket: lo={lo!r}, hi={hi!r}, start={x!r}")
+    fx, slope = at_x
     step = hi - lo
     for _ in range(_ROOT_MAX_ITER):
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
         delta = fx / slope if slope > 0.0 else math.inf
         newton = x - delta
         if lo < newton < hi and abs(2.0 * delta) <= abs(step):
@@ -121,24 +124,29 @@ def _safeguarded_newton(
                 return mid
             step, x = x - mid, mid
         fx, slope = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
     return lo + 0.5 * (hi - lo)
+
+
+# x0*sqrt(kappa-1) falls from 2^-1/2 (kappa -> 1+) to _Y_STAR (kappa -> inf),
+# where _Y_STAR = sqrt(2)*s1 and D(s1) = 1/2; the A-S 7.1.13 bounds on erfcx
+# put it in [pi^-1/2, 2^-1/2].  The upper end gets 4 ulp of slack against the
+# rounding of c and D next to kappa = 1, where the root lies at that end.
+_Y_STAR = 0.6120031809624807
+_SQRT_HALF = math.sqrt(0.5)
+_Y_LO = 1.0 / math.sqrt(math.pi)
+_Y_HI = _SQRT_HALF * (1.0 + 4.0 * sys.float_info.epsilon)
 
 
 def ig_critical_point(kappa: float) -> float:
     """The minimizing coordinate x0(kappa) of the inverse Gaussian curve.
 
-    Exists only for kappa > 1.  The stationarity is negative below x0 and
-    positive from x0 up to peak = ig_peak_coord(kappa), and x0/peak runs from
-    y* = 0.612... (kappa -> inf) up to 1 (kappa -> 1+), so (peak/2, peak]
-    brackets x0; a peak value that rounds to 0 returns the peak, within 1 ulp
-    of x0.  Safeguarded Newton steps on the kernel's value and slope refine
-    the root to a few ulp (about 5 evaluations per root, bracket included).
+    Exists only for kappa > 1.  In the erfcx argument s = (kappa+1)x/sqrt(2*kappa)
+    the stationarity vanishes where q - D(s) = 0, q = (kappa-1)/(2*kappa)
+    (``curves._ig_d``), and q - D rises through its one zero.  With
+    c = (kappa+1)/(sqrt(2*kappa)*sqrt(kappa-1)), the zero s0 lies in
+    c*[pi^-1/2, 2^-1/2] (slightly widened), and safeguarded Newton steps
+    on D's value and slope refine it from c*(y* + (2^-1/2 - y*)/kappa) to a
+    few ulp (about 3 kernel calls per root).  x0 = s0*sqrt(2*kappa)/(kappa+1).
     """
     k = curves._ig_kappa(kappa)
     if k <= 1.0:
@@ -146,17 +154,20 @@ def ig_critical_point(kappa: float) -> float:
             "no interior critical point exists for kappa <= 1: the curve "
             "decreases strictly toward its limit as the coordinate grows"
         )
-    kernel = curves._ig_stationarity_kernel
-    sqrt_2k, sqrt_k = curves._sqrt_2k_k(k)
+    d = curves._ig_d
+    q = (k - 1.0) / (2.0 * k)
 
-    def f(x: float) -> tuple[float, float]:
+    def f(s: float) -> tuple[float, float]:
         # kappa is checked once above and every iterate lies in the bracket:
         # no validation or 0-d round trip per evaluation
-        return kernel(k, sqrt_2k, sqrt_k, x, slope=True)
+        value, slope = d(s, slope=True)
+        return q - value, -slope
 
-    hi = curves.ig_peak_coord(k)
-    at_hi = f(hi)
-    return _safeguarded_newton(f, 0.5 * hi, hi, f(0.5 * hi), at_hi)
+    sqrt_2k = math.sqrt(2.0 * k)
+    c = (k + 1.0) / (sqrt_2k * math.sqrt(k - 1.0))  # 2k(k-1) overflows at IG_KAPPA_MAX
+    s = c * (_Y_STAR + (_SQRT_HALF - _Y_STAR) / k)
+    s = _safeguarded_newton(f, c * _Y_LO, c * _Y_HI, s, f(s))
+    return s * sqrt_2k / (k + 1.0)
 
 
 # The kappa = 1 value of the Gumbel and logistic curves, constant in the coordinate.

@@ -21,16 +21,12 @@ from .errors import finite_array, unwrap
 
 __all__ = [
     "EULER_GAMMA",
-    "SQRT_HALF_PI",
-    "SQRT_TWO_PI",
     "std_normal_cdf",
 ]
 
 # Euler-Mascheroni constant, fixed to 16 digits (a constant, not a tunable).
 EULER_GAMMA = 0.5772156649015329
 
-SQRT_HALF_PI = math.sqrt(math.pi / 2.0)  # integral of e^{-t^2/2} over [0, inf)
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 SQRT_TWO = math.sqrt(2.0)
 
 # Unchecked kernels, bound as scipy's ufuncs themselves (no wrapper, same bits):

@@ -1,6 +1,7 @@
 """Reduced probability curves and the inverse Gaussian stationarity system."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from kappainf import (
     reduce_params,
     reduced_prob,
 )
-from kappainf.curves import IG_KAPPA_MAX, _ig_stationarity_kernel, _sqrt_2k_k
+from kappainf.curves import IG_KAPPA_MAX, _ig_d
 from kappainf.distributions import _ig_exponent
 from kappainf.errors import RegimeError
 
@@ -256,13 +257,40 @@ class TestStationarity:
     @given(st.floats(1e-3, 1e3), st.lists(st.floats(1e-8, 1e6), min_size=1, max_size=20))
     @settings(max_examples=300, deadline=None)
     def test_kernel_is_the_public_function_bit_for_bit(self, kappa, xs):
-        roots = (kappa, *_sqrt_2k_k(kappa))
+        # the public value is sqrt(2)*h/x, h = (x/s)*(q - D(s)), over the one
+        # kernel, and the kernel's array path has the bits of its scalar path
+        sqrt_2k = math.sqrt(2.0 * kappa)
+        s = (kappa + 1.0) * np.array(xs) / sqrt_2k
         public = ig_stationarity_scaled(kappa, np.array(xs))
-        kernel = _ig_stationarity_kernel(*roots, np.array(xs))
-        assert public.tobytes() == kernel.tobytes()
-        for x, value in zip(xs, public):
-            scalar = _ig_stationarity_kernel(*roots, x)
-            assert float(scalar).hex() == ig_stationarity_scaled(kappa, x).hex() == value.hex()
+        kernel = _ig_d(s)
+        h = (kappa - 1.0) / (kappa + 1.0) / sqrt_2k - sqrt_2k / (kappa + 1.0) * kernel
+        assert public.tobytes() == (math.sqrt(2.0) * h / np.array(xs)).tobytes()
+        for x, s_x, d, value in zip(xs, s, kernel, public):
+            scalar = _ig_d(float(s_x))
+            assert scalar.hex() == d.hex()
+            assert ig_stationarity_scaled(kappa, x).hex() == value.hex()
+
+    @pytest.mark.parametrize("kappa", [1e-300, 0.5, 2.0, 1e100])
+    def test_tiny_coordinates_are_finite_limits(self, kappa):
+        # as x -> 0+, d/dx of the curve tends to -sqrt(2/(pi*kappa)) and the
+        # stationarity to -1/(sqrt(kappa)*x), which is -inf beyond -DBL_MAX
+        limit = -math.sqrt(2.0 / (math.pi * kappa))
+        xs = [5e-324, 1e-320, 1e-300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = ig_prob_deriv(kappa, np.array(xs))
+            for x, from_array in zip(xs, array):
+                deriv = ig_prob_deriv(kappa, x)
+                assert math.isfinite(deriv) and abs(deriv / limit - 1.0) <= 1e-12, x
+                assert from_array == deriv
+                value = ig_stationarity_scaled(kappa, x)
+                assert type(value) is float, x
+                log_size = -0.5 * math.log(kappa) - math.log(x)
+                if log_size > math.log(sys.float_info.max):
+                    assert value == -math.inf, x
+                else:
+                    assert abs(value / -math.exp(log_size) - 1.0) <= 1e-12, x
+            assert np.all(ig_stationarity_scaled(kappa, np.array(xs)) < 0.0)
 
 
 class TestProbDeriv:
@@ -330,6 +358,8 @@ class TestArrayKappa:
         for call in (ig_prob_deriv, ig_stationarity_scaled):
             scalar = [call(float(k), float(x)) for k, x in zip(kappas, xs)]
             assert call(kappas, xs).tobytes() == np.array(scalar).tobytes()
+        s = (kappas + 1.0) * xs / np.sqrt(2.0 * kappas)
+        assert _ig_d(s).tobytes() == np.array([_ig_d(float(v)) for v in s]).tobytes()
 
     def test_kappa_broadcasts_against_the_coordinate(self):
         kappas = np.array([[0.5], [2.0]])

@@ -214,6 +214,18 @@ class TestPdf:
             pdf(DistParams.gumbel(0.0, 1.0), math.inf)
         assert str(info.value) == "t must be finite, got inf"
 
+    def test_ig_density_is_scale_invariant(self):
+        # c*pdf(IG(c*mu, c*lam), c*t) = pdf(IG(mu, lam), t); at c = 1e-300,
+        # mu^2 underflows to 0, where a 0/0 exponent made the density NaN
+        points = [(1.0, 1.0, 1.0), (1.0, 1.0, 0.3), (2.0, 0.5, 3.0), (0.1, 4.0, 0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mu, lam, t in points:
+                expected = pdf(DistParams.inverse_gaussian(mu, lam), t)
+                for c in 10.0 ** np.arange(-300, 301, 20):
+                    scaled = c * pdf(DistParams.inverse_gaussian(c * mu, c * lam), c * t)
+                    assert abs(scaled / expected - 1.0) <= 1e-12, (mu, lam, t, c)
+
     def test_far_tails_underflow_to_zero(self):
         assert pdf(DistParams.inverse_gaussian(1.0, 1.0), 1e-300) == 0.0
         assert pdf(DistParams.gumbel(0.0, 1.0), -1000.0) == 0.0

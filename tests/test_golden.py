@@ -72,7 +72,7 @@ EVAL_FILE = "eval-coord.txt"
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
-VERIFY_FULL_SHA256 = "964cba846d4d59bc6eda40e8fcde781731a646a4635dadd71e0db0443f692fb9"
+VERIFY_FULL_SHA256 = "b84e4d4fde3f67da68b21717738e8dfeb9b7e942bc4a52ca876f73d358372094"
 
 
 def _run(args):

@@ -392,25 +392,25 @@ class TestMcRowsPool:
 # Family order, as produced by one adaptive run per case.
 FROZEN_QUADRATURE = {
     ("quick", 1): [
-        "ae4066582325cbde4d6c54e98072795eb8bc79add836ed9612525b63306f9036",
+        "aece7dedeaf4f10541978890967a61a128c2300518bf9194b3cb657482aa9478",
         "23d1154c868a7fe8888ebcf9ea2321db6d90785f7ee8d078a6fbd24e1fa1cfc2",
         "7af0e96a915b04da50e86cde6444d8b2527be58395b7f54c459dc1228e8b3b56",
         "9342f61b38cb36505a90a74e8f77abd9de5b2e987323ce397d92c995259ecd2a",
     ],
     ("quick", 2): [
-        "ea87f9e04a2cbf2fc3b8c4ab14d31821ec2db40f6ff3b4830e19b95600157b7e",
+        "fdb0a132c6537447793bf7496f06468f1e11323c99acd0ce0b44ded5845b78f2",
         "1b40add17fe7431096abfc7313d23dac007a4bd78c8502f4733cdc0b05313a34",
         "0c307c0476051b9f28fff43a53f181038163d48e489bd58eb10a1e107f9dd534",
         "a0cb40f9ba198361b51f9c6c9508d435d18cf37fc264034cae471b7d381754b3",
     ],
     ("quick", 3): [
-        "d1d829368c3d83a0d02eb255bf2052683edb4d19959d874696a771b424840362",
+        "bb881123b6f45965bc1f528e16787445f5211a8e27ecb9be99f0f4bc214ae634",
         "42cfe53e89b212f2a5048e927c4f29c931baba5be915cec4a54cd78d7e76f4e8",
         "6ccf98304054da81a49ed25547bb3233c7d9c839d64b91c41b7a582ea43994e0",
         "5edebd993ca49fd91c8c355788d1f226a6c1c109cde98ea617c91e67406eaedf",
     ],
     ("full", 1): [
-        "8a732aaf20c7a55f8e2f5da927579878e8cadcbae4012268c5ec859bf3209722",
+        "54e81a944490f18f65cdbf77d62fdc8f71befbc1654094fafa30ebccda5c3ba8",
         "cc09284a2175b389bbfe9ea0d935479490e83c0bcaa07bd2f7100e90a89cdbb2",
         "40d4a483a8443a892f9ff3a4a959d45f957dc117e4d132b2d81f6028d4d00e9f",
         "83a8a54cbf0d48e32040dc8de770c2e2fdbe6a93e43dc6f4e20fbf3c8445119f",

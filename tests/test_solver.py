@@ -1,6 +1,7 @@
 """Critical points and the infimum regime table."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,36 @@ X0_NEAR_ONE = {
     1e-9: 22360.67884434231402,
     1e-6: 707.10660443935772711,
 }
+
+# frozen 40-digit mpmath roots of q - D(s) in the erfcx argument s, mapped
+# back to x0 = s*sqrt(2*kappa)/(kappa+1), at the double kappa given
+X0_40_DIGITS = {
+    1.0000000000000002: "47453132.81212577381037491385078547038176",
+    1.0000000000000007: "27397079.0029718755174198428704031466551",
+    1.0000000000000142: "5931641.601515700982144862776402984510062",
+    1.000000000001: "707075.3521795855889817206991840200511086",
+    1.000000001: "22360.67884434231401995242187233408510618",
+    1.000001: "707.1066044393577271136322905389742925921",
+    1.0001: "70.70891077141504586716179694981337464949",
+    1.01: "7.053797013519104062839855892626031929052",
+    1.1: "2.190392438103747301986900241934830848478",
+    1.5: "0.9383811959266877884126843489350609785672",
+    2.0: "0.6479001883889422755910816310386361771626",
+    3.0: "0.4486279021122863870020820183078239334028",
+    10.0: "0.2060788682481367076009652835107304959759",
+    100.0: "0.06156960931654765776530123586550549437163",
+    1000.0: "0.01936483821108712033908199957126826730706",
+    1e5: "0.001935335576758175484365787707744100780253",
+    1e8: "0.00006120031846274217145684831634459303544544",
+    1e15: "0.00000001935323987109640053072023036397762683191",
+    1e30: "6.1200318096248075448336347431507218854e-16",
+    1e60: "6.12003180962480776055707398973402209728e-31",
+    1e100: "6.120031809624807557017803282297067380665e-51",
+    1e150: "6.120031809624807664324283529251537559456e-76",
+    1.3407807929942596e154: "5.285362627045951683768446699960752399262e-78",
+}
+# y* = lim x0*sqrt(kappa-1) as kappa -> inf, sqrt(2)*s1 with D(s1) = 1/2
+Y_STAR_40_DIGITS = "0.6120031809624807605680903010662194859034"
 
 # kappa in (1 + 1e-15, 1e8]: the kappa -> 1+ edge and the far end
 SOLVER_GRID = np.concatenate([1.0 + np.geomspace(2e-15, 0.1, 150),
@@ -76,14 +107,14 @@ class TestCriticalPoint:
 
     def test_bit_identical_to_the_checked_public_path(self, monkeypatch):
         calls = 0
-        kernel = curves._ig_stationarity_kernel
+        kernel = curves._ig_d
 
-        def counting_kernel(k, sqrt_2k, sqrt_k, x, slope=False):
+        def counting_kernel(s, slope=False):
             nonlocal calls
-            calls += slope  # the root finder's calls, not the public value's
-            return kernel(k, sqrt_2k, sqrt_k, x, slope)
+            calls += slope  # the root finder's calls, not the array path's
+            return kernel(s, slope)
 
-        monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
+        monkeypatch.setattr(curves, "_ig_d", counting_kernel)
         rng = np.random.default_rng(2024)
         kappas = np.concatenate([
             10.0 ** rng.uniform(1e-12, 3.0, 1000),       # log-uniform in (1, 1e3]
@@ -105,20 +136,20 @@ class TestCriticalPoint:
 
     def test_few_kernel_calls_per_root(self, monkeypatch):
         calls = 0
-        kernel = curves._ig_stationarity_kernel
+        kernel = curves._ig_d
 
         def counting_kernel(*args, **kwargs):
             nonlocal calls
             calls += 1
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(curves, "_ig_stationarity_kernel", counting_kernel)
+        monkeypatch.setattr(curves, "_ig_d", counting_kernel)
         counts = []
         for kappa in SOLVER_GRID:
             calls = 0
             ig_critical_point(kappa)
             counts.append(calls)
-        assert np.mean(counts) < 16.0 and max(counts) <= 30, (np.mean(counts), max(counts))
+        assert np.mean(counts) <= 4.0 and max(counts) <= 8, (np.mean(counts), max(counts))
 
     def test_zero_scaled_residual_over_the_whole_range(self):
         residuals = [ig_stationarity_scaled(k, ig_critical_point(k)) for k in SOLVER_GRID]
@@ -159,33 +190,61 @@ class TestCriticalPoint:
         def f(x):
             return x - 2.0, -1.0
 
-        root = solver._safeguarded_newton(f, 0.0, 3.0, f(0.0), f(3.0))
+        root = solver._safeguarded_newton(f, 0.0, 3.0, 0.0, f(0.0))
         assert abs(root - 2.0) <= 1e-15
         with pytest.raises(NumericalError, match="invalid bracket"):
-            solver._safeguarded_newton(f, 3.0, 0.0, f(3.0), f(0.0))
+            solver._safeguarded_newton(f, 3.0, 0.0, 1.0, f(1.0))
+        with pytest.raises(NumericalError, match="invalid bracket"):
+            solver._safeguarded_newton(f, 0.0, 3.0, 4.0, f(4.0))
+
+    def test_y_star_literal(self):
+        assert solver._Y_STAR == float(Y_STAR_40_DIGITS)
+
+    def test_closed_form_bracket_in_the_erfcx_argument(self):
+        # with c = (kappa+1)/(sqrt(2*kappa)*sqrt(kappa-1)), q - D(s) is < 0 at
+        # s = c*pi^-1/2 and >= 0 at s = c*2^-1/2*(1 + 4 ulp)
+        ulp = 2.0 ** -52
+        kappas = np.concatenate([1.0 + ulp * np.arange(1, 65),
+                                 1.0 + np.geomspace(1e-15, 0.1, 100),
+                                 np.geomspace(1.1, curves.IG_KAPPA_MAX, 100),
+                                 [curves.IG_KAPPA_MAX]])
+        for kappa in kappas:
+            k = float(kappa)
+            q = (k - 1.0) / (2.0 * k)
+            c = (k + 1.0) / (math.sqrt(2.0 * k) * math.sqrt(k - 1.0))
+            assert q - curves._ig_d(c * solver._Y_LO) < 0.0, k
+            assert q - curves._ig_d(c * solver._Y_HI) >= 0.0, k
+
+    def test_against_frozen_40_digit_references(self):
+        # exact rational differences: a float conversion of the reference
+        # would add up to half an ulp of its own
+        errors = {kappa: abs(Fraction(ig_critical_point(kappa)) / Fraction(ref) - 1)
+                  for kappa, ref in X0_40_DIGITS.items()}
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 2e-15, (worst, float(errors[worst]))
 
 
 def reference_critical_point(kappa):
-    """The root finder over the checked public path: each iterate through the
-    argument checks of ``ig_stationarity_scaled`` as a 0-d array, its value
-    equal to the public function's, and the same peak bracket, halving loop
-    and ``_safeguarded_newton``."""
+    """The root finder over the checked public path: kappa through the
+    argument checks of ``ig_stationarity_scaled``, each iterate's D from the
+    array path of ``_ig_d``, equal to the scalar path bit for bit, and the
+    same closed-form bracket, start and ``_safeguarded_newton``."""
+    k = curves._ig_gap(kappa, 1.0)[0]
+    q = (k - 1.0) / (2.0 * k)
 
-    def f(x):
-        roots, x_arr, _ = curves._stationarity_args(kappa, np.float64(x))
-        value, slope = curves._ig_stationarity_kernel(*roots, x_arr, slope=True)
-        assert value.hex() == ig_stationarity_scaled(kappa, x).hex()
-        return value, slope
+    def f(s):
+        d = curves._ig_d(np.array([s]))[0]
+        value, slope = curves._ig_d(s, slope=True)
+        assert d.hex() == value.hex()
+        return q - d, -slope
 
-    hi = curves.ig_peak_coord(kappa)
-    at_hi = f(hi)
-    assert at_hi[0] > 0.0
-    lo = hi
-    while True:
-        lo *= 0.5
-        at_lo = f(lo)
-        if at_lo[0] < 0.0:
-            return solver._safeguarded_newton(f, lo, hi, at_lo, at_hi)
+    sqrt_2k = math.sqrt(2.0 * k)
+    c = (k + 1.0) / (sqrt_2k * math.sqrt(k - 1.0))
+    y_hi = math.sqrt(0.5)
+    s = c * (float(Y_STAR_40_DIGITS) + (y_hi - float(Y_STAR_40_DIGITS)) / k)
+    s = solver._safeguarded_newton(f, c / math.sqrt(math.pi), c * y_hi * (1.0 + 4.0 * 2.0 ** -52),
+                                   s, f(s))
+    return s * sqrt_2k / (k + 1.0)
 
 
 class TestInfimumRegimes:
