@@ -53,8 +53,8 @@ import math
 import numpy as np
 
 from . import special
-from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, DistParams, Family, _ig_curve,
-                            _ig_exponent, _ig_ratio_limit, _ln_phi)
+from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, SCALE_NAME, DistParams, Family,
+                            _ig_curve, _ig_exponent, _ig_ratio_limit, _ln_phi)
 from .errors import (DomainError, RegimeError, finite_array, require_finite, require_positive,
                      unwrap)
 
@@ -184,15 +184,21 @@ def _ig_gap(kappa, x):
 
 def reduce_params(params: DistParams) -> float:
     """The family's reduced coordinate of native parameters, as a float; raises
-    DomainError if it underflows to 0 (positive families) or overflows."""
-    if params.family is Family.INVERSE_GAUSSIAN:
-        coord = math.sqrt(params.p2 / params.p1)
-    elif params.family is Family.LOG_NORMAL:
-        coord = params.p2
+    DomainError, naming its formula, if it underflows to 0 (positive families)
+    or overflows."""
+    family = params.family
+    if family is Family.INVERSE_GAUSSIAN:
+        name, coord = "sqrt(lambda/mu)", math.sqrt(params.p2 / params.p1)
+    elif family is Family.LOG_NORMAL:
+        name, coord = "sigma", params.p2
     else:
-        coord = params.p1 / params.p2
-    check = require_positive if params.family in POSITIVE_SUPPORT else require_finite
-    return check("coord", coord)
+        name, coord = "mu/beta", params.p1 / params.p2
+    check = require_positive if family in POSITIVE_SUPPORT else require_finite
+    try:
+        return check("coord", coord)
+    except DomainError as exc:
+        raise DomainError(f"{exc} (coord = {name} at mu={params.p1!r}, "
+                          f"{SCALE_NAME[family]}={params.p2!r})") from None
 
 
 def reduced_prob(family: Family, kappa, coord):

@@ -4,9 +4,9 @@ Regime summary (value, how the infimum is reached):
 
 * inverse Gaussian: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as x -> inf;
   kappa > 1 -> attained at the unique zero x0(kappa) of the stationarity
-  function, located by safeguarded Newton steps on q - D(s) = 0 in the
-  erfcx argument s = (kappa+1)x/sqrt(2*kappa), inside the closed-form
-  bracket x0*sqrt(kappa-1) in [pi^-1/2, 2^-1/2] (Abramowitz-Stegun 7.1.13).
+  function, located by plain Newton steps on q - D(s) = 0 in the erfcx
+  argument s = (kappa+1)x/sqrt(2*kappa); D is positive, decreasing and
+  convex, so the steps need no bracket.
 * log-normal: kappa < 1 -> 0 and kappa = 1 -> 1/2, both as sigma -> 0+;
   kappa > 1 -> attained at sigma = sqrt(2 ln kappa) with value
   Phi(sqrt(2 ln kappa)) > 1/2.
@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from . import curves, special
 from .distributions import POSITIVE_SUPPORT, Family
@@ -73,68 +73,14 @@ class InfimumResult:
             raise ValueError("constant curves are reported as non-attained")
 
 
-# _safeguarded_newton stops once a Newton step moves the iterate by at most
-# _ROOT_REL_STEP of it (4 ulp), or once its safeguard refuses a step below
-# _ROOT_NOISE_STEP of it; its iteration cap.
+# Newton stops at a step of at most _ROOT_REL_STEP of the iterate (4 ulp), or of
+# at most _ROOT_NOISE_STEP of it and not half the step before; its iteration cap.
 _ROOT_REL_STEP = 4.0 * sys.float_info.epsilon
 _ROOT_NOISE_STEP = 2.0 ** -26
 _ROOT_MAX_ITER = 100
 
-
-def _safeguarded_newton(
-    f: Callable[[float], tuple[float, float]], lo: float, hi: float,
-    x: float, at_x: tuple[float, float],
-) -> float:
-    """Root of f in [lo, hi], where f(x) gives (value, slope), the value is
-    < 0 at lo and >= 0 at hi, and the search starts at x in [lo, hi] with
-    at_x = f(x) (a value of 0 returns that point).
-
-    Newton steps, safeguarded as in rtsafe (Numerical Recipes 9.4): a step
-    that would leave the bracket, meets a slope <= 0, or is not at most half
-    the step before it is replaced by the bracket midpoint, and each new
-    value shrinks the bracket.  It returns the Newton point once a step is
-    at most _ROOT_REL_STEP of the iterate.  A step refused by the safeguard
-    while below _ROOT_NOISE_STEP is set by the rounding noise of f, not by
-    the distance to the root (a converging step of 2^-26 leaves an error of
-    order 2^-52), so the search ends at the iterate instead of bisecting
-    from the far end of a bracket that Newton approached from one side.
-    """
-    if not (lo < hi and lo <= x <= hi):
-        raise NumericalError(f"invalid bracket: lo={lo!r}, hi={hi!r}, start={x!r}")
-    fx, slope = at_x
-    step = hi - lo
-    for _ in range(_ROOT_MAX_ITER):
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        delta = fx / slope if slope > 0.0 else math.inf
-        newton = x - delta
-        if lo < newton < hi and abs(2.0 * delta) <= abs(step):
-            if abs(delta) <= _ROOT_REL_STEP * x:
-                return newton
-            step, x = delta, newton
-        elif abs(delta) <= _ROOT_NOISE_STEP * x:
-            return x
-        else:
-            mid = lo + 0.5 * (hi - lo)
-            if mid in (lo, hi):
-                return mid
-            step, x = x - mid, mid
-        fx, slope = f(x)
-    return lo + 0.5 * (hi - lo)
-
-
-# x0*sqrt(kappa-1) falls from 2^-1/2 (kappa -> 1+) to _Y_STAR (kappa -> inf),
-# where _Y_STAR = sqrt(2)*s1 and D(s1) = 1/2; the A-S 7.1.13 bounds on erfcx
-# put it in [pi^-1/2, 2^-1/2].  The upper end gets 4 ulp of slack against the
-# rounding of c and D next to kappa = 1, where the root lies at that end.
+# x0*sqrt(kappa-1) falls from 2^-1/2 (kappa -> 1+) to sqrt(2)*s1, D(s1) = 1/2.
 _Y_STAR = 0.6120031809624807
-_SQRT_HALF = math.sqrt(0.5)
-_Y_LO = 1.0 / math.sqrt(math.pi)
-_Y_HI = _SQRT_HALF * (1.0 + 4.0 * sys.float_info.epsilon)
 
 
 def ig_critical_point(kappa: float) -> float:
@@ -142,11 +88,14 @@ def ig_critical_point(kappa: float) -> float:
 
     Exists only for kappa > 1.  In the erfcx argument s = (kappa+1)x/sqrt(2*kappa)
     the stationarity vanishes where q - D(s) = 0, q = (kappa-1)/(2*kappa)
-    (``curves._ig_d``), and q - D rises through its one zero.  With
-    c = (kappa+1)/(sqrt(2*kappa)*sqrt(kappa-1)), the zero s0 lies in
-    c*[pi^-1/2, 2^-1/2] (slightly widened), and safeguarded Newton steps
-    on D's value and slope refine it from c*(y* + (2^-1/2 - y*)/kappa) to a
-    few ulp (about 3 kernel calls per root).  x0 = s0*sqrt(2*kappa)/(kappa+1).
+    (``curves._ig_d``).  As erfcx(s) = (2/sqrt(pi)) int_0^inf e^(-t^2-2st) dt,
+    D = 2 int_0^inf t e^(-t^2-2st) dt is positive, decreasing and strictly
+    convex, so q - D rises, concave, through one zero s0: Newton steps need
+    no bracket, as after at most one step they lie left of s0 and rise to it
+    (Fourier's condition).  From c*(y* + (2^-1/2 - y*)/kappa), c =
+    (kappa+1)/(sqrt(2*kappa)*sqrt(kappa-1)), they take about 3 kernel calls;
+    a step below _ROOT_NOISE_STEP that fails to halve the one before is
+    rounding noise of D, and ends the search.  x0 = s0*sqrt(2*kappa)/(kappa+1).
     """
     k = curves._ig_kappa(kappa)
     if k <= 1.0:
@@ -154,19 +103,24 @@ def ig_critical_point(kappa: float) -> float:
             "no interior critical point exists for kappa <= 1: the curve "
             "decreases strictly toward its limit as the coordinate grows"
         )
-    d = curves._ig_d
     q = (k - 1.0) / (2.0 * k)
-
-    def f(s: float) -> tuple[float, float]:
-        # kappa is checked once above and every iterate lies in the bracket:
-        # no validation or 0-d round trip per evaluation
-        value, slope = d(s, slope=True)
-        return q - value, -slope
-
     sqrt_2k = math.sqrt(2.0 * k)
     c = (k + 1.0) / (sqrt_2k * math.sqrt(k - 1.0))  # 2k(k-1) overflows at IG_KAPPA_MAX
-    s = c * (_Y_STAR + (_SQRT_HALF - _Y_STAR) / k)
-    s = _safeguarded_newton(f, c * _Y_LO, c * _Y_HI, s, f(s))
+    s = c * (_Y_STAR + (math.sqrt(0.5) - _Y_STAR) / k)
+    step = math.inf
+    for _ in range(_ROOT_MAX_ITER):
+        # unchecked: kappa is checked above and every iterate lies near s0
+        d, slope = curves._ig_d(s, slope=True)
+        delta = (q - d) / -slope
+        if abs(2.0 * delta) > abs(step) and abs(delta) <= _ROOT_NOISE_STEP * s:
+            break
+        if abs(delta) <= _ROOT_REL_STEP * s:
+            s -= delta
+            break
+        step, s = delta, s - delta
+    else:
+        raise NumericalError(f"Newton steps for the critical point at kappa={k!r} "
+                             f"did not converge in {_ROOT_MAX_ITER} iterations")
     return s * sqrt_2k / (k + 1.0)
 
 

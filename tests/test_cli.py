@@ -101,6 +101,18 @@ class TestEval:
         )
         assert result.exit_code == 2
 
+    def test_overflowing_reduced_coord_names_its_formula(self, runner):
+        # no --coord was given: the message names the coordinate's formula
+        # and the native values it came from
+        result = runner.invoke(
+            main,
+            ["eval", "--family", "inverse-gaussian", "--kappa", "2",
+             "--mu", "1e-320", "--lambda", "1e300"],
+        )
+        assert result.exit_code == 2
+        assert result.stderr == ("error: coord must be finite, got inf "
+                                 "(coord = sqrt(lambda/mu) at mu=1e-320, lambda=1e+300)\n")
+
     @pytest.mark.parametrize("kappa, coord, limit", [
         ("1e-300", "1e100", "0"), ("1e100", "1e300", "1"), ("5e-324", "1e154", "0"),
     ])

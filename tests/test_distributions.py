@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -229,6 +230,16 @@ class TestPdf:
     def test_far_tails_underflow_to_zero(self):
         assert pdf(DistParams.inverse_gaussian(1.0, 1.0), 1e-300) == 0.0
         assert pdf(DistParams.gumbel(0.0, 1.0), -1000.0) == 0.0
+
+    def test_ig_density_is_zero_up_to_dbl_max(self):
+        # past DBL_MAX/2 both ((t-mu)/mu)^2 and 2t overflow, and inf/inf made
+        # the density NaN
+        big = [sys.float_info.max / 2.0 * 1.01, 1e308, sys.float_info.max]
+        params = DistParams.inverse_gaussian(1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert [pdf(params, t) for t in big] == [0.0, 0.0, 0.0]
+            assert pdf(params, np.array(big)).tolist() == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("params, knots", zip(ALL_PARAMS, MASS_KNOTS),
                              ids=[p.family.value for p in ALL_PARAMS])

@@ -185,17 +185,22 @@ class TestCriticalPoint:
             value = infimum(IG, kappa).value
             assert abs(value - 0.5 - math.sqrt(e / math.pi)) <= 4.4e-16, j
 
-    def test_newton_falls_back_to_bisection(self):
-        # a slope that points the wrong way: every step is a midpoint
-        def f(x):
-            return x - 2.0, -1.0
+    def test_d_is_positive_decreasing_and_convex(self):
+        # the facts that let Newton run without a bracket, on both sides of
+        # the s = 3 switch to the continued fraction
+        s = np.geomspace(1e-3, 1e8, 20_001)
+        assert s[0] < curves._CF_FROM < s[-1]
+        d, slope = np.array([curves._ig_d(float(x), slope=True) for x in s]).T
+        assert np.all(d > 0.0)
+        assert np.all(slope < 0.0)
+        assert np.all(np.diff(slope) >= 0.0)
 
-        root = solver._safeguarded_newton(f, 0.0, 3.0, 0.0, f(0.0))
-        assert abs(root - 2.0) <= 1e-15
-        with pytest.raises(NumericalError, match="invalid bracket"):
-            solver._safeguarded_newton(f, 3.0, 0.0, 1.0, f(1.0))
-        with pytest.raises(NumericalError, match="invalid bracket"):
-            solver._safeguarded_newton(f, 0.0, 3.0, 4.0, f(4.0))
+    def test_iteration_cap_raises(self, monkeypatch):
+        # a kernel whose Newton steps never shrink: D = 0 with slope -1 moves
+        # s by q = 1/4 on every step
+        monkeypatch.setattr(curves, "_ig_d", lambda s, slope=False: (0.0, -1.0))
+        with pytest.raises(NumericalError, match="did not converge in 100 iterations"):
+            ig_critical_point(2.0)
 
     def test_y_star_literal(self):
         assert solver._Y_STAR == float(Y_STAR_40_DIGITS)
@@ -204,6 +209,7 @@ class TestCriticalPoint:
         # with c = (kappa+1)/(sqrt(2*kappa)*sqrt(kappa-1)), q - D(s) is < 0 at
         # s = c*pi^-1/2 and >= 0 at s = c*2^-1/2*(1 + 4 ulp)
         ulp = 2.0 ** -52
+        y_lo, y_hi = 1.0 / math.sqrt(math.pi), math.sqrt(0.5) * (1.0 + 4.0 * ulp)
         kappas = np.concatenate([1.0 + ulp * np.arange(1, 65),
                                  1.0 + np.geomspace(1e-15, 0.1, 100),
                                  np.geomspace(1.1, curves.IG_KAPPA_MAX, 100),
@@ -212,8 +218,8 @@ class TestCriticalPoint:
             k = float(kappa)
             q = (k - 1.0) / (2.0 * k)
             c = (k + 1.0) / (math.sqrt(2.0 * k) * math.sqrt(k - 1.0))
-            assert q - curves._ig_d(c * solver._Y_LO) < 0.0, k
-            assert q - curves._ig_d(c * solver._Y_HI) >= 0.0, k
+            assert q - curves._ig_d(c * y_lo) < 0.0, k
+            assert q - curves._ig_d(c * y_hi) >= 0.0, k
 
     def test_against_frozen_40_digit_references(self):
         # exact rational differences: a float conversion of the reference
@@ -225,25 +231,30 @@ class TestCriticalPoint:
 
 
 def reference_critical_point(kappa):
-    """The root finder over the checked public path: kappa through the
+    """The Newton loop over the checked public path: kappa through the
     argument checks of ``ig_stationarity_scaled``, each iterate's D from the
     array path of ``_ig_d``, equal to the scalar path bit for bit, and the
-    same closed-form bracket, start and ``_safeguarded_newton``."""
+    same start and exits."""
     k = curves._ig_gap(kappa, 1.0)[0]
     q = (k - 1.0) / (2.0 * k)
-
-    def f(s):
+    sqrt_2k = math.sqrt(2.0 * k)
+    c = (k + 1.0) / (sqrt_2k * math.sqrt(k - 1.0))
+    y_star = float(Y_STAR_40_DIGITS)
+    s = c * (y_star + (math.sqrt(0.5) - y_star) / k)
+    step = math.inf
+    for _ in range(solver._ROOT_MAX_ITER):
         d = curves._ig_d(np.array([s]))[0]
         value, slope = curves._ig_d(s, slope=True)
         assert d.hex() == value.hex()
-        return q - d, -slope
-
-    sqrt_2k = math.sqrt(2.0 * k)
-    c = (k + 1.0) / (sqrt_2k * math.sqrt(k - 1.0))
-    y_hi = math.sqrt(0.5)
-    s = c * (float(Y_STAR_40_DIGITS) + (y_hi - float(Y_STAR_40_DIGITS)) / k)
-    s = solver._safeguarded_newton(f, c / math.sqrt(math.pi), c * y_hi * (1.0 + 4.0 * 2.0 ** -52),
-                                   s, f(s))
+        delta = (q - d) / -slope
+        if abs(2.0 * delta) > abs(step) and abs(delta) <= 2.0 ** -26 * s:
+            break
+        if abs(delta) <= 4.0 * 2.0 ** -52 * s:
+            s -= delta
+            break
+        step, s = delta, s - delta
+    else:
+        raise AssertionError(f"no convergence at kappa={k!r}")
     return s * sqrt_2k / (k + 1.0)
 
 
