@@ -215,17 +215,15 @@ def _density(family: Family, t, p1, p2, log_p2):
 
     Computed through the log-density so far-tail evaluations underflow to 0
     instead of producing inf*0.  The inverse Gaussian exponent
-    lambda*(t - mu)^2/(2 mu^2 t) is formed as lambda*((t - mu)/mu)^2/2/t: the
-    scale-free ratio keeps it finite where mu^2 alone underflows (mu < ~1e-154),
-    and no 2t overflows into an inf/inf NaN (t > DBL_MAX/2).
+    lambda*(t - mu)^2/(2 mu^2 t) is formed as lambda*(r*(r/t))/2 with
+    r = (t - mu)/mu: the scale-free ratio keeps it finite where mu^2 alone
+    underflows (mu < ~1e-154), no 2t overflows into an inf/inf NaN
+    (t > DBL_MAX/2), and no r^2 overflows while the exponent is still small.
     """
     if family is Family.INVERSE_GAUSSIAN:
         with np.errstate(over="ignore"):
-            log_pdf = (
-                0.5 * (log_p2 - _LOG_2PI)
-                - 1.5 * np.log(t)
-                - p2 * ((t - p1) / p1) ** 2 / 2.0 / t
-            )
+            r = (t - p1) / p1
+            log_pdf = 0.5 * (log_p2 - _LOG_2PI) - 1.5 * np.log(t) - p2 * (r * (r / t)) / 2.0
         return np.exp(log_pdf)
     if family is Family.LOG_NORMAL:
         log_t = np.log(t)

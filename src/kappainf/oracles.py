@@ -11,7 +11,8 @@ error estimate exceeds its share (proportional to length) of the error
 budget.  It runs many integrals at once: ``verify`` integrates all density
 cases of one family in one run, with one unchecked density call per round
 over the open intervals of every case, and each result keeps the bits of a
-run on its own; ``quadrature_prob`` is a one-integral run.  The inverse
+run on its own, because the rule products are row-local and each case's sums
+follow index order; ``quadrature_prob`` is a one-integral run.  The inverse
 Gaussian density looks singular near 0 (an x^{-3/2} factor, tamed by the
 exponential) and can be a needle when lambda/mu is large, so the seed knots
 always straddle the density mode.
@@ -113,15 +114,6 @@ _MAX_INTERVALS = 20_000
 _MAX_ROUNDS = 64
 
 
-def _runs(ids: np.ndarray):
-    """(start, end, id) of each run of equal entries of a sorted int array."""
-    if ids.size == 0:
-        return []
-    cuts = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
-    starts = [0, *cuts]
-    return zip(starts, [*cuts, ids.size], ids[starts].tolist())
-
-
 def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrate several functions at once, each over its own knots.
 
@@ -131,12 +123,13 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     each interval belongs to, and returns the integrands at x: one call per
     round covers the open intervals of every integral.
 
-    Each integral keeps its intervals contiguous and in the order a run on
-    its own would give them, and its rule products and sums run over its own
-    rows only (a BLAS product row and a pairwise sum depend on the row
-    count), so each result has the bits of a one-integral run.  Returns
-    (integrals, error estimates); raises NumericalError for the first
-    integral to exhaust its subdivision budget.
+    Each result has the bits of a one-integral run, kept by order alone: the
+    rule products are row-local (``einsum`` over one row, where a BLAS
+    product row depends on the row count), ``bincount`` adds each integral's
+    accepted intervals in index order, and each integral's open intervals
+    keep the order of a run on its own.  Returns (integrals, error
+    estimates); raises NumericalError for the first integral to exhaust its
+    subdivision budget.
     """
     count = len(knots)
     case = np.repeat(np.arange(count), [k.size - 1 for k in knots])
@@ -151,33 +144,24 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
         half = 0.5 * (b - a)
         fx = f(mid[:, None] + half[:, None] * _NODES[None, :], case)
         n_eval += _NODES.size * np.bincount(case, minlength=count)
-        k15 = np.empty_like(half)
-        g7 = np.empty_like(half)
-        for s, e, _i in _runs(case):
-            k15[s:e] = fx[s:e] @ _WK
-            g7[s:e] = fx[s:e] @ _WG
-        k15 *= half
-        g7 *= half
+        k15 = np.einsum("ij,j->i", fx, _WK) * half
+        g7 = np.einsum("ij,j->i", fx, _WG) * half
         err = np.abs(k15 - g7)
         done = err <= tol * (b - a) / total_len[case]
-        k15_done, err_done = k15[done], err[done]
-        for s, e, i in _runs(case[done]):
-            integral[i] += k15_done[s:e].sum()
-            err_accepted[i] += err_done[s:e].sum()
+        integral += np.bincount(case[done], k15[done], count)
+        err_accepted += np.bincount(case[done], err[done], count)
         keep = ~done
         if not keep.any():
             return integral, err_accepted
         # per integral: [a, mid] of each of its open intervals, then [mid, b]
         case = np.concatenate([case[keep], case[keep]])
-        order = np.argsort(case, kind="stable")
-        case = case[order]
-        a = np.concatenate([a[keep], mid[keep]])[order]
-        b = np.concatenate([mid[keep], b[keep]])[order]
+        a = np.concatenate([a[keep], mid[keep]])
+        b = np.concatenate([mid[keep], b[keep]])
         sizes = np.bincount(case, minlength=count)
         if sizes.max() > _MAX_INTERVALS:
             break
     over = sizes > _MAX_INTERVALS
-    i = int(np.argmax(over)) if over.any() else int(case[0])
+    i = int(np.argmax(over)) if over.any() else int(case.min())
     raise NumericalError(
         f"quadrature did not converge: {sizes[i]} open intervals, "
         f"{n_eval[i]} evaluations, accepted error {err_accepted[i]:.3e}, tol {tol:.3e}"
@@ -209,11 +193,9 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     return np.array([lo, *inner, hi])
 
 
-# Left-tail search of a real-line density: the points start - p2*2^j.  The
-# cutoff is usually found by j ~ 7, so the first pass stops at j = 15 and
-# only the members it misses run the whole ladder.
+# Left-tail search of a real-line density: the points start - p2*2^j, the
+# whole ladder in one density call.
 _TAIL_STEPS = np.arange(200)
-_FIRST_PASS_STEPS = _TAIL_STEPS[:16]
 
 
 def _tail_cutoffs(members, start, peak, p2, density) -> np.ndarray:
@@ -221,19 +203,13 @@ def _tail_cutoffs(members, start, peak, p2, density) -> np.ndarray:
     density drops below 1e-16 of its value ``peak`` at start.  start, peak
     and p2 are columns; ``density(t, rows)`` takes member rows[i]'s row i
     of t."""
-
-    def first_low(rows, steps):
-        with np.errstate(over="ignore"):
-            pts = start[rows] - np.ldexp(p2[rows], steps)
-        finite = np.isfinite(pts)
-        low = ~finite | (density(np.where(finite, pts, start[rows]), rows)
-                         <= 1e-16 * peak[rows])
-        return pts[np.arange(rows.size), np.argmax(low, axis=1)], low.any(axis=1)
-
-    cut, found = first_low(np.arange(len(members)), _FIRST_PASS_STEPS)
-    missed = np.flatnonzero(~found)
-    if missed.size:
-        cut[missed], found[missed] = first_low(missed, _TAIL_STEPS)
+    rows = np.arange(len(members))
+    with np.errstate(over="ignore"):
+        pts = start - np.ldexp(p2, _TAIL_STEPS)
+    finite = np.isfinite(pts)
+    low = ~finite | (density(np.where(finite, pts, start), rows) <= 1e-16 * peak)
+    cut = pts[rows, np.argmax(low, axis=1)]
+    found = low.any(axis=1)
     bad = np.flatnonzero(~found | ~np.isfinite(cut))
     if bad.size:
         i = int(bad[0])

@@ -241,6 +241,16 @@ class TestPdf:
             assert [pdf(params, t) for t in big] == [0.0, 0.0, 0.0]
             assert pdf(params, np.array(big)).tolist() == [0.0, 0.0, 0.0]
 
+    def test_ig_density_where_the_squared_ratio_overflows(self):
+        # ((t - mu)/mu)^2 overflows at t = 1.4e134 while the density is a
+        # normal float, and (t - mu)/mu alone overflows at mu = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = pdf(DistParams.inverse_gaussian(1e-20, 1e-200), 1.4e134)
+            assert pdf(DistParams.inverse_gaussian(1e-300, 1.0), 1e10) == 0.0
+        # 50-digit value at these float arguments
+        assert abs(value / 2.4083411833740553e-302 - 1.0) <= 1e-12
+
     @pytest.mark.parametrize("params, knots", zip(ALL_PARAMS, MASS_KNOTS),
                              ids=[p.family.value for p in ALL_PARAMS])
     def test_total_mass_is_one(self, params, knots):

@@ -12,7 +12,8 @@ Regenerate (only when an output change is intended) with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which also prints the new digest of the full-budget report.
+which also prints the new digest of the full-budget report and the
+``FROZEN_QUADRATURE`` lists of ``tests/test_oracles.py``.
 """
 
 import hashlib
@@ -72,7 +73,7 @@ EVAL_FILE = "eval-coord.txt"
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
-VERIFY_FULL_SHA256 = "b84e4d4fde3f67da68b21717738e8dfeb9b7e942bc4a52ca876f73d358372094"
+VERIFY_FULL_SHA256 = "054609073ee42856eb9dc7f49e485c34a4a3325561e2535d1dbf2b572b9e6d9d"
 
 
 def _run(args):
@@ -135,3 +136,11 @@ if __name__ == "__main__":
             (DATA / _curve_name(name)).write_bytes(curve)
     (DATA / EVAL_FILE).write_text(_eval_lines(), encoding="utf-8")
     print("VERIFY_FULL_SHA256 =", _digest(_run(VERIFY_FULL_ARGS)))
+    from test_oracles import FROZEN_QUADRATURE, quadrature_batches, quadrature_digests
+    print("FROZEN_QUADRATURE = {")
+    for budget, seed in FROZEN_QUADRATURE:
+        print(f'    ("{budget}", {seed}): [')
+        for digest in quadrature_digests(quadrature_batches(budget, seed)):
+            print(f'        "{digest}",')
+        print("    ],")
+    print("}")

@@ -70,6 +70,27 @@ class TestQuadratureEngine:
             oracles._gauss_kronrod(lambda x, _case: np.cos(1e5 * x), [np.array([0.0, 1.0])],
                                    tol=1e-14)
 
+    def test_batch_gives_each_integral_its_one_integral_bits(self):
+        # needles of widths 1e-4..1 split in different rounds; a batch of any
+        # size and order must give each integral the bits of its own run
+        rng = np.random.default_rng(7)
+        center = rng.uniform(0.2, 0.8, 60)
+        width = 10.0 ** rng.uniform(-4.0, 0.0, 60)
+        knots = [np.array([0.0, c, 1.0]) if j % 3 else np.array([-1.0, 0.0, c, 0.9, 1.0])
+                 for j, c in enumerate(center)]
+
+        def run(ids):
+            def f(x, case):
+                z = (x - center[ids[case], None]) / width[ids[case], None]
+                return np.exp(-0.5 * z * z)
+            value, err = oracles._gauss_kronrod(f, [knots[i] for i in ids], 1e-10)
+            return np.stack([value, err], axis=1)
+
+        alone = np.concatenate([run(np.array([i])) for i in range(60)])
+        for size in range(1, 41):
+            ids = rng.permutation(60)[:size]
+            assert run(ids).tobytes() == alone[ids].tobytes(), size
+
 
 class TestQuadratureProb:
     def test_logistic_symmetry(self):
@@ -140,7 +161,7 @@ class TestQuadratureBatch:
 
 class TestTailCutoffs:
     # rows 0 and 2 decay like a Cauchy density and reach 1e-16 of their peak
-    # past j = 15; row 1 is Gaussian and stops in the first pass
+    # past j = 15; row 1 is Gaussian and gets there by j = 5
     CENTERS = np.array([[0.0], [1.0], [-2.0]])
     P2 = np.array([[1.0], [0.5], [3.0]])
     SLOW = np.array([[True], [False], [True]])
@@ -149,7 +170,7 @@ class TestTailCutoffs:
         z = t - self.CENTERS[rows]
         return np.where(self.SLOW[rows], 1.0 / (1.0 + z * z), np.exp(-0.5 * z * z))
 
-    def test_fallback_gives_the_one_pass_cutoffs(self):
+    def test_one_pass_gives_the_first_low_steps(self):
         rows = np.arange(3)
         peak = self.density(self.CENTERS, rows)
         shapes = []
@@ -163,8 +184,8 @@ class TestTailCutoffs:
         first = np.argmax(self.density(ladder, rows) <= 1e-16 * peak, axis=1)
         assert first.tolist() == [27, 5, 25]
         assert cut.tolist() == ladder[rows, first].tolist()
-        # 16 points per row, then the whole ladder for the two slow rows only
-        assert shapes == [(3, 16), (2, 200)]
+        # one density call over the whole ladder of every row
+        assert shapes == [(3, 200)]
 
     def test_no_negligible_tail_names_the_first_such_member(self):
         def flat(t, rows):
@@ -392,34 +413,34 @@ class TestMcRowsPool:
 # Family order, as produced by one adaptive run per case.
 FROZEN_QUADRATURE = {
     ("quick", 1): [
-        "aece7dedeaf4f10541978890967a61a128c2300518bf9194b3cb657482aa9478",
-        "23d1154c868a7fe8888ebcf9ea2321db6d90785f7ee8d078a6fbd24e1fa1cfc2",
-        "7af0e96a915b04da50e86cde6444d8b2527be58395b7f54c459dc1228e8b3b56",
-        "9342f61b38cb36505a90a74e8f77abd9de5b2e987323ce397d92c995259ecd2a",
+        "67d9fdb52e2a4d14211b482d42e0fa5588595909fdc3496fa9e1428bcd62da71",
+        "c4ab9fe62c365149f5ca0fb1d493c0aaea952fbee819fdb78868b3601a2c0ad9",
+        "fc74528e7582e2de1cada7615366f1e731d110965e57747ad19a2968e579d346",
+        "978d2aeb2e7b16aa163258e50ea9f00a998863453fb9f3291d04e7380068fd31",
     ],
     ("quick", 2): [
-        "fdb0a132c6537447793bf7496f06468f1e11323c99acd0ce0b44ded5845b78f2",
-        "1b40add17fe7431096abfc7313d23dac007a4bd78c8502f4733cdc0b05313a34",
-        "0c307c0476051b9f28fff43a53f181038163d48e489bd58eb10a1e107f9dd534",
-        "a0cb40f9ba198361b51f9c6c9508d435d18cf37fc264034cae471b7d381754b3",
+        "e83b57d10eee0e47328e119471d8da2efacbade7cb86d69c03676ad320215304",
+        "13251e0b24bb8b9334d0e7453f1e4b4a286027500b735b9d45a2fdd9b5f583e4",
+        "c9ec92cde8db9e03491e13daf6b3e37f477034c870a189ccc9d36727f245a7d3",
+        "e9ee0ddcacd497482fcb2ca0464d08227dd93507fc51a102b5f99e69f6690084",
     ],
     ("quick", 3): [
-        "bb881123b6f45965bc1f528e16787445f5211a8e27ecb9be99f0f4bc214ae634",
-        "42cfe53e89b212f2a5048e927c4f29c931baba5be915cec4a54cd78d7e76f4e8",
-        "6ccf98304054da81a49ed25547bb3233c7d9c839d64b91c41b7a582ea43994e0",
-        "5edebd993ca49fd91c8c355788d1f226a6c1c109cde98ea617c91e67406eaedf",
+        "5df4e961882fa86e6f70b89fd87a887ce356b660f0e3f87f2a4e3d0f67c27346",
+        "ab923a64162df54836f3fe7dda3e8791965b56aec90d06d31c3aceb6d55f4c78",
+        "3e00dcad5b672ab90ba6e3a0b74d2e613b3d8e873c699679df6910cd2feadac0",
+        "715c0d39cf461f040d481d596d6098efa5419645aaf75d0357c3eb93a9cdebd8",
     ],
     ("full", 1): [
-        "54e81a944490f18f65cdbf77d62fdc8f71befbc1654094fafa30ebccda5c3ba8",
-        "cc09284a2175b389bbfe9ea0d935479490e83c0bcaa07bd2f7100e90a89cdbb2",
-        "40d4a483a8443a892f9ff3a4a959d45f957dc117e4d132b2d81f6028d4d00e9f",
-        "83a8a54cbf0d48e32040dc8de770c2e2fdbe6a93e43dc6f4e20fbf3c8445119f",
+        "0c7073fc30f41b557d87cb8db7eb49a501f13e8ba5f3f71d99c7d13e99c2b197",
+        "a0e777388dd6360ac3c8a67a660e85caa69b0f1e45c4d47b4f14f623b44440d3",
+        "9511f7ed82baf4943971aa69202bf550babcc857d6fed2e630015b92b3b9cc74",
+        "b866ecb566a930603fd789d94508098f38747bcf6c31eeb3c9cb1d848b198a3a",
     ],
 }
 
 
-@pytest.mark.parametrize("budget, seed", list(FROZEN_QUADRATURE), ids=lambda v: str(v))
-def test_batched_quadrature_keeps_the_bits(monkeypatch, budget, seed):
+def quadrature_batches(budget, seed):
+    """(cases, estimates) of each _quadrature_batch call of _closed_form_rows."""
     batches = []
 
     def recorded(cases, _f=verification._quadrature_batch):
@@ -427,11 +448,21 @@ def test_batched_quadrature_keeps_the_bits(monkeypatch, budget, seed):
         batches.append((cases, estimates))
         return estimates
 
-    monkeypatch.setattr(verification, "_quadrature_batch", recorded)
-    verification._closed_form_rows(verification.BUDGETS[budget], np.random.default_rng(seed))
-    digests = [hashlib.sha256(estimates.astype("<f8").tobytes()).hexdigest()
-               for _, estimates in batches]
-    assert digests == FROZEN_QUADRATURE[budget, seed]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_quadrature_batch", recorded)
+        verification._closed_form_rows(verification.BUDGETS[budget], np.random.default_rng(seed))
+    return batches
+
+
+def quadrature_digests(batches):
+    return [hashlib.sha256(estimates.astype("<f8").tobytes()).hexdigest()
+            for _, estimates in batches]
+
+
+@pytest.mark.parametrize("budget, seed", list(FROZEN_QUADRATURE), ids=lambda v: str(v))
+def test_batched_quadrature_keeps_the_bits(budget, seed):
+    batches = quadrature_batches(budget, seed)
+    assert quadrature_digests(batches) == FROZEN_QUADRATURE[budget, seed]
     for cases, estimates in batches:
         alone = np.array([quadrature_prob(params, kappa) for params, kappa in cases])
         assert alone.tobytes() == estimates.tobytes()
