@@ -4,16 +4,20 @@ Exit codes are a stable contract: 0 success, 2 usage or domain error
 (including an output path that cannot be opened), 3 numerical failure
 (including any failed verification report).  CSV and JSON outputs print
 floats in shortest round-trip form, so re-reading a file and re-evaluating
-the curve reproduces the written values bit for bit.
+the curve reproduces the written values bit for bit.  Curve samples are
+formatted and written a block of points at a time to files, so memory stays
+flat in the point count and the number of kappa; stdout gets them in one piece.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import os
 import sys
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import click
 import numpy as np
@@ -85,13 +89,15 @@ def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], di
     return (_render_csv if fmt == "csv" else _render_table)(headers, rows)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
+    """The text of ``pieces`` and a newline: to the file ``out`` a piece at a
+    time, else to stdout as one echo (echoes per piece exit 1 under ``| head``)."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)  # no text + "\n": a curve file's text can be ~100 MB
+            fh.writelines(pieces)
             fh.write("\n")
     else:
-        click.echo(text)
+        click.echo("".join(pieces))
 
 
 class _Main(click.Group):
@@ -167,37 +173,39 @@ _CURVE_HEADERS = ["family", "kappa", "coord", "g"]
 # each JSON result holds this string as its "curve" until the curve's text
 # replaces it after json.dumps; no other string in the document holds a NUL
 _STAND_IN = "\0"
+_BLOCK = 65_536  # curve points formatted at a time: memory flat in points and kappa
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """Shortest round-trip text of each value, as ``_cell`` writes a float."""
-    return list(map(repr, values.tolist()))
+def _curve_blocks(fam: Family, k: float, grid: np.ndarray, coords: list[str]) -> Iterator:
+    """(coordinate texts, value texts) of each block of the curve at ``k``; the
+    curve maths is element-wise, so a block has the bits of a whole-grid call."""
+    for i in range(0, len(grid), _BLOCK):
+        yield coords[i:i + _BLOCK], map(repr, reduced_prob(fam, k, grid[i:i + _BLOCK]).tolist())
 
 
-def _curve_csv(family: str, kappa: list[float], coords: list[str],
-               curves: list[list[str]]) -> str:
+def _curve_csv(fam: Family, kappa: list[float], grid: np.ndarray, coords: list[str]) -> Iterator:
     """The family,kappa,coord,g rows, one per point and kappa, in the bytes
     ``_render_csv`` writes: none of these cells needs quoting."""
-    lines = [",".join(_CURVE_HEADERS)]
-    for k, gs in zip(kappa, curves):
-        prefix = f"{family},{k!r}"
-        lines += [f"{prefix},{c},{g}" for c, g in zip(coords, gs)]
-    return "\n".join(lines)
+    yield ",".join(_CURVE_HEADERS)
+    for k in kappa:
+        prefix = f"\n{fam.value},{k!r},"
+        for cs, gs in _curve_blocks(fam, k, grid, coords):
+            yield "".join([f"{prefix}{c},{g}" for c, g in zip(cs, gs)])
 
 
-def _embed_curves(text: str, coords: list[str], curves: list[list[str]]) -> str:
-    """JSON ``text`` with its i-th stand-in replaced by the i-th curve, laid out
-    as json.dumps(..., indent=2) writes [{"coord": c, "g": g}, ...] there."""
+def _json_curves(text: str, fam: Family, kappa: list[float], grid: np.ndarray,
+                 coords: list[str]) -> Iterator:
+    """JSON ``text`` with its i-th stand-in replaced by the curve at the i-th kappa,
+    laid out as json.dumps(..., indent=2) writes [{"coord": c, "g": g}, ...]."""
     first, *rest = text.split(json.dumps(_STAND_IN))
-    parts = [first]
-    for gs, tail in zip(curves, rest):
-        curve = "[" + ",".join([
-            f'\n        {{\n          "coord": {c},\n          "g": {g}\n        }}'
-            for c, g in zip(coords, gs)]) + "\n      ]"
-        # repr writes the non-finite floats as nan, inf, -inf and json.dumps as
-        # NaN, Infinity, -Infinity; neither key holds these letters
-        parts += [curve.replace("nan", "NaN").replace("inf", "Infinity"), tail]
-    return "".join(parts)
+    yield first
+    for k, tail in zip(kappa, rest):
+        yield "["
+        for i, (cs, gs) in enumerate(_curve_blocks(fam, k, grid, coords)):
+            yield ("," if i else "") + ",".join([
+                f'\n        {{\n          "coord": {c},\n          "g": {g}\n        }}'
+                for c, g in zip(cs, gs)])
+        yield "\n      ]" + tail
 
 
 @main.command("infimum")
@@ -214,37 +222,35 @@ def _embed_curves(text: str, coords: list[str], curves: list[list[str]]) -> str:
 def cmd_infimum(family, kappa, fmt, out, curve_points, curve_out) -> None:
     """Infimum of the probability over the parameter space, one row per kappa."""
     fam = Family(family)
+    if curve_out is not None and curve_points is None:
+        raise DomainError("--curve-out needs --curve-points")
+    if out and curve_out and os.path.realpath(out) == os.path.realpath(curve_out):
+        raise DomainError("--out and --curve-out name the same file")
     rows = [_infimum_row(infimum(fam, k)) for k in kappa]
-    # one curve array per kappa; CSV and JSON render them from the repr of
-    # each value, written once, the table from the floats
-    grid, curves_g, coords, curves_text = None, [], [], []
-    if curve_points is not None:
-        grid = GridSpec.default_for(fam, curve_points).points()
-        curves_g = [reduced_prob(fam, k, grid) for k in kappa]
-        if fmt != "table" or curve_out is not None:
-            coords, curves_text = _reprs(grid), [_reprs(g) for g in curves_g]
+    grid = None if curve_points is None else GridSpec.default_for(fam, curve_points).points()
 
     def doc() -> dict:
-        results = [dict(zip(_INFIMUM_HEADERS, row)) for row in rows]
-        if curves_g:
-            for result in results:
-                result["curve"] = _STAND_IN
-        return {"schema": "kappainf-infimum/1", "results": results}
+        curve = {} if grid is None else {"curve": _STAND_IN}
+        return {"schema": "kappainf-infimum/1",
+                "results": [{**dict(zip(_INFIMUM_HEADERS, row)), **curve} for row in rows]}
 
-    text = _render(fmt, _INFIMUM_HEADERS, rows, doc)
-    if fmt == "json" and curves_g:
-        text = _embed_curves(text, coords, curves_text)
-    elif curves_g and curve_out is None:
+    # every check has run; the curves are formatted a block at a time from here
+    pieces = [_render(fmt, _INFIMUM_HEADERS, rows, doc)]
+    if grid is not None and (fmt != "table" or curve_out is not None):
+        coords = list(map(repr, grid.tolist()))
+    if fmt == "json" and grid is not None:
+        pieces = _json_curves(pieces[0], fam, kappa, grid, coords)
+    elif grid is not None and curve_out is None:
         if fmt == "csv":
-            text += "\n\n" + _curve_csv(fam.value, kappa, coords, curves_text)
-        else:
+            pieces = itertools.chain(pieces, ["\n\n"], _curve_csv(fam, kappa, grid, coords))
+        else:  # the table's column widths need every cell
             pts = grid.tolist()
-            text += "\n\ncurve samples\n" + _render_table(_CURVE_HEADERS, [
-                [fam.value, k, c, g] for k, g_arr in zip(kappa, curves_g)
-                for c, g in zip(pts, g_arr.tolist())])
-    _emit(text, out)
-    if curves_g and curve_out is not None:
-        _emit(_curve_csv(fam.value, kappa, coords, curves_text), curve_out)
+            pieces.append("\n\ncurve samples\n" + _render_table(_CURVE_HEADERS, [
+                [fam.value, k, c, g] for k in kappa
+                for c, g in zip(pts, reduced_prob(fam, k, grid).tolist())]))
+    _emit(pieces, out)
+    if curve_out is not None:
+        _emit(_curve_csv(fam, kappa, grid, coords), curve_out)
 
 
 _ROOT_HEADERS = ["kappa", "critical_coord", "upper_bound", "value", "residual"]
@@ -268,9 +274,9 @@ def cmd_root(kappa, fmt, out) -> None:
             float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
             float(curves.ig_stationarity_scaled(k, x0)),
         ])
-    _emit(_render(fmt, _ROOT_HEADERS, rows, lambda: {
+    _emit([_render(fmt, _ROOT_HEADERS, rows, lambda: {
         "schema": "kappainf-root/1",
-        "results": [dict(zip(_ROOT_HEADERS, row)) for row in rows]}), out)
+        "results": [dict(zip(_ROOT_HEADERS, row)) for row in rows]})], out)
 
 
 _VERIFY_HEADERS = ["status", "method", "analytic", "estimate", "tolerance", "detail"]
@@ -299,6 +305,6 @@ def cmd_verify(budget, seed, fmt, out) -> None:
         "reports": [dict(zip(_VERIFY_HEADERS, row)) for row in rows]})
     if fmt == "table":
         text += f"\n\n{n_pass}/{len(reports)} checks passed"
-    _emit(text, out)
+    _emit([text], out)
     if n_pass != len(reports):
         sys.exit(3)

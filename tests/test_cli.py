@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import kappainf.special
 from kappainf import DistParams, Family, NumericalError, reduce_params, reduced_prob
 from kappainf.distributions import SCALE_NAME
+from kappainf.oracles import GridSpec
 from kappainf import cli
 from kappainf.cli import main
 
@@ -305,6 +306,25 @@ class TestInfimumCommand:
         payload = json.loads(result.output)
         assert [len(r["curve"]) for r in payload["results"]] == [3, 3]
 
+    def test_curve_out_without_curve_points_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "curves.csv"
+        result = runner.invoke(main, ["infimum", "--family", "gumbel", "--kappa", "2",
+                                      "--curve-out", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == "" and not path.exists()
+        assert result.stderr == "error: --curve-out needs --curve-points\n"
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_one_file_for_out_and_curve_out_is_usage_error(self, runner, tmp_path, spelling):
+        path = tmp_path / "both.csv"
+        other = path if spelling == "same" else tmp_path / "sub" / ".." / "both.csv"
+        result = runner.invoke(main, ["infimum", "--family", "gumbel", "--kappa", "2",
+                                      "--curve-points", "5", "--format", "csv",
+                                      "--out", str(path), "--curve-out", str(other)])
+        assert result.exit_code == 2
+        assert result.stdout == "" and not path.exists()
+        assert result.stderr == "error: --out and --curve-out name the same file\n"
+
     def test_bad_kappa_list_is_usage_error(self, runner):
         for bad in ("", "0", "-1,2", "a,b"):
             result = runner.invoke(
@@ -320,49 +340,72 @@ class TestInfimumCommand:
         assert result.stderr == "error: kappa must be > 0, got 0.0\n"
 
 
-# floats a curve file must carry bit for bit, besides any that hypothesis draws
-# (nan and +-inf included)
-EDGE_FLOATS = [-0.0, 5e-324, 1e308, 0.0, 1.0]
-curve_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
-
-
 @st.composite
 def curve_exports(draw):
-    """(family, 1-4 kappa, perhaps with a repeat, the coordinate array, one
-    value array per kappa)."""
-    n = draw(st.integers(2, 6))
-    kappa = draw(st.lists(curve_floats, min_size=1, max_size=3))
+    """(family, 1-4 kappa, perhaps with a repeat, the family's default grid of
+    2-9 points)."""
+    family = draw(st.sampled_from(list(Family)))
+    kappa = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
     if draw(st.booleans()):
         kappa.append(draw(st.sampled_from(kappa)))
-    arrays = st.lists(curve_floats, min_size=n, max_size=n).map(np.array)
-    return (draw(st.sampled_from([f.value for f in Family])), kappa, draw(arrays),
-            [draw(arrays) for _ in kappa])
+    return family, kappa, GridSpec.default_for(family, draw(st.integers(2, 9))).points()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @settings(max_examples=200, deadline=None)
-@given(curve_exports())
-@example(("logistic", [2.0, 2.0], np.array([-0.0, 5e-324]), [np.array([1e308, 0.0])] * 2))
-def test_curve_writers_match_the_generic_renderers(export):
-    # the column writers against csv.writer + _cell over [family, kappa,
-    # coord, g] rows and json.dumps(indent=2) over {coord, g} dicts
-    family, kappa, coords, curves = export
-    coord_text, curve_text = cli._reprs(coords), [cli._reprs(g) for g in curves]
-    rows = [[family, k, c, g] for k, g_arr in zip(kappa, curves)
-            for c, g in zip(coords.tolist(), g_arr.tolist())]
-    assert (cli._curve_csv(family, kappa, coord_text, curve_text)
-            == cli._render_csv(cli._CURVE_HEADERS, rows))
+@given(curve_exports(), st.integers(1, 4))
+@example((Family.LOGISTIC, [2.0, 2.0], GridSpec.default_for(Family.LOGISTIC, 3).points()), 1)
+def test_curve_writers_match_the_generic_renderers(export, block):
+    # blocks of 1-4 points put their seams inside each curve and at its ends;
+    # the block writers against csv.writer + _cell over [family, kappa, coord,
+    # g] rows and json.dumps(indent=2) over {coord, g} dicts
+    family, kappa, grid = export
+    coords, curves = grid.tolist(), [reduced_prob(family, k, grid).tolist() for k in kappa]
+    coord_text = list(map(repr, coords))
 
     def doc(curve):
         return {"schema": "kappainf-infimum/1", "results": [
-            {"family": family, "kappa": k, "value": 0.5, "attained": True,
+            {"family": family.value, "kappa": k, "value": 0.5, "attained": True,
              "constant": False, "argmin": None, "limit_direction": "coord->+inf",
-             "curve": curve(g_arr)} for k, g_arr in zip(kappa, curves)]}
+             "curve": curve(gs)} for k, gs in zip(kappa, curves)]}
 
-    embedded = cli._embed_curves(json.dumps(doc(lambda g: cli._STAND_IN), indent=2),
-                                 coord_text, curve_text)
-    assert embedded == json.dumps(doc(lambda g: [
-        {"coord": c, "g": v} for c, v in zip(coords.tolist(), g.tolist())]), indent=2)
-    assert "nan" not in embedded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK", block)
+        csv_text = "".join(cli._curve_csv(family, kappa, grid, coord_text))
+        json_text = "".join(cli._json_curves(json.dumps(doc(lambda gs: cli._STAND_IN), indent=2),
+                                             family, kappa, grid, coord_text))
+    rows = [[family.value, k, c, g] for k, gs in zip(kappa, curves) for c, g in zip(coords, gs)]
+    assert csv_text == cli._render_csv(cli._CURVE_HEADERS, rows)
+    assert json_text == json.dumps(doc(lambda gs: [
+        {"coord": c, "g": g} for c, g in zip(coords, gs)]), indent=2)
+    json.loads(json_text, parse_constant=refuse_constant)
+
+
+def test_small_blocks_write_the_default_bytes(runner, tmp_path, monkeypatch):
+    args = ["infimum", "--family", "inverse-gaussian", "--kappa", "0.5,1,2,2",
+            "--curve-points", "50"]
+
+    def export(tag):
+        paths = [tmp_path / f"{tag}.{ext}" for ext in ("csv", "curve.csv", "json")]
+        for extra in (["--format", "csv", "--out", str(paths[0]), "--curve-out", str(paths[1])],
+                      ["--format", "json", "--out", str(paths[2])]):
+            assert runner.invoke(main, [*args, *extra]).exit_code == 0
+        return [path.read_bytes() for path in paths]
+
+    default = export("default")
+    sizes = []
+
+    def spy(family, kappa, coord):
+        sizes.append(np.size(coord))
+        return reduced_prob(family, kappa, coord)
+
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    monkeypatch.setattr(cli, "reduced_prob", spy)
+    assert export("blocks") == default
+    assert sizes and max(sizes) == 7  # 50 points: seven blocks of 7 and one of 1
 
 
 class TestRootCommand:
