@@ -4,9 +4,9 @@ Exit codes are a stable contract: 0 success, 2 usage or domain error
 (including an output path that cannot be opened), 3 numerical failure
 (including any failed verification report).  CSV and JSON outputs print
 floats in shortest round-trip form, so re-reading a file and re-evaluating
-the curve reproduces the written values bit for bit.  Curve samples are
-formatted and written a block of points at a time to files, so memory stays
-flat in the point count and the number of kappa; stdout gets them in one piece.
+the curve reproduces the written values bit for bit.  Every format writes curve
+samples a block of points at a time, to files as each block is made, so memory
+stays flat in the point count and the number of kappa; stdout gets one piece.
 """
 
 from __future__ import annotations
@@ -62,23 +62,27 @@ def _render_csv(headers: list[str], rows: list[list]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-def _render_table(headers: list[str], rows: list[list]) -> str:
-    def show(value) -> str:
-        if value is None:
-            return "-"
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        if isinstance(value, float):
-            return format(value, ".15g")
-        return str(value)
+def _show(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return format(value, ".15g")
+    return str(value)
 
-    cells = [[show(v) for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for r in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
+
+def _pad(headers: list[str], columns: list[list[str]]) -> list[str]:
+    widths = [max([len(h), *map(len, texts)]) for h, texts in zip(headers, columns)]
+    for texts, width in zip(columns, widths):
+        for i, text in enumerate(texts):  # in place: a 1e6-point curve keeps one list
+            texts[i] = text.ljust(width)
+    return [h.ljust(w) for h, w in zip(headers, widths)]
+
+
+def _render_table(headers: list[str], rows: list[list]) -> str:
+    columns = [[_show(row[i]) for row in rows] for i in range(len(headers))]
+    return "\n".join("  ".join(line).rstrip() for line in [_pad(headers, columns), *zip(*columns)])
 
 
 def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], dict]) -> str:
@@ -176,33 +180,36 @@ _STAND_IN = "\0"
 _BLOCK = 65_536  # curve points formatted at a time: memory flat in points and kappa
 
 
-def _curve_blocks(fam: Family, k: float, grid: np.ndarray, coords: list[str]) -> Iterator:
-    """(coordinate texts, value texts) of each block of the curve at ``k``; the
-    curve maths is element-wise, so a block has the bits of a whole-grid call."""
+def _curve_blocks(fam: Family, k: float, grid: np.ndarray, coords: list[str], cell) -> Iterator:
+    """(coordinate texts, ``cell`` texts of the values) of each block of the curve at
+    ``k``; the curve maths is element-wise, so a block has the bits of a whole-grid call."""
     for i in range(0, len(grid), _BLOCK):
-        yield coords[i:i + _BLOCK], map(repr, reduced_prob(fam, k, grid[i:i + _BLOCK]).tolist())
+        yield coords[i:i + _BLOCK], map(cell, reduced_prob(fam, k, grid[i:i + _BLOCK]).tolist())
 
 
-def _curve_csv(fam: Family, kappa: list[float], grid: np.ndarray, coords: list[str]) -> Iterator:
-    """The family,kappa,coord,g rows, one per point and kappa, in the bytes
-    ``_render_csv`` writes: none of these cells needs quoting."""
-    yield ",".join(_CURVE_HEADERS)
-    for k in kappa:
-        prefix = f"\n{fam.value},{k!r},"
-        for cs, gs in _curve_blocks(fam, k, grid, coords):
-            yield "".join([f"{prefix}{c},{g}" for c, g in zip(cs, gs)])
+def _curve_rows(fam: Family, kappa: list[float], grid: np.ndarray, fmt: str) -> Iterator:
+    """family, kappa, coord, g rows as ``_render_csv`` (fmt "csv"; no cell needs quoting)
+    or ``_render_table`` writes them; its lines are stripped, so no g text sets a width."""
+    cell, sep = (repr, ",") if fmt == "csv" else (_show, "  ")
+    columns = [[fam.value], list(map(cell, kappa)), list(map(cell, grid.tolist()))]
+    heads = _CURVE_HEADERS[:-1] if fmt == "csv" else _pad(_CURVE_HEADERS, columns)
+    (family,), kappa_texts, coords = columns
+    yield sep.join([*heads, _CURVE_HEADERS[-1]])
+    for k, k_text in zip(kappa, kappa_texts):
+        prefix = f"\n{family}{sep}{k_text}{sep}"
+        for cs, gs in _curve_blocks(fam, k, grid, coords, cell):
+            yield "".join([f"{prefix}{c}{sep}{g}" for c, g in zip(cs, gs)])
 
 
-def _json_curves(text: str, fam: Family, kappa: list[float], grid: np.ndarray,
-                 coords: list[str]) -> Iterator:
+def _json_curves(text: str, fam: Family, kappa: list[float], grid: np.ndarray) -> Iterator:
     """JSON ``text`` with its i-th stand-in replaced by the curve at the i-th kappa,
     laid out as json.dumps(..., indent=2) writes [{"coord": c, "g": g}, ...]."""
     first, *rest = text.split(json.dumps(_STAND_IN))
+    coords = list(map(repr, grid.tolist()))
     yield first
     for k, tail in zip(kappa, rest):
-        yield "["
-        for i, (cs, gs) in enumerate(_curve_blocks(fam, k, grid, coords)):
-            yield ("," if i else "") + ",".join([
+        for i, (cs, gs) in enumerate(_curve_blocks(fam, k, grid, coords, repr)):
+            yield ("," if i else "[") + ",".join([
                 f'\n        {{\n          "coord": {c},\n          "g": {g}\n        }}'
                 for c, g in zip(cs, gs)])
         yield "\n      ]" + tail
@@ -236,21 +243,14 @@ def cmd_infimum(family, kappa, fmt, out, curve_points, curve_out) -> None:
 
     # every check has run; the curves are formatted a block at a time from here
     pieces = [_render(fmt, _INFIMUM_HEADERS, rows, doc)]
-    if grid is not None and (fmt != "table" or curve_out is not None):
-        coords = list(map(repr, grid.tolist()))
     if fmt == "json" and grid is not None:
-        pieces = _json_curves(pieces[0], fam, kappa, grid, coords)
+        pieces = _json_curves(pieces[0], fam, kappa, grid)
     elif grid is not None and curve_out is None:
-        if fmt == "csv":
-            pieces = itertools.chain(pieces, ["\n\n"], _curve_csv(fam, kappa, grid, coords))
-        else:  # the table's column widths need every cell
-            pts = grid.tolist()
-            pieces.append("\n\ncurve samples\n" + _render_table(_CURVE_HEADERS, [
-                [fam.value, k, c, g] for k in kappa
-                for c, g in zip(pts, reduced_prob(fam, k, grid).tolist())]))
+        title = "\n\n" if fmt == "csv" else "\n\ncurve samples\n"
+        pieces = itertools.chain(pieces, [title], _curve_rows(fam, kappa, grid, fmt))
     _emit(pieces, out)
     if curve_out is not None:
-        _emit(_curve_csv(fam, kappa, grid, coords), curve_out)
+        _emit(_curve_rows(fam, kappa, grid, "csv"), curve_out)
 
 
 _ROOT_HEADERS = ["kappa", "critical_coord", "upper_bound", "value", "residual"]

@@ -343,9 +343,10 @@ class TestInfimumCommand:
 @st.composite
 def curve_exports(draw):
     """(family, 1-4 kappa, perhaps with a repeat, the family's default grid of
-    2-9 points)."""
+    2-9 points); short kappa such as 0.5 give the table's kappa column padding."""
     family = draw(st.sampled_from(list(Family)))
-    kappa = draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    kappa = draw(st.lists(st.floats(1e-3, 1e3) | st.sampled_from([0.5, 1.0, 2.0, 1e3]),
+                          min_size=1, max_size=3))
     if draw(st.booleans()):
         kappa.append(draw(st.sampled_from(kappa)))
     return family, kappa, GridSpec.default_for(family, draw(st.integers(2, 9))).points()
@@ -358,13 +359,14 @@ def refuse_constant(name):
 @settings(max_examples=200, deadline=None)
 @given(curve_exports(), st.integers(1, 4))
 @example((Family.LOGISTIC, [2.0, 2.0], GridSpec.default_for(Family.LOGISTIC, 3).points()), 1)
+@example((Family.INVERSE_GAUSSIAN, [0.5, 123.456789],
+          GridSpec.default_for(Family.INVERSE_GAUSSIAN, 5).points()), 2)
 def test_curve_writers_match_the_generic_renderers(export, block):
     # blocks of 1-4 points put their seams inside each curve and at its ends;
-    # the block writers against csv.writer + _cell over [family, kappa, coord,
-    # g] rows and json.dumps(indent=2) over {coord, g} dicts
+    # the block writers against csv.writer + _cell and _render_table over
+    # [family, kappa, coord, g] rows and json.dumps(indent=2) over {coord, g} dicts
     family, kappa, grid = export
     coords, curves = grid.tolist(), [reduced_prob(family, k, grid).tolist() for k in kappa]
-    coord_text = list(map(repr, coords))
 
     def doc(curve):
         return {"schema": "kappainf-infimum/1", "results": [
@@ -374,11 +376,13 @@ def test_curve_writers_match_the_generic_renderers(export, block):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_BLOCK", block)
-        csv_text = "".join(cli._curve_csv(family, kappa, grid, coord_text))
+        csv_text = "".join(cli._curve_rows(family, kappa, grid, "csv"))
+        table_text = "".join(cli._curve_rows(family, kappa, grid, "table"))
         json_text = "".join(cli._json_curves(json.dumps(doc(lambda gs: cli._STAND_IN), indent=2),
-                                             family, kappa, grid, coord_text))
+                                             family, kappa, grid))
     rows = [[family.value, k, c, g] for k, gs in zip(kappa, curves) for c, g in zip(coords, gs)]
     assert csv_text == cli._render_csv(cli._CURVE_HEADERS, rows)
+    assert table_text == cli._render_table(cli._CURVE_HEADERS, rows)
     assert json_text == json.dumps(doc(lambda gs: [
         {"coord": c, "g": g} for c, g in zip(coords, gs)]), indent=2)
     json.loads(json_text, parse_constant=refuse_constant)
@@ -389,9 +393,10 @@ def test_small_blocks_write_the_default_bytes(runner, tmp_path, monkeypatch):
             "--curve-points", "50"]
 
     def export(tag):
-        paths = [tmp_path / f"{tag}.{ext}" for ext in ("csv", "curve.csv", "json")]
+        paths = [tmp_path / f"{tag}.{ext}" for ext in ("csv", "curve.csv", "json", "txt")]
         for extra in (["--format", "csv", "--out", str(paths[0]), "--curve-out", str(paths[1])],
-                      ["--format", "json", "--out", str(paths[2])]):
+                      ["--format", "json", "--out", str(paths[2])],
+                      ["--format", "table", "--out", str(paths[3])]):
             assert runner.invoke(main, [*args, *extra]).exit_code == 0
         return [path.read_bytes() for path in paths]
 
