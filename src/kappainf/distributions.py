@@ -281,13 +281,14 @@ def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
             np.divide(p1 * p1, x, out=x, where=~keep)
         return w
 
+    if params.family is Family.LOG_NORMAL:
+        z = rng.standard_normal(n)
+        z *= p2
+        z += p1
+        return np.exp(z, out=z)  # exp(p1 + p2*z)
+
     u = rng.random(n)
     np.maximum(u, 5e-324, out=u)  # keep inverse transforms finite
-    if params.family is Family.LOG_NORMAL:
-        special._ndtri(u, out=u)
-        u *= p2
-        u += p1
-        return np.exp(u, out=u)  # exp(p1 + p2*ndtri(u))
     if params.family is Family.GUMBEL:
         np.log(u, out=u)
         np.negative(u, out=u)

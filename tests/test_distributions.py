@@ -268,12 +268,22 @@ class TestSample:
             c = sample(params, 10_000, seed=124)
             assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [1, 10_001, 200_001])
+    def test_log_normal_draws_are_exp_of_the_generators_normals(self, n):
+        # exp(p1 + p2*z) over default_rng(seed).standard_normal(n), bit for bit
+        for mu, sigma in [(0.2, 0.8), (-3.0, 1e-3), (5.0, 4.0)]:
+            z = np.random.default_rng(123).standard_normal(n)
+            expected = np.exp(mu + sigma * z)
+            draws = sample(DistParams.log_normal(mu, sigma), n, seed=123)
+            assert draws.tobytes() == expected.tobytes(), (mu, sigma)
+
     def test_draws_are_frozen_bit_for_bit(self):
         # SHA-256 of sample(params, 10_000, seed=123) for each of ALL_PARAMS,
-        # recorded from the plain (not in-place) transformations
+        # recorded from the plain (not in-place) transformations; the
+        # log-normal one from exp(p1 + p2*z) over the generator's normals
         frozen = [
             "72ad1c947424247ce699571f241fcf03423c03b371747d7f7ae6e25c48423e07",
-            "f3b4fd57bd83246f197ff0a9980d4812d5e0a8bad884334375b8d0c8e97c8fed",
+            "026a418b8159deaa97d5e6746c824d41d1312a3b18b0b8b49ec93bd2d4790015",
             "f08d3195e03ec7a6ae5a888dea067a79bfffe1923c437c3d491608ae284b5268",
             "52edb9d5e9c751d7fd28495548ecbf581f56c365d9dc770f3cd29ae8d4239d1f",
         ]
@@ -283,29 +293,30 @@ class TestSample:
 
     # SHA-256 of sample(params, n, seed=123) for each of ALL_PARAMS at sizes
     # around the samplers' 65,536-element chunk, recorded from the whole-array
-    # transformations before the samplers worked chunk by chunk
+    # transformations before the samplers worked chunk by chunk (the
+    # log-normal ones from exp(p1 + p2*z) over the generator's normals)
     FROZEN_AT_CHUNK_EDGES = {
         65_535: [
             "a31a9b847ffb9469b65752f69cad4f367b40046a71f76788a14b745ed8a571bd",
-            "53cb7b36499539a4dc6b85de7ee7fd2141aab6de45f99a069483a3d5a475dae4",
+            "cdc7e5e1f028f894d77644b975ba6ea1ff8ff28b1482e9df41a593a8b9bfdeda",
             "755179a91b7bce35b555f6569fde46bb7ee0f3cfa95e932050bb280ee26c2482",
             "2d6a9504442d59379fb443828f8e7c354443adba040d6ee289dee5857d1d804c",
         ],
         65_536: [
             "9a7e473e8129ed7ec6e7d94820360769c2bb6f29f5c6dee7280c9b9e2b59df6a",
-            "9627eb882e62224cfdfb84e343d9c0235a29b77dd860facff3ceaf84dcdb1989",
+            "c69809a803b685fdf7eae20d8536dc6d17dcc74261fb85a2bc5c2bbd215bdd28",
             "77481798ed3e9efcf78b37cbd17a44f0c1bada730c5b0e470210f30c9f67d86d",
             "ca08c39d231502f929fb5c11502a31675ee0aebd05918ee56f8d9ea8f7b46f15",
         ],
         65_537: [
             "6a45772399c302040022ac61cc0121e433b53ee3810940287bdead4353d9f845",
-            "593fc4063d4eb29e0502cb17950babb03ce6ed10bd7698b2ebb4d674cbfecb6a",
+            "af165bd838e0fa0e82612e9f541a985ae47daf46e37084ecde3fdf61d930fdde",
             "58c888ea4e2d0fe6cc90a47d8ba674b85f306ac0ad1f9b62a469d5541cbde2bf",
             "2c86ad776589f99e339a70d9db828a1b951055d5488a7acb3a23a6af88f51243",
         ],
         200_001: [
             "0c9b794711a1bf17cb317fd015b378d7488f61aa18d8710b1a14d9e073606601",
-            "11bbe6f5b298db5c8b33c44d2a547582baac1f76e5f24b030f0e1f644b04a58f",
+            "c32d657f65ef9b281bc6a65daa45f6150ecde48d5190c50ec593c3163ee571bb",
             "497f02fe5ab2d7c8bf068f050f565dfe841199bca5b6afcc093f409b3dbd4dda",
             "f0415f5944250d5dbb13d5d6e5bda41ee38e88beeb73f2b2829c6f6549f9b2e8",
         ],

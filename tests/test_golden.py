@@ -73,7 +73,7 @@ EVAL_FILE = "eval-coord.txt"
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
-VERIFY_FULL_SHA256 = "054609073ee42856eb9dc7f49e485c34a4a3325561e2535d1dbf2b572b9e6d9d"
+VERIFY_FULL_SHA256 = "0cb531f46d32b543c232f7829b9c34e923bf8ce0bcdb7aa80cb3e337fc93c186"
 
 
 def _run(args):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,9 +76,25 @@ def _scipy_importers(directory: Path) -> list[str]:
     return found
 
 
-def test_special_is_the_only_module_that_imports_scipy():
-    # replacing scipy is then a change to special.py alone, and the tests
-    # check the package's own kernels rather than scipy's
+def test_no_module_imports_scipy():
+    # the runtime dependencies are numpy and click, and the tests check the
+    # package's own kernels rather than scipy's
     root = Path(__file__).resolve().parents[1]
-    assert _scipy_importers(root / "src" / "kappainf") == ["special.py"]
+    assert _scipy_importers(root / "src" / "kappainf") == []
     assert _scipy_importers(root / "tests") == []
+
+
+def test_verify_runs_where_scipy_cannot_be_imported():
+    # sys.modules["scipy"] = None makes every import of scipy raise
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import kappainf.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy.')]\n"
+        "kappainf.cli.main(['verify', '--budget', 'quick', '--seed', '1'])\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "FAIL" not in result.stdout
