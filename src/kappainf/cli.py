@@ -5,12 +5,13 @@ Exit codes are a stable contract: 0 success, 2 usage or domain error
 (including any failed verification report).  CSV and JSON outputs print
 floats in shortest round-trip form, so re-reading a file and re-evaluating
 the curve reproduces the written values bit for bit.  Every format writes curve
-samples a block of points at a time, to files as each block is made, so memory
-stays flat in the point count and the number of kappa; stdout gets one piece.
+samples a block of points at a time, to a file or stdout as each block is made,
+so memory stays flat in the point count and the number of kappa.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -94,14 +95,12 @@ def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], di
 
 
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
-    """The text of ``pieces`` and a newline: to the file ``out`` a piece at a
-    time, else to stdout as one echo (echoes per piece exit 1 under ``| head``)."""
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-            fh.write("\n")
-    else:
-        click.echo("".join(pieces))
+    """The text of ``pieces`` and a newline, a piece at a time: to the file ``out``,
+    else to stdout."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
+        fh.flush()  # so a closed stdout pipe raises here, where invoke handles it
 
 
 class _Main(click.Group):
@@ -116,8 +115,11 @@ class _Main(click.Group):
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
+        except BrokenPipeError:  # stdout's reader has closed it, as ``| head`` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+            sys.exit(0)
         except OSError as exc:
-            if exc.filename is None:  # not a path, e.g. a closed stdout pipe
+            if exc.filename is None:  # not a path: stdout itself
                 raise
             click.echo(f"error: cannot write {exc.filename}: {exc.strerror}", err=True)
             sys.exit(2)

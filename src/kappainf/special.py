@@ -1,23 +1,23 @@
 """Standard-normal CDF, the unchecked special-function kernels, constants.
 
-erfc, erfcx and the logistic sigmoid are computed here, with numpy; they
+Phi, erfcx and the logistic sigmoid are computed here, with numpy; they
 reach the rest of the package only through the unchecked kernels ``_phi``,
 ``_erfcx`` and ``_expit``, which the curve kernels call on arguments their
 public entry has already checked.
 
-erfc and erfcx are the piecewise forms of W. J. Cody (Math. Comp. 23, 1969):
-an odd polynomial for erf below |x| = 1/2 (piece A, for erfc only), a
-rational function for erfcx below 4 (B) and a rational function in 1/x^2
-beyond (C); ``tools/fit_special.py`` fits their coefficients in 40-digit
-mpmath.  A float goes through plain float arithmetic and an array through
-the same operations in the same order, in place, so a float and an array
-entry give the same bits.
+Phi = erfc(-z/sqrt(2))/2 and erfcx are the piecewise forms of W. J. Cody
+(Math. Comp. 23, 1969): an odd polynomial for erf below |x| = 1/2 (piece A,
+for Phi only), a rational function for erfcx below 4 (B) and a rational
+function in 1/x^2 beyond (C); ``tools/fit_special.py`` fits their
+coefficients in 40-digit mpmath.  A float goes through plain float
+arithmetic and an array through the same operations in the same order, in
+place, so a float and an array entry give the same bits.
 
-The normal CDF is *defined* through erfc, so it carries the tightest
-accuracy contract in the package (<= 1e-13 relative; against 40-digit
-references erfc, erfcx and Phi measured at most 8.5e-16); ``std_normal_cdf``
-is its checked public entry.  All functions accept a scalar or an ndarray
-and are pure.
+The normal CDF carries the tightest accuracy contract in the package
+(<= 1e-13 relative; against 40-digit references Phi and erfcx measured at
+most 7.8e-16 over 7,000 random arguments); ``std_normal_cdf`` is its
+checked public entry.  All functions accept a scalar or an ndarray and are
+pure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ SQRT_TWO = math.sqrt(2.0)
 # Generated by tools/fit_special.py, highest degree first; worst relative
 # error with these doubles, in exact arithmetic: erf 1.4e-17 (A), erfcx
 # 2.8e-17 (B) and 5.0e-17 (C).
-# A: erf(x) = x*P(x^2) for |x| < 1/2, for erfc only.
+# A: erf(x) = x*P(x^2) for |x| < 1/2, for Phi only.
 # B: erfcx(x) = P(x)/Q(x) for 0 <= x < 4, Q monic (its leading 1 omitted), with
 #    equal constant terms: erfcx(0) = 1.
 # C: erfcx(x) = (1/sqrt(pi) + z*P(z)/Q(z))/x, z = 1/x^2, for x >= 4, Q monic.
@@ -68,10 +68,11 @@ _ERFCX_TAIL_Q = (
     4.140639272794189, 4.090580402229143, 1.435210437406443,
     0.19478969691128564, 0.008608649218948251,
 )
-_SMALL = 0.5  # erfc: piece A below, B from here
+_SMALL = 0.5  # Phi's erfc argument: piece A below, B from here
 _TAIL = 4.0  # piece C from here
-# erfc(x) rounds to 0 from x ~ 27.23: the kernels return 0 from here on without
-# an exp, whose subnormal and underflowing results cost 20-130 ns an entry
+# erfc(y) rounds to 0 from y ~ 27.23 and Phi(z) from z ~ -38.49: the kernel
+# returns 0 from y = |z|/sqrt(2) = 27.3 on without an exp, whose subnormal and
+# underflowing results cost 20-130 ns an entry
 _ERFC_ZERO = 27.3
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -80,19 +81,13 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _BLOCK = 16_384
 
 
-def _exp_h2(c):
-    """exp(-c*h^2) at h = k/16 for k = 0 .. 16*_ERFC_ZERO*sqrt(2), the first
-    factor of erfc's split exp (see ``_erfc_float``): an array for the array
-    kernels to take from and its floats for the float kernels to index."""
-    h = np.arange(int(16 * _ERFC_ZERO * SQRT_TWO) + 2) / 16.0
-    table = np.exp(h * h * -c)
-    return table, table.tolist()
+# exp(-h^2/2) at h = k/16 for k = 0 .. 16*_ERFC_ZERO*sqrt(2), the first
+# factor of Phi's split exp (see ``_erfc_float``): an array for the array
+# kernel to take from and its floats for the float kernel to index.
+_EXP_H2 = np.exp(np.square(np.arange(int(16 * _ERFC_ZERO * SQRT_TWO) + 2) / 16.0) * -0.5)
+_EXP_H2_FLOATS = _EXP_H2.tolist()
 
-
-_EXP_H2, _EXP_H2_FLOATS = _exp_h2(1.0)  # erfc itself
-_EXP_H2_HALF, _EXP_H2_HALF_FLOATS = _exp_h2(0.5)  # Phi, as erfc(-z/sqrt(2))
-
-# Each piece of erfc and erfcx is written twice, with the same operations in
+# Each piece of Phi and erfcx is written twice, with the same operations in
 # the same order: as plain expressions for a float, where a loop over the
 # coefficients would take three times as long, and in place for an array.
 
@@ -125,29 +120,27 @@ def _erfcx_tail(x):
     return (_INV_SQRT_PI + z * (p / q)) * r
 
 
-def _erfc_float(t, d, c, exp_h2):
-    """erfc(t/d) for d = 1 (c = 1) or d = sqrt(2) (c = 1/2), a float; +-inf
-    give 0 and 2, NaN gives NaN.
+def _erfc_float(t):
+    """erfc(t/sqrt(2)), a float; +-inf give 0 and 2, NaN gives NaN.
 
-    From |t|/d = 1/2 on, erfc(y) = exp(-y^2)*erfcx(y) at y = |t|/d, 0 from
-    y = _ERFC_ZERO on, and 2 - erfc(y) for negative t.
-    exp(-y^2) = exp(-c*t^2) is formed from t itself, not from the rounded y,
-    by Cody's split exp(-c*h^2)*exp(-c*(t-h)(t+h)), h = k/16, k = round(16t):
-    the first factor is the table entry exp_h2[k], and c*(t-h)(t+h) is at most
-    1.7, so the error is that of the two exps (4.4e-16 measured), where exp
-    of a rounded y^2 would be off by up to 2y^2 ulp (1.5e-13 at y = 26;
-    1.9e-13 for Phi at z = -37.4 as erfc(-z/sqrt(2)), whose rounded argument
-    costs the same again).
+    From |t|/sqrt(2) = 1/2 on, erfc(y) = exp(-y^2)*erfcx(y) at y =
+    |t|/sqrt(2), 0 from y = _ERFC_ZERO on, and 2 - erfc(y) for negative t.
+    exp(-y^2) = exp(-t^2/2) is formed from t itself, not from the rounded y,
+    by Cody's split exp(-h^2/2)*exp(-(t-h)(t+h)/2), h = k/16, k = round(16t):
+    the first factor is the table entry _EXP_H2_FLOATS[k], and (t-h)(t+h)/2
+    is at most 1.7, so the error is that of the two exps (4.4e-16 measured),
+    where exp of the square of the rounded y would be off by y^2 times the
+    relative error of that square (1.9e-13 at z = -37.4).
     """
     a = abs(t)
-    y = a / d
+    y = a / SQRT_TWO
     if y < _SMALL:
-        return 1.0 - _erf_small(t / d)
+        return 1.0 - _erf_small(t / SQRT_TWO)
     if not y < _ERFC_ZERO:
         return 2.0 if t < 0.0 else 0.0 if t > 0.0 else t
     k = round(16.0 * a)
     h = k * 0.0625
-    v = (exp_h2[k] * float(np.exp((h - a) * (a + h) * c))
+    v = (_EXP_H2_FLOATS[k] * float(np.exp((h - a) * (a + h) * 0.5))
          * (_erfcx_near(y) if y < _TAIL else _erfcx_tail(y)))
     return 2.0 - v if t < 0.0 else v
 
@@ -199,18 +192,18 @@ def _erfcx_tail_array(x):
     return _mul(p, r, p)
 
 
-def _erfc_big_array(t, d, c, exp_h2):
+def _erfc_big_array(t):
     """_erfc_float on the entries of pieces B and C of an array."""
     a = np.abs(t)
     k = _mul(a, 16.0)
     np.rint(k, k)  # half to even, as round()
-    v = exp_h2.take(k.astype(np.intp))
+    v = _EXP_H2.take(k.astype(np.intp))
     h = _mul(k, 0.0625, k)
     e = _sub(h, a)
     _mul(e, _add(a, h, h), e)
-    _mul(e, c, e)
+    _mul(e, 0.5, e)
     _mul(v, _exp(e, e), v)
-    _erfcx_block(_div(a, d, a), h)  # erfcx(|t|/d), into h's buffer
+    _erfcx_block(_div(a, SQRT_TWO, a), h)  # erfcx(|t|/sqrt(2)), into h's buffer
     _mul(v, h, v)
     # 2 - v for negative t as (1 - sign) + sign*v: the same rounding, without
     # a masked step (~10 ns an entry on a mixed mask)
@@ -253,21 +246,14 @@ def _erfcx_block(x, out):
     _fill(out, x, ~near, _erfcx_tail_array)  # and NaN
 
 
-def _erfc_block(t, out, d, c, exp_h2):
-    y = _div(np.abs(t), d)
+def _phi_block(z, out):
+    t = np.negative(z)  # Phi(z) = erfc(t/sqrt(2))/2
+    y = _div(np.abs(t), SQRT_TWO)
     finite = y < _ERFC_ZERO  # not NaN, which 1 - sign keeps
     small = y < _SMALL
-    _fill(out, t, small, lambda v: _sub(1.0, _erf_small_array(_div(v, d))))
-    _fill(out, t, finite ^ small, lambda v: _erfc_big_array(v, d, c, exp_h2))
+    _fill(out, t, small, lambda v: _sub(1.0, _erf_small_array(_div(v, SQRT_TWO))))
+    _fill(out, t, finite ^ small, _erfc_big_array)
     _fill(out, t, ~finite, lambda v: _sub(1.0, np.sign(v)))  # 0, or 2 for negative t
-
-
-def _erfc_unit_block(t, out):
-    _erfc_block(t, out, 1.0, 1.0, _EXP_H2)
-
-
-def _phi_block(z, out):
-    _erfc_block(np.negative(z), out, SQRT_TWO, 0.5, _EXP_H2_HALF)
     _mul(out, 0.5, out)
 
 
@@ -280,18 +266,11 @@ def _erfcx(x):
     return _array_kernel(x, _erfcx, _erfcx_block)
 
 
-def _erfc(x):
-    """erfc(x) on the whole line, unchecked: a float or an ndarray."""
-    if isinstance(x, float):
-        return _erfc_float(float(x), 1.0, 1.0, _EXP_H2_FLOATS)
-    return _array_kernel(x, _erfc, _erfc_unit_block)
-
-
 def _phi(z):
     """Phi(z) = erfc(-z/sqrt(2))/2, unchecked: a float or an ndarray, +-inf
     allowed (giving exactly 1 or 0).  erfc lies in [0, 2], so no clip."""
     if isinstance(z, float):
-        return 0.5 * _erfc_float(-float(z), SQRT_TWO, 0.5, _EXP_H2_HALF_FLOATS)
+        return 0.5 * _erfc_float(-float(z))
     return _array_kernel(z, _phi, _phi_block)
 
 

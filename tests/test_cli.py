@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +415,32 @@ def test_small_blocks_write_the_default_bytes(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "reduced_prob", spy)
     assert export("blocks") == default
     assert sizes and max(sizes) == 7  # 50 points: seven blocks of 7 and one of 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_stdout_gets_the_bytes_of_out(runner, tmp_path, monkeypatch, fmt):
+    args = ["infimum", "--family", "log-normal", "--kappa", "0.5,1,2", "--curve-points", "30",
+            "--format", fmt]
+    monkeypatch.setattr(cli, "_BLOCK", 7)  # several pieces per curve
+    path = tmp_path / f"out.{fmt}"
+    assert runner.invoke(main, [*args, "--out", str(path)]).exit_code == 0
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert result.stdout_bytes == path.read_bytes()
+
+
+def test_closed_stdout_pipe_exits_0_without_stderr():
+    # the reader takes one line of a 1e6-point export and closes the pipe, as
+    # ``| head -1`` does, while the export is still writing
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "kappainf", "infimum", "--family", "gumbel",
+                             "--kappa", "2", "--curve-points", "1000000", "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"family,kappa,value")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(), stderr) == (0, b"")
 
 
 class TestRootCommand:

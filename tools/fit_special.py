@@ -1,4 +1,4 @@
-"""Regenerate the coefficient literals of the erfc/erfcx kernels in
+"""Regenerate the coefficient literals of the Phi/erfcx kernels in
 ``kappainf.special``.
 
 The pieces have the forms of W. J. Cody, "Rational Chebyshev approximations
@@ -9,8 +9,9 @@ for the error function", Math. Comp. 23 (1969) 631-637:
     C  x >= 4          erfcx(x) = (1/sqrt(pi) + z*P(z)/Q(z)) / x,
                        z = 1/x^2                              degrees 4/5
 
-erfc uses A below 1/2 and B from there; erfcx needs no A, since B starts
-at 0, where its constant terms are made equal so that erfcx(0) is exactly 1.
+Phi(z) = erfc(-z/sqrt(2))/2 uses A below |z|/sqrt(2) = 1/2 and B from
+there; erfcx needs no A, since B starts at 0, where its constant terms are
+made equal so that erfcx(0) is exactly 1.
 
 Each piece is fitted in 40-digit mpmath to least maximum relative error
 (of erf(x)/x, of erfcx, and of (x*erfcx(x) - 1/sqrt(pi))/z) on Chebyshev
