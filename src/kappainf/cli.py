@@ -44,23 +44,27 @@ def _parse_kappas(ctx, param, value: str) -> list[float]:
     return kappas
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# A CSV cell's text by the value's type: floats in shortest round-trip form.
+_CELL = {float: float.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+         type(None): lambda _: ""}
+
+
+def _cells(row: list) -> list[str]:
+    return [_CELL.get(type(v), str)(v) for v in row]
 
 
 def _render_csv(headers: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue().rstrip("\n")
+    """The text csv.writer writes for headers and rows of two or more cells.  It
+    quotes only a cell holding a comma, a quote or a line break, so text whose
+    cells hold none is the cells joined (writerow takes ~1.5 us a row)."""
+    lines = [headers, *map(_cells, rows)]
+    text = "\n".join([",".join(cells) for cells in lines])
+    if ('"' in text or "\r" in text or text.count("\n") >= len(lines)
+            or text.count(",") != sum(map(len, lines)) - len(lines)):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        text = buf.getvalue().rstrip("\n")
+    return text
 
 
 def _show(value) -> str:

@@ -43,7 +43,13 @@ limit and its check live beside ``_ig_curve`` in ``distributions``, whose
 The reduced coordinate is a plain float, as ``reduce_params`` returns it.
 ``reduced_prob``, ``ig_stationarity_scaled`` and ``ig_prob_deriv`` take kappa
 and the coordinate each as a scalar or an ndarray; the two broadcast against
-each other, and every element has exactly the bits of the scalar call.
+each other, and every element has exactly the bits of the scalar call.  A
+Python-float kappa and coordinate stay Python floats through the checks, the
+kernels and ``special``, and the result is a float: no 0-d array, no
+``np.errstate`` (float * and / overflow to inf quietly) and no numpy call but
+``np.exp``, whose bits the array path shares.  Each formula is written once;
+``distributions._wrappers`` picks its numpy wrappers (sqrt, minimum, exp and
+the overflow context) once per call, by the argument types.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import numpy as np
 
 from . import special
 from .distributions import (IG_KAPPA_MAX, POSITIVE_SUPPORT, SCALE_NAME, DistParams, Family,
-                            _ig_curve, _ig_exponent, _ig_ratio_limit, _ln_phi)
+                            _ig_curve, _ig_exponent, _ig_ratio_limit, _ln_phi, _wrappers)
 from .errors import (DomainError, RegimeError, finite_array, require_finite, require_positive,
                      unwrap)
 
@@ -127,19 +133,27 @@ def _ig_d(s, slope=False):
 
     No validation: s > 0 and finite.  A Python float or numpy scalar s gives
     floats; an ndarray (no ``slope``) is computed element by element with
-    the same bits.
+    the same bits.  Its fraction entries run sorted by s, so those that still
+    need a term at step n are a prefix, and only that prefix is updated.
     """
     if isinstance(s, np.ndarray):
-        d = 1.0 - _SQRT_PI * s * special._erfcx(s)
+        d = np.empty_like(s)
         tail = s >= _CF_FROM
+        near = s[~tail]
+        d[~tail] = 1.0 - _SQRT_PI * near * special._erfcx(near)
         if tail.any():
-            st = s[tail]
-            terms = 6.0 + np.floor(140.0 / st)
+            order = np.argsort(s[tail])
+            st = s[tail][order]
+            terms = 6 + (140.0 / st).astype(int)  # non-increasing
+            top = int(terms[0])
+            # entries with at least n terms, for n = top, ..., 2
+            heads = np.searchsorted(-terms, -np.arange(top, 1, -1), side="right")
             t2 = np.zeros_like(st)
-            for n in range(int(terms.max()), 1, -1):  # each entry as in the scalar loop
-                t2 = np.where(n <= terms, 0.5 * n / (st + t2), t2)
+            for n, m in zip(range(top, 1, -1), heads.tolist()):  # as the scalar loop
+                head = t2[:m]
+                np.divide(0.5 * n, np.add(st[:m], head, head), head)
             t = 0.5 / (st + t2)
-            d[tail] = t / (st + t)
+            np.put(d, np.flatnonzero(tail)[order], t / (st + t))
         return d
     if s < _CF_FROM:
         e = float(special._erfcx(s))
@@ -166,16 +180,11 @@ def _ig_gap(kappa, x):
     since k + 1 >= 2*sqrt(k).
     """
     k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
-    if type(x_arr) is float:  # then k is a float too, and float overflow is silent
-        sqrt_2k = math.sqrt(2.0 * k)
+    sqrt, _, _, quiet = _wrappers(k, x_arr)
+    sqrt_2k = sqrt(2.0 * k)
+    with quiet:
         s = (k + 1.0) * x_arr / sqrt_2k
-        finite = math.isfinite(s)
-    else:
-        sqrt_2k = np.sqrt(2.0 * k)
-        with np.errstate(over="ignore"):
-            s = (k + 1.0) * x_arr / sqrt_2k
-        finite = np.all(np.isfinite(s))
-    if not finite:
+    if not (math.isfinite(s) if type(s) is float else np.isfinite(s).all()):
         raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
                           f"overflows, got {x!r}")
     h = (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s)
@@ -219,12 +228,13 @@ def reduced_prob(family: Family, kappa, coord):
         log_k = (np.array([math.log(v) for v in k.flat]).reshape(k.shape)
                  if isinstance(k, np.ndarray) else math.log(k))
         p = _ln_phi(log_k, x, 0.5 * x)
-    elif family is Family.GUMBEL:
-        with np.errstate(over="ignore"):
-            p = np.exp(-np.exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
     else:
-        with np.errstate(over="ignore"):
-            p = special._expit((k - 1.0) * x)
+        _, _, exp, quiet = _wrappers(k, x)
+        with quiet:
+            if family is Family.GUMBEL:
+                p = exp(-exp(-((k - 1.0) * x + k * special.EULER_GAMMA)))
+            else:
+                p = special._expit((k - 1.0) * x)
     return unwrap(p, scalar)
 
 
@@ -240,7 +250,7 @@ def ig_stationarity_scaled(kappa, x):
     ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
     _, x_arr, h, scalar = _ig_gap(kappa, x)
-    with np.errstate(over="ignore"):  # h/x -> -inf at subnormal x: the true limit
+    with _wrappers(h, x_arr)[3]:  # h/x -> -inf at subnormal x: the true limit
         return unwrap(special.SQRT_TWO * h / x_arr, scalar)
 
 
@@ -258,8 +268,9 @@ def ig_prob_deriv(kappa, x):
     an ndarray.
     """
     k, x_arr, h, scalar = _ig_gap(kappa, x)
-    with np.errstate(over="ignore"):
-        decay = np.exp(_ig_exponent(k, x_arr))
+    _, _, exp, quiet = _wrappers(k, x_arr)
+    with quiet:
+        decay = exp(_ig_exponent(k, x_arr))
     return unwrap(_TWO_OVER_SQRT_PI * decay * h, scalar)
 
 

@@ -19,10 +19,11 @@ samplers running side by side on threads stay small.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, EnumMeta
 
 import numpy as np
 
@@ -33,7 +34,12 @@ from .errors import (DomainError, finite_array, require_count, require_finite,
 __all__ = ["Family", "DistParams", "mean", "cdf", "pdf", "sample"]
 
 
-class Family(str, Enum):
+class _FamilyMeta(EnumMeta):
+    def __call__(cls, value, *args, **kwargs):  # a member as it is: no ~0.8 us Enum lookup
+        return value if type(value) is cls else super().__call__(value, *args, **kwargs)
+
+
+class Family(str, Enum, metaclass=_FamilyMeta):
     """The four supported families (values are the CLI / file spellings)."""
 
     INVERSE_GAUSSIAN = "inverse-gaussian"
@@ -143,6 +149,29 @@ def _ig_ratio_limit(name: str, largest: float) -> None:
         )
 
 
+# A kernel takes its numpy wrappers (sqrt, minimum, exp, overflow context) from
+# ``_wrappers``, once per call, and writes each formula once.  Python floats need
+# no numpy call but np.exp, whose bits set the results, and no np.errstate: float
+# * and / overflow to inf quietly, and math.sqrt rounds as np.sqrt does.
+_LOG_MAX = math.log(sys.float_info.max)  # np.exp is finite up to here, inf above
+
+
+def _exp_float(w: float) -> float:
+    """np.exp(w) as a float, inf without a warning where it overflows."""
+    return math.inf if w > _LOG_MAX else float(np.exp(w))
+
+
+_FLOAT_WRAPPERS = (math.sqrt, min, _exp_float, contextlib.nullcontext())
+
+
+def _wrappers(a, b):
+    """The wrappers for a kernel's arguments a and b: the plain float ones when
+    both are Python floats, else numpy's, under np.errstate(over="ignore")."""
+    if type(a) is float and type(b) is float:
+        return _FLOAT_WRAPPERS
+    return np.sqrt, np.minimum, np.exp, np.errstate(over="ignore")
+
+
 def _ig_exponent(ratio, x):
     """-(ratio-1)^2 x^2/(2*ratio) <= 0: e^{2x^2} times the e^{-a^2/2} of the
     Gaussian tail at a = (ratio+1)x/sqrt(ratio), the exact form of
@@ -160,16 +189,17 @@ def _ig_curve(ratio, x):
     exponent is ever formed.  Unchecked: ratio and x > 0, either may be an
     array.  An overflowing intermediate is an inf that gives the exact limit
     (Phi(+-inf) = 1 or 0, erfcx(inf) = 0, exp(-inf) = 0)."""
-    with np.errstate(over="ignore"):
-        term1 = special._phi((ratio - 1.0) * x / np.sqrt(ratio))
-        carrier = special._erfcx((ratio + 1.0) * x / np.sqrt(2.0 * ratio))
-        return np.minimum(term1 + 0.5 * np.exp(_ig_exponent(ratio, x)) * carrier, 1.0)
+    sqrt, minimum, exp, quiet = _wrappers(ratio, x)
+    with quiet:
+        term1 = special._phi((ratio - 1.0) * x / sqrt(ratio))
+        carrier = special._erfcx((ratio + 1.0) * x / sqrt(2.0 * ratio))
+        return minimum(term1 + 0.5 * exp(_ig_exponent(ratio, x)) * carrier, 1.0)
 
 
 def _ln_phi(u, sigma, shift=0.0):
     """Phi(u/sigma + shift), the log-normal curve and CDF, unchecked.  u/sigma
     overflows for tiny sigma; Phi(+-inf) is exactly 1 or 0, the true limit."""
-    with np.errstate(over="ignore"):
+    with _wrappers(u, sigma)[3]:
         z = u / sigma + shift
     return special._phi(z)
 

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Optional
 
 from . import curves, special
-from .distributions import POSITIVE_SUPPORT, Family
+from .distributions import POSITIVE_SUPPORT, Family, _ig_curve
 from .errors import NumericalError, RegimeError, require_positive
 
 __all__ = ["LimitDirection", "InfimumResult", "ig_critical_point", "infimum"]
@@ -141,7 +141,7 @@ def infimum(family: Family, kappa: float) -> InfimumResult:
                                  limit_direction=direction)
         if family is Family.INVERSE_GAUSSIAN:
             x0 = ig_critical_point(k)
-            value = curves.reduced_prob(family, k, x0)
+            value = _ig_curve(k, x0)  # reduced_prob's kernel: both are checked floats
         else:
             x0 = math.sqrt(2.0 * math.log(k))
             value = special.std_normal_cdf(x0)

@@ -16,8 +16,9 @@ place, so a float and an array entry give the same bits.
 The normal CDF carries the tightest accuracy contract in the package
 (<= 1e-13 relative; against 40-digit references Phi and erfcx measured at
 most 7.8e-16 over 7,000 random arguments); ``std_normal_cdf`` is its
-checked public entry.  All functions accept a scalar or an ndarray and are
-pure.
+checked public entry; a Python float argument is checked and computed as a
+float, without a 0-d array.  All functions accept a scalar or an ndarray and
+are pure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import finite_array
+from .errors import finite_array, require_finite
 
 __all__ = [
     "EULER_GAMMA",
@@ -81,11 +82,21 @@ _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _BLOCK = 16_384
 
 
-# exp(-h^2/2) at h = k/16 for k = 0 .. 16*_ERFC_ZERO*sqrt(2), the first
-# factor of Phi's split exp (see ``_erfc_float``): an array for the array
-# kernel to take from and its floats for the float kernel to index.
-_EXP_H2 = np.exp(np.square(np.arange(int(16 * _ERFC_ZERO * SQRT_TWO) + 2) / 16.0) * -0.5)
+# 2^64 * exp(-h^2/2)/2 at h = k/16 for k = 0 .. 16*_ERFC_ZERO*sqrt(2), the
+# first factor of Phi's split exp (see ``_phi_float``): an array for the array
+# kernel to take from and its floats for the float kernel to index.  The 1/2 of
+# Phi = erfc/2 and a scale 2^64 are folded in and the product ends with a
+# multiply by _UNSCALE = 2^-64, so a subnormal Phi (z below ~ -37.5) is rounded
+# once, at that last step, not to a subnormal erfc and again when halved.  Where
+# exp(-h^2/2) is itself subnormal (h above ~37.6) the entry is the square of
+# 2^32 * exp(-h^2/4), which keeps its digits; every other entry is np.exp(-h^2/2)
+# scaled exactly, so Phi keeps its bits wherever it is normal.
+_H = np.arange(int(16 * _ERFC_ZERO * SQRT_TWO) + 2) / 16.0
+_EXP_H2 = np.exp(np.square(_H) * -0.5)
+_EXP_H2 = np.where(_EXP_H2 >= 2.0 ** -1022, _EXP_H2 * 2.0 ** 63,
+                   np.square(np.exp(np.square(_H) * -0.25) * 2.0 ** 32) * 0.5)
 _EXP_H2_FLOATS = _EXP_H2.tolist()
+_UNSCALE = 2.0 ** -64
 
 # Each piece of Phi and erfcx is written twice, with the same operations in
 # the same order: as plain expressions for a float, where a loop over the
@@ -120,11 +131,12 @@ def _erfcx_tail(x):
     return (_INV_SQRT_PI + z * (p / q)) * r
 
 
-def _erfc_float(t):
-    """erfc(t/sqrt(2)), a float; +-inf give 0 and 2, NaN gives NaN.
+def _phi_float(z):
+    """Phi(z) = erfc(t/sqrt(2))/2 at t = -z, a float; +-inf give 1 and 0, NaN
+    gives NaN.
 
     From |t|/sqrt(2) = 1/2 on, erfc(y) = exp(-y^2)*erfcx(y) at y =
-    |t|/sqrt(2), 0 from y = _ERFC_ZERO on, and 2 - erfc(y) for negative t.
+    |t|/sqrt(2), 0 from y = _ERFC_ZERO on, and Phi = 1 - erfc(y)/2 for negative t.
     exp(-y^2) = exp(-t^2/2) is formed from t itself, not from the rounded y,
     by Cody's split exp(-h^2/2)*exp(-(t-h)(t+h)/2), h = k/16, k = round(16t):
     the first factor is the table entry _EXP_H2_FLOATS[k], and (t-h)(t+h)/2
@@ -132,17 +144,18 @@ def _erfc_float(t):
     where exp of the square of the rounded y would be off by y^2 times the
     relative error of that square (1.9e-13 at z = -37.4).
     """
+    t = -z
     a = abs(t)
     y = a / SQRT_TWO
     if y < _SMALL:
-        return 1.0 - _erf_small(t / SQRT_TWO)
+        return 0.5 * (1.0 - _erf_small(t / SQRT_TWO))
     if not y < _ERFC_ZERO:
-        return 2.0 if t < 0.0 else 0.0 if t > 0.0 else t
+        return 1.0 if t < 0.0 else 0.0 if t > 0.0 else t
     k = round(16.0 * a)
     h = k * 0.0625
     v = (_EXP_H2_FLOATS[k] * float(np.exp((h - a) * (a + h) * 0.5))
-         * (_erfcx_near(y) if y < _TAIL else _erfcx_tail(y)))
-    return 2.0 - v if t < 0.0 else v
+         * (_erfcx_near(y) if y < _TAIL else _erfcx_tail(y))) * _UNSCALE
+    return 1.0 - v if t < 0.0 else v
 
 
 # The array forms call the ufuncs with a positional output: an in-place
@@ -192,8 +205,8 @@ def _erfcx_tail_array(x):
     return _mul(p, r, p)
 
 
-def _erfc_big_array(t):
-    """_erfc_float on the entries of pieces B and C of an array."""
+def _phi_big_array(t):
+    """_phi_float(-t) on the entries of pieces B and C of an array."""
     a = np.abs(t)
     k = _mul(a, 16.0)
     np.rint(k, k)  # half to even, as round()
@@ -205,11 +218,12 @@ def _erfc_big_array(t):
     _mul(v, _exp(e, e), v)
     _erfcx_block(_div(a, SQRT_TWO, a), h)  # erfcx(|t|/sqrt(2)), into h's buffer
     _mul(v, h, v)
-    # 2 - v for negative t as (1 - sign) + sign*v: the same rounding, without
+    _mul(v, _UNSCALE, v)
+    # 1 - v for negative t as (1 - sign)/2 + sign*v: the same rounding, without
     # a masked step (~10 ns an entry on a mixed mask)
     sign = np.sign(t)
     _mul(v, sign, v)
-    return _add(v, _sub(1.0, sign, sign), v)
+    return _add(v, _mul(_sub(1.0, sign, sign), 0.5, sign), v)
 
 
 def _fill(out, x, mask, f):
@@ -246,15 +260,19 @@ def _erfcx_block(x, out):
     _fill(out, x, ~near, _erfcx_tail_array)  # and NaN
 
 
+def _half_of_one_minus(v):
+    v = _sub(1.0, v)
+    return _mul(v, 0.5, v)
+
+
 def _phi_block(z, out):
     t = np.negative(z)  # Phi(z) = erfc(t/sqrt(2))/2
     y = _div(np.abs(t), SQRT_TWO)
     finite = y < _ERFC_ZERO  # not NaN, which 1 - sign keeps
     small = y < _SMALL
-    _fill(out, t, small, lambda v: _sub(1.0, _erf_small_array(_div(v, SQRT_TWO))))
-    _fill(out, t, finite ^ small, _erfc_big_array)
-    _fill(out, t, ~finite, lambda v: _sub(1.0, np.sign(v)))  # 0, or 2 for negative t
-    _mul(out, 0.5, out)
+    _fill(out, t, small, lambda v: _half_of_one_minus(_erf_small_array(_div(v, SQRT_TWO))))
+    _fill(out, t, finite ^ small, _phi_big_array)
+    _fill(out, t, ~finite, lambda v: _half_of_one_minus(np.sign(v)))  # 0, or 1 for negative t
 
 
 def _erfcx(x):
@@ -270,7 +288,7 @@ def _phi(z):
     """Phi(z) = erfc(-z/sqrt(2))/2, unchecked: a float or an ndarray, +-inf
     allowed (giving exactly 1 or 0).  erfc lies in [0, 2], so no clip."""
     if isinstance(z, float):
-        return 0.5 * _erfc_float(-float(z))
+        return _phi_float(float(z))
     return _array_kernel(z, _phi, _phi_block)
 
 
@@ -292,5 +310,7 @@ def std_normal_cdf(z):
     beyond |z| ~ 38.6 the tail is below the smallest subnormal and the
     result saturates to exactly 0 or 1.
     """
+    if type(z) is float:  # no 0-d array round trip; the same message
+        return _phi(require_finite("z", z))
     z_arr, scalar = finite_array("z", z)
     return _phi(float(z_arr)) if scalar else _phi(z_arr)

@@ -367,7 +367,7 @@ def refuse_constant(name):
           GridSpec.default_for(Family.INVERSE_GAUSSIAN, 5).points()), 2)
 def test_curve_writers_match_the_generic_renderers(export, block):
     # blocks of 1-4 points put their seams inside each curve and at its ends;
-    # the block writers against csv.writer + _cell and _render_table over
+    # the block writers against _render_csv and _render_table over
     # [family, kappa, coord, g] rows and json.dumps(indent=2) over {coord, g} dicts
     family, kappa, grid = export
     coords, curves = grid.tolist(), [reduced_prob(family, k, grid).tolist() for k in kappa]
@@ -390,6 +390,32 @@ def test_curve_writers_match_the_generic_renderers(export, block):
     assert json_text == json.dumps(doc(lambda gs: [
         {"coord": c, "g": g} for c, g in zip(coords, gs)]), indent=2)
     json.loads(json_text, parse_constant=refuse_constant)
+
+
+CSV_CELLS = st.one_of(st.none(), st.booleans(), st.floats(),
+                     st.text(alphabet=st.sampled_from('ab -,"\n\r')))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda n: st.lists(st.lists(CSV_CELLS, min_size=n, max_size=n), min_size=1, max_size=6)))
+def test_csv_renderer_writes_the_text_of_csv_writer(lines):
+    # the joined fast path and its fallback against csv.writer over the cell texts
+    # (empty for None, true/false, floats by repr); a comma, quote or line break
+    # in a cell is quoted
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    headers, *rows = lines
+    headers = [cell(h) for h in headers]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([headers, *[[cell(v) for v in row]
+                                                              for row in rows]])
+    assert cli._render_csv(headers, rows) == buf.getvalue().rstrip("\n")
 
 
 def test_small_blocks_write_the_default_bytes(runner, tmp_path, monkeypatch):

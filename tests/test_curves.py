@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kappainf import (
     DistParams,
@@ -20,9 +20,10 @@ from kappainf import (
     mean,
     reduce_params,
     reduced_prob,
+    std_normal_cdf,
 )
 from kappainf.curves import IG_KAPPA_MAX, _ig_d
-from kappainf.distributions import _ig_exponent
+from kappainf.distributions import _LOG_MAX, _exp_float, _ig_exponent
 from kappainf.errors import RegimeError
 
 IG = Family.INVERSE_GAUSSIAN
@@ -337,29 +338,84 @@ class TestProbDeriv:
 # kappa log-uniform in [1e-3, 1e3], or 1 + 10^u for u in [-12, -1]
 KAPPAS = st.one_of(st.floats(-3.0, 3.0).map(lambda u: 10.0 ** u),
                    st.floats(-12.0, -1.0).map(lambda u: 1.0 + 10.0 ** u))
+# every float the public checks accept, where (kappa+1)*x, exp(-z) and h/x overflow
+POSITIVE = st.floats(0.0, sys.float_info.max, exclude_min=True)
+REAL = st.floats(allow_nan=False, allow_infinity=False)
+COORDS = st.one_of(st.floats(1e-3, 30.0), POSITIVE)
+ANY_KAPPAS = st.one_of(KAPPAS, st.floats(0.0, IG_KAPPA_MAX, exclude_min=True), POSITIVE)
+
+
+def float_calls(call, kappas, coords):
+    """call on each (kappa, coord) pair as Python floats, checked to return floats."""
+    values = [call(float(k), float(c)) for k, c in zip(kappas, coords)]
+    assert all(type(v) is float for v in values)
+    return np.array(values)
 
 
 class TestArrayKappa:
-    @given(st.lists(st.tuples(KAPPAS, st.floats(1e-3, 30.0), st.floats(-50.0, 50.0)),
+    @given(st.lists(st.tuples(ANY_KAPPAS, COORDS, st.one_of(st.floats(-50.0, 50.0), REAL)),
                     min_size=1, max_size=30),
            st.sampled_from(list(Family)))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_reduced_prob_is_the_scalar_call_bit_for_bit(self, points, family):
+        if family is IG:
+            points = [p for p in points if p[0] <= IG_KAPPA_MAX]
+            assume(points)
         kappas, xs, ys = (np.array(column) for column in zip(*points))
         coords = xs if family in (IG, Family.LOG_NORMAL) else ys
-        array = reduced_prob(family, kappas, coords)
-        scalar = [reduced_prob(family, float(k), float(c)) for k, c in zip(kappas, coords)]
-        assert array.tobytes() == np.array(scalar).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = reduced_prob(family, kappas, coords)
+            scalar = float_calls(lambda k, c: reduced_prob(family, k, c), kappas, coords)
+        assert array.tobytes() == scalar.tobytes()
 
-    @given(st.lists(st.tuples(KAPPAS, st.floats(1e-3, 30.0)), min_size=1, max_size=30))
-    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(KAPPAS, st.floats(0.0, IG_KAPPA_MAX, exclude_min=True)),
+                              COORDS), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
     def test_stationarity_kernels_are_the_scalar_calls_bit_for_bit(self, points):
+        # only points whose erfcx argument is finite: the others are a DomainError
+        points = [(k, x) for k, x in points if math.isfinite((k + 1.0) * x / math.sqrt(2.0 * k))]
+        assume(points)
         kappas, xs = (np.array(column) for column in zip(*points))
-        for call in (ig_prob_deriv, ig_stationarity_scaled):
-            scalar = [call(float(k), float(x)) for k, x in zip(kappas, xs)]
-            assert call(kappas, xs).tobytes() == np.array(scalar).tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (ig_prob_deriv, ig_stationarity_scaled):
+                assert call(kappas, xs).tobytes() == float_calls(call, kappas, xs).tobytes()
         s = (kappas + 1.0) * xs / np.sqrt(2.0 * kappas)
         assert _ig_d(s).tobytes() == np.array([_ig_d(float(v)) for v in s]).tobytes()
+
+    def test_float_exp_is_numpys_and_inf_past_its_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in (-math.inf, -800.0, -1.5, 0.0, 700.0, _LOG_MAX):
+                assert _exp_float(w) == np.exp(w) < math.inf
+            for w in (math.nextafter(_LOG_MAX, math.inf), 1e300, math.inf):
+                assert _exp_float(w) == math.inf
+
+    def test_float_calls_take_no_errstate(self, monkeypatch):
+        # plain float arithmetic overflows to inf quietly, so a float call needs no
+        # np.errstate, not even where (kappa+1)*x, exp(-z) or h/x overflow
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.errstate entered on a float call")
+
+        monkeypatch.setattr(np, "errstate", refuse)
+        big, tiny = 1e300, 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kappa in (1e-300, 1e-3, 0.5, 1.0, 2.0, 1e3, IG_KAPPA_MAX):
+                for family in Family:
+                    coords = ((tiny, 1.0, big) if family in (IG, Family.LOG_NORMAL)
+                              else (-big, -1.0, 0.0, tiny, big))
+                    for coord in coords:
+                        assert type(reduced_prob(family, kappa, coord)) is float
+                for x in (tiny, 1.0, 1e100):
+                    for call in (ig_stationarity_scaled, ig_prob_deriv):
+                        assert type(call(kappa, x)) is float
+            assert type(ig_peak_coord(2.0)) is float
+            for family in Family:
+                assert type(reduce_params(DistParams(family, 2.0, 0.5))) is float
+            for z in (-big, -38.4, 0.3, 38.4, big):
+                assert type(std_normal_cdf(z)) is float
 
     def test_kappa_broadcasts_against_the_coordinate(self):
         kappas = np.array([[0.5], [2.0]])

@@ -202,17 +202,28 @@ def test_kernels_match_frozen_40_digit_references(kernel, table):
 
 def test_phi_is_zero_from_where_it_rounds_to_zero():
     # 40-digit mpmath: Phi(-38.47528084233602) = 3.65e-324 rounds to the
-    # subnormal 5e-324, the kernel's last nonzero value; Phi(-38.48540833556734)
+    # subnormal 5e-324, and so does Phi at the next float up from
+    # -38.48540833556734, the last nonzero value; Phi(-38.48540833556734)
     # = 2^-1075*(1 - 7.7e-15) rounds to 0.  The kernel's cut z = -27.3*sqrt(2)
     # is pinned at -1, 0 and +1 ulp: Phi = 2.18e-326 there, which rounds to 0,
     # and 1 - 2.18e-326 at -z, which rounds to 1.
     cut = -27.3 * math.sqrt(2.0)
     around = [math.nextafter(cut, -math.inf), cut, math.nextafter(cut, 0.0)]
-    args = np.array([-38.47528084233602, -38.48540833556734, *around, -38.7, -math.inf,
-                     *(-z for z in around), 38.7, math.inf])
-    expected = [5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+    args = np.array([-38.47528084233602, -38.485408335567335, -38.48540833556734, *around,
+                     -38.7, -math.inf, *(-z for z in around), 38.7, math.inf])
+    expected = [5e-324, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
     assert [_phi(x) for x in args.tolist()] == expected
     assert _phi(args).tolist() == expected
+
+
+def test_subnormal_phi_is_rounded_once():
+    # 40-digit mpmath: Phi(-38.48) = 3.04e-324, Phi(-38.46) = 6.57e-324 and
+    # Phi(-38.4) = 6.60e-323, nearest 5e-324, 5e-324 and 6.4e-323; an erfc
+    # rounded to a subnormal and then halved gave 0.0, 1e-323 and 7e-323
+    args = [-38.48, -38.46, -38.4]
+    expected = [5e-324, 5e-324, 6.4e-323]
+    assert [_phi(x) for x in args] == expected
+    assert _phi(np.array(args)).tolist() == expected
 
 
 def _bits(value) -> bytes:
