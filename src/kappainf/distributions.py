@@ -12,9 +12,12 @@ uses a fixed transformation of that stream:
   between the root and its conjugate), since this CDF has no closed-form
   inverse.
 
-Each transform runs in place in the one n-float array it returns (~8 MB at
-1e6 draws), with 65,536-element buffers for its intermediates, so that
-samplers running side by side on threads stay small.
+One private generator, ``_blocks``, writes each transform once and yields
+the draws 65,536 at a time, with its intermediates in reused buffers.
+``sample`` has it fill the one n-float array it returns (~8 MB at 1e6
+draws); ``oracles.mc_prob`` counts each block and holds no n-array, except
+the inverse Gaussian's n normals, whose uniforms follow all of them in the
+stream.  So samplers running side by side on threads stay small.
 """
 
 from __future__ import annotations
@@ -259,14 +262,16 @@ def _density(family: Family, t, p1, p2, log_p2):
         log_t = np.log(t)
         log_pdf = -log_p2 - 0.5 * _LOG_2PI - log_t - (log_t - p1) ** 2 / (2.0 * p2 * p2)
         return np.exp(log_pdf)
-    if family is Family.GUMBEL:
-        z = (t - p1) / p2
-        with np.errstate(over="ignore"):
-            log_pdf = -log_p2 - z - np.exp(-z)
-        return np.exp(log_pdf)
-    z = np.abs(t - p1) / p2
-    e = np.exp(-z)
-    return e / (p2 * (1.0 + e) ** 2)
+    # Gumbel and logistic: an overflowing z is an inf, and the density there
+    # is 0.  z is clamped at -709, where exp(-z) is still finite, so that
+    # -z - exp(-z) is never inf - inf; below it the density is exp(< -8e307) = 0
+    # anyway.  A density above DBL_MAX (scale below ~2e-309) rounds to inf.
+    with np.errstate(over="ignore"):
+        if family is Family.GUMBEL:
+            z = np.maximum((t - p1) / p2, -709.0)
+            return np.exp(-log_p2 - z - np.exp(-z))
+        e = np.exp(-(np.abs(t - p1) / p2))
+        return e / (p2 * (1.0 + e) ** 2)
 
 
 def pdf(params: DistParams, t):
@@ -276,25 +281,31 @@ def pdf(params: DistParams, t):
     return unwrap(out, scalar)
 
 
-# Length of the samplers' chunk buffers.
+# Length of the samplers' blocks and of their buffers.
 _CHUNK = 65_536
 
 
-def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws; identical output for identical (params, n, seed)."""
-    n = require_count("n", n)
+def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):
+    """Yield the n draws of ``sample(params, n, seed)`` in order, at most
+    _CHUNK at a time.  With ``out`` (n floats) each block is the view of out
+    at its offset, so out ends up holding the sample; without it the blocks
+    share one buffer, which the next block overwrites (the inverse Gaussian's
+    are views of its n normals).  n is unchecked; the seed is checked on the
+    first step."""
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
+    size = min(n, _CHUNK)
 
     # Every step keeps the order of the plain formula (in the comments), so
-    # the draws keep their bits.
+    # the draws keep their bits whatever the blocks.
     if params.family is Family.INVERSE_GAUSSIAN:
-        w = rng.standard_normal(n)
-        buf = np.empty(min(n, _CHUNK))
-        u = np.empty_like(buf)
+        # the uniforms follow all n normals in the stream
+        w = rng.standard_normal(n) if out is None else rng.standard_normal(out=out)
+        t_buf, u_buf = np.empty(size), np.empty(size)
+        pick_buf = np.empty(size, dtype=np.int64)
         for s in range(0, n, _CHUNK):
             x = w[s:s + _CHUNK]
-            t, v = buf[:x.size], u[:x.size]
+            t, v, pick = t_buf[:x.size], u_buf[:x.size], pick_buf[:x.size]
             x *= x
             x *= p1
             x /= 2.0 * p2  # x = p1*y/(2*p2), y = z^2 chi-square
@@ -306,33 +317,52 @@ def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
             x *= p1  # root = p1*(1 + x - sqrt(x*(x + 2)))
             np.add(x, p1, out=t)
             np.divide(p1, t, out=t)
-            rng.random(out=v)  # the uniforms follow all n normals in the stream
-            keep = v <= t  # u <= p1/(p1 + root)
-            np.divide(p1 * p1, x, out=x, where=~keep)
-        return w
+            rng.random(out=v)
+            np.less_equal(v, t, out=pick)  # 1 where u <= p1/(p1 + root) keeps the root,
+            pick -= 1  # else all bits set
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                np.divide(p1 * p1, x, out=t)  # the conjugate p1^2/root, kept only where picked
+            # x ^ ((x ^ t) & pick): the bits of the root or of the conjugate, with no
+            # branch per draw
+            x_bits, t_bits = x.view(np.int64), t.view(np.int64)
+            t_bits ^= x_bits
+            t_bits &= pick
+            x_bits ^= t_bits
+            yield x
+        return
 
-    if params.family is Family.LOG_NORMAL:
-        z = rng.standard_normal(n)
-        z *= p2
-        z += p1
-        return np.exp(z, out=z)  # exp(p1 + p2*z)
-
-    u = rng.random(n)
-    np.maximum(u, 5e-324, out=u)  # keep inverse transforms finite
-    if params.family is Family.GUMBEL:
-        np.log(u, out=u)
-        np.negative(u, out=u)
-        np.log(u, out=u)
-        u *= p2
-        return np.subtract(p1, u, out=u)  # p1 - p2*log(-log(u))
-    buf = np.empty(min(n, _CHUNK))
+    buf = np.empty(size) if out is None else None
+    log1p_buf = np.empty(size) if params.family is Family.LOGISTIC else None
     for s in range(0, n, _CHUNK):
-        x = u[s:s + _CHUNK]
-        t = buf[:x.size]
-        np.negative(x, out=t)
-        np.log1p(t, out=t)
-        np.log(x, out=x)
-        x -= t
-    u *= p2
-    u += p1  # p1 + p2*(log(u) - log1p(-u))
-    return u
+        x = buf[:min(n - s, _CHUNK)] if out is None else out[s:s + _CHUNK]
+        if params.family is Family.LOG_NORMAL:
+            rng.standard_normal(out=x)
+            x *= p2
+            x += p1
+            np.exp(x, out=x)  # exp(p1 + p2*z)
+        else:
+            rng.random(out=x)
+            np.maximum(x, 5e-324, out=x)  # keep inverse transforms finite
+        if params.family is Family.GUMBEL:
+            np.log(x, out=x)
+            np.negative(x, out=x)
+            np.log(x, out=x)
+            x *= p2
+            np.subtract(p1, x, out=x)  # p1 - p2*log(-log(u))
+        elif params.family is Family.LOGISTIC:
+            t = log1p_buf[:x.size]
+            np.negative(x, out=t)
+            np.log1p(t, out=t)
+            np.log(x, out=x)
+            x -= t
+            x *= p2
+            x += p1  # p1 + p2*(log(u) - log1p(-u))
+        yield x
+
+
+def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. draws; identical output for identical (params, n, seed)."""
+    out = np.empty(require_count("n", n))
+    for _ in _blocks(params, out.size, seed, out):
+        pass
+    return out

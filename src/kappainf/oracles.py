@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves
-from .distributions import POSITIVE_SUPPORT, DistParams, Family, _density, _mode, mean, sample
+from .distributions import (_CHUNK, POSITIVE_SUPPORT, DistParams, Family, _blocks, _density,
+                            _mode, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -273,13 +274,20 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
 
 def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float, float]:
     """Fraction of n seeded draws at or below kappa*mean, with its binomial
-    standard error sqrt(p(1-p)/n); a kappa*mean that overflows is a DomainError."""
+    standard error sqrt(p(1-p)/n); a kappa*mean that overflows is a DomainError.
+
+    The draws are those of ``sample(params, n, seed)``, counted a block of
+    65,536 at a time: no n-float array is held, except the inverse
+    Gaussian's n normals, which its uniforms follow in the stream."""
     if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
     # raises before any draw
     t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
-    draws = sample(params, n, seed)
-    p_hat = float(np.count_nonzero(draws <= t_end)) / n
+    hits = 0
+    below = np.empty(min(n, _CHUNK), dtype=bool)
+    for block in _blocks(params, n, seed):
+        hits += np.count_nonzero(np.less_equal(block, t_end, out=below[:block.size]))
+    p_hat = float(hits) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 

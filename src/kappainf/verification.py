@@ -10,16 +10,22 @@ still applies.
 Budgets: ``quick`` runs 1e5-sample Monte Carlo, 1e4-point grids and 50
 random quadrature cases per family; ``full`` raises these to 1e6, 1e5 and
 200.  The seed drives every random draw through derived child seeds, so a
-run is reproducible end to end.  The Monte Carlo cases run on a thread pool
-as wide as the usable CPUs (at most one thread per case); each draws from
-its own child seed and holds one n-float array (~8 MB at ``full``), so the
-rows are those of a serial loop.
+run is reproducible end to end.  All random inputs are drawn first, in the
+order of a serial run: the quadrature cases, the derivative points, then one
+child seed per Monte Carlo case.  The Monte Carlo cases then run on a thread
+pool as wide as the usable CPUs (at most one thread per case) while the
+calling thread computes the rows that come before theirs; the two short
+groups of rows after theirs follow once they are collected.  Each case
+draws from its own child seed and counts its draws a block at a time, so
+the rows, their order, the first error raised and the bytes are those of a
+serial loop.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -61,23 +67,37 @@ _MC_CASES = [
 ]
 
 
-def _random_params(family: Family, rng: np.random.Generator) -> DistParams:
-    if family is Family.INVERSE_GAUSSIAN:
-        mu, lam = 10.0 ** rng.uniform(-2.0, 2.0, size=2)
-        return DistParams.inverse_gaussian(mu, lam)
-    if family is Family.LOG_NORMAL:
-        return DistParams.log_normal(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-1.3, 0.5))
-    mu = rng.uniform(-5.0, 5.0)
-    return DistParams(family, mu, 10.0 ** rng.uniform(-1.0, 1.0))
+# (lows, highs) of the three uniforms each quadrature case draws, in stream
+# order: the family's two parameter coordinates, then log10 kappa
+_CASE_UNIFORMS = {
+    Family.INVERSE_GAUSSIAN: ((-2.0, -2.0, -1.0), (2.0, 2.0, 1.0)),  # log10 mu, log10 lambda
+    Family.LOG_NORMAL: ((-2.0, -1.3, -1.0), (2.0, 0.5, 1.0)),  # mu, log10 sigma
+    Family.GUMBEL: ((-5.0, -1.0, -1.0), (5.0, 1.0, 1.0)),  # mu, log10 beta
+    Family.LOGISTIC: ((-5.0, -1.0, -1.0), (5.0, 1.0, 1.0)),
+}
 
 
-def _closed_form_rows(budget: Budget, rng: np.random.Generator) -> list[OracleReport]:
-    rows = []
+def _quad_cases(budget: Budget, rng: np.random.Generator) -> list[list[tuple[DistParams, float]]]:
+    """The random (params, kappa) cases of each family's quadrature row, in
+    Family order.  One uniform call per family takes the values of one scalar
+    call per uniform from the stream.  The inverse Gaussian parameters are
+    numpy powers of ten, the others Python ones; the two differ in the last
+    bit for about one argument in twenty, so that choice is part of the cases."""
+    cases = []
     for family in Family:
-        cases = []
-        for _ in range(budget.quad_cases):
-            params = _random_params(family, rng)
-            cases.append((params, 10.0 ** rng.uniform(-1.0, 1.0)))
+        u = rng.uniform(*_CASE_UNIFORMS[family], size=(budget.quad_cases, 3))
+        if family is Family.INVERSE_GAUSSIAN:
+            p1, p2 = (10.0 ** u[:, :2]).T.tolist()
+        else:
+            p1, p2 = u[:, 0].tolist(), [10.0 ** v for v in u[:, 1].tolist()]
+        kappas = [10.0 ** v for v in u[:, 2].tolist()]
+        cases.append([(DistParams(family, a, b), k) for a, b, k in zip(p1, p2, kappas)])
+    return cases
+
+
+def _closed_form_rows(cases_by_family: list[list[tuple[DistParams, float]]]) -> list[OracleReport]:
+    rows = []
+    for family, cases in zip(Family, cases_by_family):
         estimates = _quadrature_batch(cases)
         analytic = curves.reduced_prob(
             family,
@@ -90,7 +110,7 @@ def _closed_form_rows(budget: Budget, rng: np.random.Generator) -> list[OracleRe
         rows.append(OracleReport(
             "quadrature", analytic[worst], estimates[worst], 1e-9,
             f"{family.value}: curve vs density quadrature, "
-            f"{budget.quad_cases} random cases, worst at "
+            f"{len(cases)} random cases, worst at "
             f"p1={params.p1:.4g} p2={params.p2:.4g} kappa={kappa:.4g}",
         ))
     return rows
@@ -138,9 +158,13 @@ def _ig_critical_rows(budget: Budget) -> list[OracleReport]:
     return rows
 
 
-def _derivative_rows(rng: np.random.Generator) -> list[OracleReport]:
+def _derivative_points(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The 1000 random (kappa, x) of the derivative rows."""
     kappas = 10.0 ** rng.uniform(math.log10(0.2), 1.0, size=1000)
-    xs = rng.uniform(0.05, 5.0, size=1000)
+    return kappas, rng.uniform(0.05, 5.0, size=1000)
+
+
+def _derivative_rows(kappas: np.ndarray, xs: np.ndarray) -> list[OracleReport]:
     step = 1e-6 * np.maximum(1.0, xs)
     fd = (
         curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappas, xs + step)
@@ -217,14 +241,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_rows(budget: Budget, seed_source: np.random.Generator) -> list[OracleReport]:
+def _mc_rows(budget: Budget, seed_source: np.random.Generator,
+             first: Callable[[], list[OracleReport]] = list) -> list[OracleReport]:
+    """first() + the Monte Carlo rows.  The cases run on a pool as wide as the
+    usable CPUs while the calling thread computes first(); if that raises,
+    the cases not started are cancelled and the pool is joined before the
+    error goes on, so no thread outlives the call."""
     # every case has its own generator, and numpy's fills and ufuncs release
     # the GIL, so the cases run on threads with the draws of a serial loop
     seeds = [int(seed_source.integers(2**63)) for _ in _MC_CASES]
-    rows = []
     with ThreadPoolExecutor(min(len(_MC_CASES), _usable_cpus())) as pool:
         futures = [pool.submit(mc_prob, params, kappa, budget.mc_samples, child_seed)
                    for (params, kappa), child_seed in zip(_MC_CASES, seeds)]
+        try:
+            rows = first()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
         for (params, kappa), child_seed, future in zip(_MC_CASES, seeds, futures):
             analytic = cdf(params, kappa * mean(params))
             estimate, se = future.result()  # a serial loop's first error
@@ -316,14 +349,23 @@ def run_verification(budget: str = "quick", seed: int = 1) -> list[OracleReport]
     limits = BUDGETS[budget]
     rng = np.random.default_rng(require_count("seed", seed))
 
-    rows: list[OracleReport] = []
-    rows += _closed_form_rows(limits, rng)
-    rows.append(_ig_monotone_row())
-    rows += _ig_critical_rows(limits)
-    rows += _derivative_rows(rng)
-    rows += _log_normal_rows(limits)
-    rows += _location_scale_rows()
-    rows += _mc_rows(limits, rng)
+    # Every random input is drawn first, in the order of a serial run: the
+    # quadrature cases, the derivative points, then (in _mc_rows) the Monte
+    # Carlo seeds.  The rows keep the serial order and bytes.
+    quad_cases = _quad_cases(limits, rng)
+    points = _derivative_points(rng)
+
+    def deterministic_rows() -> list[OracleReport]:
+        return [
+            *_closed_form_rows(quad_cases),
+            _ig_monotone_row(),
+            *_ig_critical_rows(limits),
+            *_derivative_rows(*points),
+            *_log_normal_rows(limits),
+            *_location_scale_rows(),
+        ]
+
+    rows = _mc_rows(limits, rng, deterministic_rows)
     rows += _phase_transition_rows()
     rows += _ig_near_one_rows()
     return rows

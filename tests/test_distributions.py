@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kappainf import oracles
 from kappainf import (
@@ -23,6 +24,7 @@ from kappainf import (
     reduced_prob,
     sample,
 )
+from kappainf.distributions import _blocks
 
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
@@ -251,6 +253,37 @@ class TestPdf:
         # 50-digit value at these float arguments
         assert abs(value / 2.4083411833740553e-302 - 1.0) <= 1e-12
 
+    def test_location_scale_density_where_z_overflows(self):
+        # (t - mu)/beta overflows to -inf: the Gumbel's -z - exp(-z) was
+        # inf - inf (NaN), and the logistic warned on its way to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for family in (Family.GUMBEL, Family.LOGISTIC):
+                params = DistParams(family, 1e300, 1e-10)
+                assert pdf(params, -1e300) == 0.0
+                assert pdf(params, 1e308) == 0.0
+                assert pdf(params, np.array([-1e300, 1e308])).tolist() == [0.0, 0.0]
+
+    # every (mu, beta, t) the checks accept, where (t - mu)/beta, exp(-z) and
+    # beta*(1 + e)^2 overflow
+    @given(st.sampled_from([Family.GUMBEL, Family.LOGISTIC]),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, sys.float_info.max, exclude_min=True),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_location_scale_density_over_every_accepted_input(self, family, mu, beta, ts):
+        params = DistParams(family, mu, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = pdf(params, np.array(ts))
+            scalars = np.array([pdf(params, t) for t in ts])
+        assert values.tobytes() == scalars.tobytes()
+        assert np.all(values >= 0.0)  # no NaN
+        # the peak is 1/(e*beta) or 1/(4*beta): a float for every normal beta,
+        # and rounded to inf only below it
+        if beta >= sys.float_info.min:
+            assert np.all(np.isfinite(values))
+
     @pytest.mark.parametrize("params, knots", zip(ALL_PARAMS, MASS_KNOTS),
                              ids=[p.family.value for p in ALL_PARAMS])
     def test_total_mass_is_one(self, params, knots):
@@ -338,6 +371,30 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 2**20
+
+    @pytest.mark.parametrize("n", [1000, 65_535, 65_536, 65_537, 200_001, 10**6])
+    def test_blocks_are_the_sample_and_mc_prob_counts_them(self, n):
+        for params in ALL_PARAMS:
+            draws = sample(params, n, seed=123)
+            blocks = [block.copy() for block in _blocks(params, n, 123)]
+            assert all(block.size <= 65_536 for block in blocks)
+            assert np.concatenate(blocks).tobytes() == draws.tobytes(), params
+            for kappa in (0.5, 1.0, 2.0):
+                t_end = kappa * mean(params)
+                p_hat, _ = mc_prob(params, kappa, n, 123)
+                assert p_hat == float(np.count_nonzero(draws <= t_end)) / n, (params, kappa)
+
+    @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
+    def test_million_draw_count_holds_no_draw_array(self, params):
+        # block buffers only; the inverse Gaussian holds its 8 MB of normals,
+        # whose uniforms follow all of them in the stream
+        tracemalloc.start()
+        try:
+            mc_prob(params, 1.0, 10**6, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (10 if params.family is Family.INVERSE_GAUSSIAN else 2) * 2**20
 
     def test_zero_draws_is_empty_not_an_error(self):
         assert sample(ALL_PARAMS[0], 0, seed=1).size == 0

@@ -3,6 +3,7 @@ analytic path."""
 
 import hashlib
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -342,11 +343,12 @@ class TestVerificationRows:
                 return _f(*args)
             monkeypatch.setattr(curves, name, counted)
 
-        rows = verification._derivative_rows(np.random.default_rng(1))
+        rows = verification._derivative_rows(
+            *verification._derivative_points(np.random.default_rng(1)))
         assert len(calls) <= 4 and all(row.passed for row in rows)
         calls.clear()
-        rows = verification._closed_form_rows(verification.Budget(1000, 1000, 5),
-                                              np.random.default_rng(1))
+        rows = verification._closed_form_rows(verification._quad_cases(
+            verification.Budget(1000, 1000, 5), np.random.default_rng(1)))
         assert calls == ["reduced_prob"] * len(Family)
         assert all(row.passed for row in rows)
 
@@ -366,8 +368,8 @@ class TestVerificationRows:
 
         monkeypatch.setattr(oracles, "_density", counted_density)
         monkeypatch.setattr(oracles, "_gauss_kronrod", counted_engine)
-        rows = verification._closed_form_rows(verification.Budget(1000, 1000, quad_cases),
-                                              np.random.default_rng(1))
+        rows = verification._closed_form_rows(verification._quad_cases(
+            verification.Budget(1000, 1000, quad_cases), np.random.default_rng(1)))
         assert all(row.passed for row in rows)
         # a round per call, plus the peaks and the left tails of the real-line families
         assert len(density_calls) == len(rounds) + 2 * 2
@@ -416,6 +418,66 @@ class TestMcRowsPool:
         assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got -1.5"
 
 
+def _serial_run(budget, seed):
+    """The rows of run_verification from its parts one after another, with
+    the random draws between them as a serial loop makes them."""
+    limits = verification.BUDGETS[budget]
+    rng = np.random.default_rng(seed)
+    rows = verification._closed_form_rows(verification._quad_cases(limits, rng))
+    rows.append(verification._ig_monotone_row())
+    rows += verification._ig_critical_rows(limits)
+    rows += verification._derivative_rows(*verification._derivative_points(rng))
+    rows += verification._log_normal_rows(limits)
+    rows += verification._location_scale_rows()
+    rows += verification._mc_rows(limits, rng)
+    rows += verification._phase_transition_rows()
+    rows += verification._ig_near_one_rows()
+    return rows
+
+
+class TestMonteCarloAlongside:
+    @pytest.mark.parametrize("budget, seed", [("quick", 1), ("quick", 2), ("quick", 3),
+                                              ("full", 1)])
+    def test_rows_do_not_depend_on_the_pool_width(self, monkeypatch, budget, seed):
+        runs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(verification, "_usable_cpus", lambda: workers)
+            runs.append(run_verification(budget, seed))
+        assert runs[0] == runs[1]
+        if budget == "quick":
+            assert runs[0] == _serial_run(budget, seed)
+
+    @pytest.mark.parametrize("broken", ["_ig_critical_rows", "_location_scale_rows",
+                                        "_phase_transition_rows"])
+    def test_a_raising_row_raises_the_serial_error(self, monkeypatch, broken):
+        # the row raises while the Monte Carlo cases run, and one of those
+        # cases raises too: a serial loop raises whichever comes first
+        def fail(*args):
+            raise NumericalError(f"{broken} failed")
+
+        monkeypatch.setattr(verification, broken, fail)
+        monkeypatch.setattr(verification, "_MC_CASES", [
+            *verification._MC_CASES[:3],
+            (DistParams.logistic(1.0, 0.3), -1.5),
+            *verification._MC_CASES[3:],
+        ])
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
+        with pytest.raises(KappainfError) as serial:
+            _serial_run("quick", 2)
+        before = threading.active_count()
+        with pytest.raises(KappainfError) as pooled:
+            run_verification("quick", 2)
+        assert threading.active_count() == before
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value)
+
+    def test_no_worker_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
+        before = threading.active_count()
+        assert all(row.passed for row in run_verification("quick", 3))
+        assert threading.active_count() == before
+
+
 # SHA-256 of the quadrature estimates of _closed_form_rows, one per family in
 # Family order, as produced by one adaptive run per case.
 FROZEN_QUADRATURE = {
@@ -457,7 +519,8 @@ def quadrature_batches(budget, seed):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(verification, "_quadrature_batch", recorded)
-        verification._closed_form_rows(verification.BUDGETS[budget], np.random.default_rng(seed))
+        verification._closed_form_rows(verification._quad_cases(
+            verification.BUDGETS[budget], np.random.default_rng(seed)))
     return batches
 
 
