@@ -24,10 +24,10 @@ import click
 import numpy as np
 
 from .curves import reduce_params, reduced_prob
-from .distributions import SCALE_NAME, DistParams, Family
+from .distributions import SCALE_NAME, DistParams, Family, _ig_curve
 from .errors import DomainError, NumericalError, RegimeError
 from .oracles import GridSpec
-from .solver import InfimumResult, ig_critical_point, infimum
+from .solver import InfimumResult, LimitDirection, ig_critical_point, infimum
 from .verification import BUDGETS, run_verification
 from . import curves
 
@@ -46,19 +46,25 @@ def _parse_kappas(ctx, param, value: str) -> list[float]:
 
 # A CSV cell's text by the value's type: floats in shortest round-trip form.
 _CELL = {float: float.__repr__, bool: {True: "true", False: "false"}.__getitem__,
-         type(None): lambda _: ""}
+         type(None): {None: ""}.__getitem__}
 
 
-def _cells(row: list) -> list[str]:
-    return [_CELL.get(type(v), str)(v) for v in row]
+def _column_cells(column: tuple) -> Iterable[str]:
+    """The CSV texts of one column's values: one map of the type's formatter
+    when they share a type, else a dispatch per cell."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return map(_CELL.get(kinds.pop(), str), column)
+    return [_CELL.get(type(v), str)(v) for v in column]
 
 
 def _render_csv(headers: list[str], rows: list[list]) -> str:
     """The text csv.writer writes for headers and rows of two or more cells.  It
     quotes only a cell holding a comma, a quote or a line break, so text whose
-    cells hold none is the cells joined (writerow takes ~1.5 us a row)."""
-    lines = [headers, *map(_cells, rows)]
-    text = "\n".join([",".join(cells) for cells in lines])
+    cells hold none is the cells joined (writerow takes ~1.5 us a row).  The
+    cells are formatted a column at a time."""
+    lines = [headers, *zip(*map(_column_cells, zip(*rows)))]
+    text = "\n".join(map(",".join, lines))
     if ('"' in text or "\r" in text or text.count("\n") >= len(lines)
             or text.count(",") != sum(map(len, lines)) - len(lines)):
         buf = io.StringIO()
@@ -164,17 +170,16 @@ def cmd_eval(family, kappa, coord, mu, lam, sigma, beta) -> None:
     click.echo(format(reduced_prob(fam, kappa, coord), ".15g"))
 
 
+# the text of None and of each Family and LimitDirection member, read from a
+# dict instead of through Enum's ``.value`` property (~0.1 us a read)
+_TEXT = {None: None, **{member: member.value for member in (*Family, *LimitDirection)}}
+
+
 def _infimum_row(result: InfimumResult) -> list:
-    """Values in _INFIMUM_HEADERS order."""
-    return [
-        result.family.value,
-        float(result.kappa),
-        float(result.value),
-        bool(result.attained),
-        bool(result.constant),
-        float(result.argmin) if result.argmin is not None else None,
-        result.limit_direction.value if result.limit_direction is not None else None,
-    ]
+    """Values in _INFIMUM_HEADERS order, of a result that ``infimum`` made: its
+    kappa, value and argmin are floats (or argmin None), its flags bools."""
+    return [_TEXT[result.family], result.kappa, result.value, result.attained,
+            result.constant, result.argmin, _TEXT[result.limit_direction]]
 
 
 _INFIMUM_HEADERS = ["family", "kappa", "value", "attained", "constant",
@@ -272,14 +277,11 @@ def cmd_root(kappa, fmt, out) -> None:
     """Critical coordinate of the inverse Gaussian curve (kappa > 1 only)."""
     rows = []
     for k in kappa:
+        # ig_critical_point checks k (a float) once; the kernels of ig_peak_coord,
+        # reduced_prob and ig_stationarity_scaled take it and x0 as they are
         x0 = ig_critical_point(k)
-        rows.append([
-            float(k),
-            float(x0),
-            float(curves.ig_peak_coord(k)),
-            float(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
-            float(curves.ig_stationarity_scaled(k, x0)),
-        ])
+        h = curves._ig_h(k, x0)[1]
+        rows.append([k, x0, curves._ig_peak(k), _ig_curve(k, x0), curves._ig_scaled(h, x0)])
     _emit([_render(fmt, _ROOT_HEADERS, rows, lambda: {
         "schema": "kappainf-root/1",
         "results": [dict(zip(_ROOT_HEADERS, row)) for row in rows]})], out)

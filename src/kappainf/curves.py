@@ -30,9 +30,13 @@ only through q = (kappa-1)/(2*kappa): in the erfcx argument
 s = (kappa+1)x/sqrt(2*kappa) it is (sqrt(2)/s)*(q - D(s)), with
 D(s) = 1 - sqrt(pi)*s*erfcx(s).  One unchecked kernel, ``_ig_d``, gives D
 and its slope; ``ig_stationarity_scaled`` and ``ig_prob_deriv`` reach it
-through ``_ig_gap``, which checks their arguments, and the Newton root finder
-in ``solver`` calls it on Python floats, once per evaluation.  From s = 3 on it takes erfcx from a
-continued fraction in which nothing cancels, so only q - D does near kappa = 1.
+through ``_ig_gap``, which checks their arguments and calls the unchecked
+``_ig_h``, and the Newton root finder in ``solver`` calls it on Python floats,
+once per evaluation.  From s = 3 on it takes erfcx from a continued fraction
+in which nothing cancels, so only q - D does near kappa = 1.  ``cli``'s
+``root`` rows, whose kappa ``solver.ig_critical_point`` has checked, take the
+curve, the scaled stationarity and the peak from the unchecked kernels
+``_ig_curve``, ``_ig_h`` with ``_ig_scaled``, and ``_ig_peak``.
 
 The inverse Gaussian curve, stationarity and critical-point formulas take
 kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154 (the peak coordinate
@@ -167,27 +171,41 @@ def _ig_d(s, slope=False):
     return (d, -t2 / ((s + t) * (s + t2))) if slope else d
 
 
-def _ig_gap(kappa, x):
-    """(k, x, h, was_scalar) with h = (x/s)*(q - D(s)), checked: kappa in the
-    inverse Gaussian range, x > 0, and its erfcx argument s = (k+1)x/sqrt(2k)
-    finite (at s = inf, D = 0 would silently drop the 1/x behaviour of the
-    scaled stationarity sqrt(2)*h/x).
+def _ig_h(k, x):
+    """(s, h): the erfcx argument s = (k+1)x/sqrt(2k) and h = (x/s)*(q - D(s)).
 
     x/s is exactly sqrt(2k)/(k+1), so h = (k-1)/((k+1)sqrt(2k)) - D*sqrt(2k)/(k+1)
     needs no division by s, and unlike q = (k-1)/(2k) its terms stay finite
     for every k > 0 (|h| <= 1/sqrt(2k)).  math.sqrt and np.sqrt are both
     correctly rounded, so scalar and array kappa agree; s >= sqrt(2)*x > 0,
-    since k + 1 >= 2*sqrt(k).
+    since k + 1 >= 2*sqrt(k).  Unchecked: k in the inverse Gaussian range and
+    x > 0; where s overflows to inf, h holds D(inf) = 0, which callers that
+    take any x must reject (``_ig_gap``).
     """
-    k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
-    sqrt, _, _, quiet = _wrappers(k, x_arr)
+    sqrt, _, _, quiet = _wrappers(k, x)
     sqrt_2k = sqrt(2.0 * k)
     with quiet:
-        s = (k + 1.0) * x_arr / sqrt_2k
+        s = (k + 1.0) * x / sqrt_2k
+    return s, (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s)
+
+
+def _ig_scaled(h, x):
+    """ig_stationarity_scaled from ``_ig_h``'s h, unchecked: sqrt(2)*h/x, which
+    is -inf where it lies below -DBL_MAX (subnormal x), the true limit."""
+    with _wrappers(h, x)[3]:
+        return special.SQRT_TWO * h / x
+
+
+def _ig_gap(kappa, x):
+    """(k, x, h, was_scalar) of ``_ig_h``, checked: kappa in the inverse
+    Gaussian range, x > 0, and its erfcx argument s finite (at s = inf,
+    D = 0 would silently drop the 1/x behaviour of the scaled stationarity
+    sqrt(2)*h/x)."""
+    k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
+    s, h = _ig_h(k, x_arr)
     if not (math.isfinite(s) if type(s) is float else np.isfinite(s).all()):
         raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
                           f"overflows, got {x!r}")
-    h = (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s)
     return k, x_arr, h, scalar
 
 
@@ -250,8 +268,7 @@ def ig_stationarity_scaled(kappa, x):
     ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
     _, x_arr, h, scalar = _ig_gap(kappa, x)
-    with _wrappers(h, x_arr)[3]:  # h/x -> -inf at subnormal x: the true limit
-        return unwrap(special.SQRT_TWO * h / x_arr, scalar)
+    return unwrap(_ig_scaled(h, x_arr), scalar)
 
 
 def ig_prob_deriv(kappa, x):
@@ -287,4 +304,9 @@ def ig_peak_coord(kappa: float) -> float:
             "the stationarity function has no peak for kappa <= 1; "
             "the curve is strictly decreasing there"
         )
+    return _ig_peak(k)
+
+
+def _ig_peak(k: float) -> float:
+    """``ig_peak_coord`` unchecked: a float k in (1, IG_KAPPA_MAX]."""
     return math.sqrt(k / ((k - 1.0) * (k + 1.0)))

@@ -241,6 +241,24 @@ def cdf(params: DistParams, t):
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _ln_exponent(log_t, p1, p2):
+    """(log t - mu)^2/(2 sigma^2), the log-normal log-density's exponent.
+
+    Formed as written where 2*sigma^2 is a normal float.  Where it is not (it
+    underflows, or overflows to inf), as z*z/2 with z = (log t - mu)/sigma
+    first: the written form is 0/0 there where log t = mu, x/0 or inf/inf
+    elsewhere.  An exponent that overflows is inf, where the density is 0.
+    """
+    two_var = 2.0 * p2 * p2
+    normal = (two_var >= sys.float_info.min) & (two_var < math.inf)
+    if np.all(normal):
+        with np.errstate(over="ignore"):
+            return (log_t - p1) ** 2 / two_var
+    with np.errstate(all="ignore"):  # the written form's 0/0 and x/0 are discarded
+        z = (log_t - p1) / p2
+        return np.where(normal, (log_t - p1) ** 2 / two_var, 0.5 * z * z)
+
+
 def _density(family: Family, t, p1, p2, log_p2):
     """Density of ``family`` at t, unchecked: t inside the support, valid p1
     and p2, and log_p2 = math.log(p2).  t, p1, p2 and log_p2 may be arrays
@@ -260,8 +278,9 @@ def _density(family: Family, t, p1, p2, log_p2):
         return np.exp(log_pdf)
     if family is Family.LOG_NORMAL:
         log_t = np.log(t)
-        log_pdf = -log_p2 - 0.5 * _LOG_2PI - log_t - (log_t - p1) ** 2 / (2.0 * p2 * p2)
-        return np.exp(log_pdf)
+        log_pdf = -log_p2 - 0.5 * _LOG_2PI - log_t - _ln_exponent(log_t, p1, p2)
+        with np.errstate(over="ignore"):  # a density above DBL_MAX rounds to inf
+            return np.exp(log_pdf)
     # Gumbel and logistic: an overflowing z is an inf, and the density there
     # is 0.  z is clamped at -709, where exp(-z) is still finite, so that
     # -z - exp(-z) is never inf - inf; below it the density is exp(< -8e307) = 0

@@ -48,7 +48,9 @@ class InfimumResult:
 
     Exactly one of three shapes holds: attained (argmin present), a limit
     (limit_direction present), or constant (the curve does not depend on
-    the coordinate at all).
+    the coordinate at all).  Construction and ``dataclasses.replace`` check
+    this; ``infimum`` builds its results through ``_result``, which skips
+    the checks.
     """
 
     family: Family
@@ -71,6 +73,21 @@ class InfimumResult:
             raise ValueError("non-attained, non-constant results need a limit_direction")
         if self.constant and self.attained:
             raise ValueError("constant curves are reported as non-attained")
+
+
+def _result(family, kappa, value, attained, argmin=None, limit_direction=None, constant=False):
+    """An InfimumResult of fields that ``infimum`` has made valid: its dict is
+    filled directly, with no ``__post_init__`` checks and none of the frozen
+    class's ``object.__setattr__`` calls (~0.3 us against ~1.5 us).  The
+    result is the one the checked constructor makes: equal, with the same
+    hash, repr and pickle, and frozen."""
+    result = object.__new__(InfimumResult)
+    fields = result.__dict__
+    fields["family"], fields["kappa"], fields["value"], fields["attained"] = (
+        family, kappa, value, attained)
+    fields["argmin"], fields["limit_direction"], fields["constant"] = (
+        argmin, limit_direction, constant)
+    return result
 
 
 # Newton stops at a step of at most _ROOT_REL_STEP of the iterate (4 ulp), or of
@@ -137,17 +154,17 @@ def infimum(family: Family, kappa: float) -> InfimumResult:
         if k <= 1.0:
             direction = (LimitDirection.TO_POS_INF if family is Family.INVERSE_GAUSSIAN
                          else LimitDirection.TO_ZERO)
-            return InfimumResult(family, k, 0.5 if k == 1.0 else 0.0, False,
-                                 limit_direction=direction)
+            return _result(family, k, 0.5 if k == 1.0 else 0.0, False,
+                           limit_direction=direction)
         if family is Family.INVERSE_GAUSSIAN:
             x0 = ig_critical_point(k)
             value = _ig_curve(k, x0)  # reduced_prob's kernel: both are checked floats
         else:
             x0 = math.sqrt(2.0 * math.log(k))
             value = special.std_normal_cdf(x0)
-        return InfimumResult(family, k, value, True, argmin=x0)
+        return _result(family, k, value, True, argmin=x0)
 
     if k == 1.0:
-        return InfimumResult(family, k, _CONSTANT[family], False, constant=True)
+        return _result(family, k, _CONSTANT[family], False, constant=True)
     direction = LimitDirection.TO_POS_INF if k < 1.0 else LimitDirection.TO_NEG_INF
-    return InfimumResult(family, k, 0.0, False, limit_direction=direction)
+    return _result(family, k, 0.0, False, limit_direction=direction)

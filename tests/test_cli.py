@@ -15,7 +15,9 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import kappainf.special
-from kappainf import DistParams, Family, NumericalError, reduce_params, reduced_prob
+from kappainf import (DistParams, Family, NumericalError, ig_critical_point, ig_peak_coord,
+                      ig_stationarity_scaled, reduce_params, reduced_prob)
+from kappainf.curves import IG_KAPPA_MAX
 from kappainf.distributions import SCALE_NAME
 from kappainf.oracles import GridSpec
 from kappainf import cli
@@ -403,17 +405,34 @@ def test_csv_renderer_writes_the_text_of_csv_writer(lines):
     # the joined fast path and its fallback against csv.writer over the cell texts
     # (empty for None, true/false, floats by repr); a comma, quote or line break
     # in a cell is quoted
-    def cell(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        return repr(value) if isinstance(value, float) else str(value)
-
     headers, *rows = lines
-    headers = [cell(h) for h in headers]
+    _assert_csv_writer_text([_csv_cell(h) for h in headers], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.sampled_from([st.none(), st.booleans(), st.floats(),
+                     st.text(alphabet=st.sampled_from('ab -,"\n\r'))]).flatmap(
+        lambda kind: st.lists(kind, min_size=n, max_size=n)),
+    min_size=2, max_size=7)))
+def test_csv_renderer_writes_typed_columns_as_csv_writer(columns):
+    # columns whose values share one type, as infimum and root rows have them,
+    # take one formatter each; the text is still csv.writer's
+    headers = [f"h{i}" for i in range(len(columns))]
+    _assert_csv_writer_text(headers, [list(row) for row in zip(*columns)])
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _assert_csv_writer_text(headers, rows):
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([headers, *[[cell(v) for v in row]
+    csv.writer(buf, lineterminator="\n").writerows([headers, *[[_csv_cell(v) for v in row]
                                                               for row in rows]])
     assert cli._render_csv(headers, rows) == buf.getvalue().rstrip("\n")
 
@@ -495,6 +514,26 @@ class TestRootCommand:
         result = runner.invoke(main, ["root", "--kappa", "nan"])
         assert result.exit_code == 2
         assert "kappa must be finite, got nan" in result.stderr
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.floats(1.0, IG_KAPPA_MAX, exclude_min=True),
+                          st.floats(1.0, 2.0, exclude_min=True)), min_size=1, max_size=4))
+@example([1.0 + 2.0 ** -52, 1.0 + 1e-10, 2.0, IG_KAPPA_MAX])
+def test_root_cells_are_the_checked_public_calls(kappas):
+    # the root rows take their kernels unchecked; each cell has the bits of the
+    # public call on the same kappa
+    result = CliRunner().invoke(main, ["root", "--kappa", ",".join(map(repr, kappas)),
+                                       "--format", "csv"])
+    assert result.exit_code == 0, result.output
+    rows = parse_csv(result.output)
+    assert len(rows) == len(kappas)
+    for k, row in zip(kappas, rows):
+        x0 = ig_critical_point(k)
+        assert row == {"kappa": repr(k), "critical_coord": repr(x0),
+                       "upper_bound": repr(ig_peak_coord(k)),
+                       "value": repr(reduced_prob(Family.INVERSE_GAUSSIAN, k, x0)),
+                       "residual": repr(ig_stationarity_scaled(k, x0))}
 
 
 class TestVerifyCommand:

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kappainf import oracles
 from kappainf import (
@@ -283,6 +283,44 @@ class TestPdf:
         # and rounded to inf only below it
         if beta >= sys.float_info.min:
             assert np.all(np.isfinite(values))
+
+    def test_log_normal_density_where_two_sigma_squared_underflows(self):
+        # 2*sigma^2 = 2e-340 rounds to 0: at log t = mu the written exponent
+        # was 0/0 (NaN), elsewhere x/0 (a divide-by-zero warning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            params = DistParams.log_normal(0.0, 1e-170)
+            peak = pdf(params, 1.0)
+            assert pdf(params, 1.5) == 0.0
+            assert pdf(DistParams.log_normal(1e300, 1.0), 2.0) == 0.0  # the square overflows
+        # 1/(sigma*sqrt(2*pi)); the log-density's exp spreads log's rounding
+        assert abs(peak / 3.989422804014327e169 - 1.0) <= 1e-12
+
+    # every (mu, sigma, t) the checks accept, where 2*sigma^2 underflows or
+    # overflows, (log t - mu)^2 overflows and the density exceeds DBL_MAX
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, sys.float_info.max, exclude_min=True),
+           st.lists(st.floats(0.0, sys.float_info.max, exclude_min=True), min_size=1, max_size=20))
+    @example(0.0, 1e-170, [1.0, 1.5])
+    @example(1e300, 1.0, [2.0])
+    @example(0.0, 1e200, [1e-300, 1e300])
+    @settings(max_examples=300, deadline=None)
+    def test_log_normal_density_over_every_accepted_input(self, mu, sigma, ts):
+        params = DistParams.log_normal(mu, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = pdf(params, np.array(ts))
+            scalars = np.array([pdf(params, t) for t in ts])
+        assert values.tobytes() == scalars.tobytes()
+        assert np.all(values >= 0.0)  # no NaN
+        two_var = 2.0 * sigma * sigma
+        if sys.float_info.min <= two_var < math.inf:
+            # the written form, bit for bit, wherever 2*sigma^2 is a normal float
+            log_t = np.log(np.array(ts))
+            with np.errstate(over="ignore"):
+                written = np.exp(-math.log(sigma) - 0.5 * math.log(2.0 * math.pi) - log_t
+                                 - (log_t - mu) ** 2 / two_var)
+            assert values.tobytes() == written.tobytes()
 
     @pytest.mark.parametrize("params, knots", zip(ALL_PARAMS, MASS_KNOTS),
                              ids=[p.family.value for p in ALL_PARAMS])

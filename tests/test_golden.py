@@ -1,7 +1,9 @@
 """Golden bytes: fixed CLI invocations must reproduce the stored output exactly.
 
 The stored files under ``tests/data/golden/`` pin the ``infimum`` CSV, JSON and
-table output (with embedded curve samples) for all four families, the
+table output (with embedded curve samples) for all four families, the same
+three formats of ``infimum`` (all four families) and ``root`` on one seeded sweep
+batch with kappa at 1, just above 1 and at the inverse Gaussian limit, the
 ``infimum --curve-out`` output (stdout and the curve file) for the CSV and
 table formats, the ``root`` CSV, the ``verify --budget quick --seed 1`` JSON report,
 and a set of ``eval --coord`` lines.  The ``verify --budget full --seed 1`` JSON
@@ -20,10 +22,12 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kappainf.cli import main
+from kappainf.curves import IG_KAPPA_MAX
 
 DATA = Path(__file__).parent / "data" / "golden"
 
@@ -40,6 +44,21 @@ CASES = {
     for fmt, ext in EXTENSIONS.items()
 }
 CASES["root.csv"] = ["root", "--kappa", ROOT_SWEEP, "--format", "csv"]
+# a sweep batch: 50 seeded log-uniform kappa in [1e-3, 1e3] as a benchmark round
+# draws them, then kappa = 1, the next float above 1, 1 + 1e-10 and the inverse
+# Gaussian limit; ``root`` takes the batch's kappa > 1
+BATCH = [*(10.0 ** np.random.default_rng(20230611).uniform(-3.0, 3.0, 50)).tolist(),
+         1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-10, IG_KAPPA_MAX]
+BATCH_SWEEP = ",".join(map(repr, BATCH))
+BATCH_ROOT = ",".join(repr(k) for k in BATCH if k > 1.0)
+CASES.update({
+    f"batch-infimum-{family}.{ext}": ["infimum", "--family", family, "--kappa", BATCH_SWEEP,
+                                      "--format", fmt]
+    for family in FAMILIES
+    for fmt, ext in EXTENSIONS.items()
+})
+CASES.update({f"batch-root.{ext}": ["root", "--kappa", BATCH_ROOT, "--format", fmt]
+              for fmt, ext in EXTENSIONS.items()})
 CASES["verify-quick-seed1.json"] = ["verify", "--budget", "quick", "--seed", "1",
                                     "--format", "json"]
 

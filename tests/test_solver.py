@@ -1,10 +1,14 @@
 """Critical points and the infimum regime table."""
 
+import dataclasses
 import math
+import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kappainf import (
     Family,
@@ -378,3 +382,65 @@ class TestInfimumResultInvariants:
     def test_constant_is_not_attained(self):
         with pytest.raises(ValueError, match="constant curves are reported as non-attained"):
             InfimumResult(IG, 2.0, 0.6, True, argmin=1.0, constant=True)
+
+
+# every kappa infimum takes: the float range for the location-scale families
+# and the log-normal, up to IG_KAPPA_MAX for the inverse Gaussian
+ANY_KAPPA = st.one_of(st.floats(0.0, sys.float_info.max, exclude_min=True),
+                      st.floats(1e-3, 1e3),
+                      st.sampled_from([1.0, 1.0 + 2.0 ** -52, 1.0 + 1e-10, curves.IG_KAPPA_MAX]))
+
+
+def _in_range(family, kappa):
+    """kappa, at most IG_KAPPA_MAX for the inverse Gaussian."""
+    return min(kappa, curves.IG_KAPPA_MAX) if family is IG else kappa
+
+
+class TestInfimumBuiltResults:
+    """The results infimum builds without the constructor's checks are the
+    results the checked constructor builds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(list(Family)), ANY_KAPPA)
+    @example(IG, 2.0)
+    @example(Family.GUMBEL, 1.0)
+    @example(Family.LOG_NORMAL, 0.5)
+    def test_equal_to_the_checked_constructor(self, family, kappa):
+        kappa = _in_range(family, kappa)
+        result = infimum(family, kappa)
+        fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        checked = InfimumResult(**fields)
+        assert result == checked
+        assert hash(result) == hash(checked)
+        assert repr(result) == repr(checked)
+        assert pickle.dumps(result) == pickle.dumps(checked)
+        assert vars(result) == vars(checked)
+        # the row types cli writes: floats, bools, a float or no argmin
+        assert type(result.kappa) is float and type(result.value) is float
+        assert type(result.attained) is bool and type(result.constant) is bool
+        assert result.argmin is None or type(result.argmin) is float
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.value = 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(Family)), ANY_KAPPA, st.sampled_from(
+        ["value_above_one", "value_nan", "flip_attained", "flip_direction"]))
+    def test_replace_with_an_invalid_field_raises(self, family, kappa, change):
+        kappa = _in_range(family, kappa)
+        result = infimum(family, kappa)
+        direction = None if result.limit_direction is not None else LimitDirection.TO_ZERO
+        changes = {"value_above_one": {"value": 1.5}, "value_nan": {"value": math.nan},
+                   "flip_attained": {"attained": not result.attained},
+                   "flip_direction": {"limit_direction": direction}}[change]
+        with pytest.raises(ValueError):
+            dataclasses.replace(result, **changes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(list(Family)), ANY_KAPPA)
+    def test_pickle_round_trip_is_equal(self, family, kappa):
+        kappa = _in_range(family, kappa)
+        result = infimum(family, kappa)
+        again = pickle.loads(pickle.dumps(result))
+        assert again == result and hash(again) == hash(result)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again.kappa = 2.0
