@@ -272,10 +272,10 @@ def _density(family: Family, t, p1, p2, log_p2):
     (t > DBL_MAX/2), and no r^2 overflows while the exponent is still small.
     """
     if family is Family.INVERSE_GAUSSIAN:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a density above DBL_MAX rounds to inf
             r = (t - p1) / p1
             log_pdf = 0.5 * (log_p2 - _LOG_2PI) - 1.5 * np.log(t) - p2 * (r * (r / t)) / 2.0
-        return np.exp(log_pdf)
+            return np.exp(log_pdf)
     if family is Family.LOG_NORMAL:
         log_t = np.log(t)
         log_pdf = -log_p2 - 0.5 * _LOG_2PI - log_t - _ln_exponent(log_t, p1, p2)

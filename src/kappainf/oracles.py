@@ -21,14 +21,13 @@ always straddle the density mode.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import curves
-from .distributions import (_CHUNK, POSITIVE_SUPPORT, DistParams, Family, _blocks, _density,
-                            _mode, mean)
+from .distributions import (_CHUNK, _LOG_MAX, POSITIVE_SUPPORT, DistParams, Family, _blocks,
+                            _density, _mode, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -171,8 +170,6 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
 
 # Multiples of the density's spread at which seed knots flank its mode.
 _GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-# Largest exponent whose exp is a float.
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
@@ -182,7 +179,7 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
     if params.family is Family.LOG_NORMAL:
         # an exponent past log(DBL_MAX) would give a knot past every float hi
         exps = (params.p1 + j * params.p2 for j in range(-8, 9))
-        cand += [math.exp(u) for u in exps if u < _LOG_DBL_MAX]
+        cand += [math.exp(u) for u in exps if u < _LOG_MAX]
     else:
         ig = params.family is Family.INVERSE_GAUSSIAN
         s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2

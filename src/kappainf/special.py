@@ -9,9 +9,10 @@ Phi = erfc(-z/sqrt(2))/2 and erfcx are the piecewise forms of W. J. Cody
 (Math. Comp. 23, 1969): an odd polynomial for erf below |x| = 1/2 (piece A,
 for Phi only), a rational function for erfcx below 4 (B) and a rational
 function in 1/x^2 beyond (C); ``tools/fit_special.py`` fits their
-coefficients in 40-digit mpmath.  A float goes through plain float
-arithmetic and an array through the same operations in the same order, in
-place, so a float and an array entry give the same bits.
+coefficients in 40-digit mpmath.  Each piece is written once, as one plain
+expression that takes a float or an array: numpy applies its operations in
+the same order to an array as Python does to a float, so a float and an
+array entry give the same bits.
 
 The normal CDF carries the tightest accuracy contract in the package
 (<= 1e-13 relative; against 40-digit references Phi and erfcx measured at
@@ -98,13 +99,9 @@ _EXP_H2 = np.where(_EXP_H2 >= 2.0 ** -1022, _EXP_H2 * 2.0 ** 63,
 _EXP_H2_FLOATS = _EXP_H2.tolist()
 _UNSCALE = 2.0 ** -64
 
-# Each piece of Phi and erfcx is written twice, with the same operations in
-# the same order: as plain expressions for a float, where a loop over the
-# coefficients would take three times as long, and in place for an array.
-
 
 def _erf_small(x):
-    """erf(x) for |x| < 1/2 (piece A), a float."""
+    """erf(x) for |x| < 1/2 (piece A), a float or an array."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = _ERF_SMALL
     u = x * x
     return x * ((((((((a0 * u + a1) * u + a2) * u + a3) * u + a4) * u + a5) * u + a6) * u
@@ -112,7 +109,7 @@ def _erf_small(x):
 
 
 def _erfcx_near(x):
-    """erfcx(x) for 0 <= x < 4 (piece B), a float."""
+    """erfcx(x) for 0 <= x < 4 (piece B), a float or an array."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = _ERFCX_NEAR_P
     b1, b2, b3, b4, b5, b6, b7, b8 = _ERFCX_NEAR_Q
     p = (((((((a0 * x + a1) * x + a2) * x + a3) * x + a4) * x + a5) * x + a6) * x + a7) * x + a8
@@ -121,7 +118,7 @@ def _erfcx_near(x):
 
 
 def _erfcx_tail(x):
-    """erfcx(x) for x >= 4 (piece C), a float; 0 at x = inf."""
+    """erfcx(x) for x >= 4 (piece C), a float or an array; 0 at x = inf."""
     a0, a1, a2, a3, a4 = _ERFCX_TAIL_P
     b1, b2, b3, b4, b5 = _ERFCX_TAIL_Q
     r = 1.0 / x
@@ -158,51 +155,10 @@ def _phi_float(z):
     return 1.0 - v if t < 0.0 else v
 
 
-# The array forms call the ufuncs with a positional output: an in-place
+# ``_phi_big_array`` calls the ufuncs with a positional output: an in-place
 # operator or ``out=`` adds ~0.15-0.5 us a call, and a call on an array of a
 # few thousand entries does little more work than that.
 _mul, _add, _sub, _div, _exp = np.multiply, np.add, np.subtract, np.divide, np.exp
-
-
-def _horner(t, coeffs, monic=False):
-    """coeffs[0]*t^n + ... + coeffs[n] on an array t, in place on one new
-    array; with ``monic`` a leading 1 precedes coeffs."""
-    coeffs = _AS_ARRAYS[coeffs]
-    if monic:
-        acc = _add(t, coeffs[0])
-    else:
-        acc = _mul(t, coeffs[0])
-        _add(acc, coeffs[1], acc)
-    for c in coeffs[1 if monic else 2:]:
-        _mul(acc, t, acc)
-        _add(acc, c, acc)
-    return acc
-
-
-# The coefficients as 0-d arrays: numpy converts a Python float operand on
-# every call.
-_AS_ARRAYS = {c: tuple(np.array(v) for v in c) for c in (
-    _ERF_SMALL, _ERFCX_NEAR_P, _ERFCX_NEAR_Q, _ERFCX_TAIL_P, _ERFCX_TAIL_Q)}
-
-
-def _erf_small_array(x):
-    p = _horner(_mul(x, x), _ERF_SMALL)
-    return _mul(p, x, p)
-
-
-def _erfcx_near_array(x):
-    p = _horner(x, _ERFCX_NEAR_P)
-    return _div(p, _horner(x, _ERFCX_NEAR_Q, monic=True), p)
-
-
-def _erfcx_tail_array(x):
-    r = _div(1.0, x)
-    z = _mul(r, r)
-    p = _horner(z, _ERFCX_TAIL_P)
-    _div(p, _horner(z, _ERFCX_TAIL_Q, monic=True), p)
-    _mul(p, z, p)
-    _add(p, _INV_SQRT_PI, p)
-    return _mul(p, r, p)
 
 
 def _phi_big_array(t):
@@ -256,13 +212,8 @@ def _array_kernel(x, on_float, block):
 
 def _erfcx_block(x, out):
     near = x < _TAIL
-    _fill(out, x, near, _erfcx_near_array)
-    _fill(out, x, ~near, _erfcx_tail_array)  # and NaN
-
-
-def _half_of_one_minus(v):
-    v = _sub(1.0, v)
-    return _mul(v, 0.5, v)
+    _fill(out, x, near, _erfcx_near)
+    _fill(out, x, ~near, _erfcx_tail)  # and NaN
 
 
 def _phi_block(z, out):
@@ -270,9 +221,9 @@ def _phi_block(z, out):
     y = _div(np.abs(t), SQRT_TWO)
     finite = y < _ERFC_ZERO  # not NaN, which 1 - sign keeps
     small = y < _SMALL
-    _fill(out, t, small, lambda v: _half_of_one_minus(_erf_small_array(_div(v, SQRT_TWO))))
+    _fill(out, t, small, lambda v: 0.5 * (1.0 - _erf_small(v / SQRT_TWO)))
     _fill(out, t, finite ^ small, _phi_big_array)
-    _fill(out, t, ~finite, lambda v: _half_of_one_minus(np.sign(v)))  # 0, or 1 for negative t
+    _fill(out, t, ~finite, lambda v: 0.5 * (1.0 - np.sign(v)))  # 0, or 1 for negative t
 
 
 def _erfcx(x):

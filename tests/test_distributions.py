@@ -322,6 +322,24 @@ class TestPdf:
                                  - (log_t - mu) ** 2 / two_var)
             assert values.tobytes() == written.tobytes()
 
+    # every (mu, lambda, t) the checks accept, where (t - mu)/mu overflows, r/t
+    # overflows near t = 0 and the density exceeds DBL_MAX
+    @given(st.floats(0.0, sys.float_info.max, exclude_min=True),
+           st.floats(0.0, sys.float_info.max, exclude_min=True),
+           st.lists(st.floats(0.0, sys.float_info.max, exclude_min=True), min_size=1, max_size=20))
+    @example(1e-300, 1.0, [1e-300, 1.0])
+    @example(1e-300, 1e300, [5e-324, 1e300])
+    @example(1e300, 1e-300, [5e-324, 1e-300, 1e300])
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_gaussian_density_over_every_accepted_input(self, mu, lam, ts):
+        params = DistParams.inverse_gaussian(mu, lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = pdf(params, np.array(ts))
+            scalars = np.array([pdf(params, t) for t in ts])
+        assert values.tobytes() == scalars.tobytes()
+        assert np.all(values >= 0.0)  # no NaN
+
     @pytest.mark.parametrize("params, knots", zip(ALL_PARAMS, MASS_KNOTS),
                              ids=[p.family.value for p in ALL_PARAMS])
     def test_total_mass_is_one(self, params, knots):

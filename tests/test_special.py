@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappainf import DomainError, std_normal_cdf
-from kappainf.special import _erfcx as erfcx, _expit, _phi
+from kappainf.special import (_BLOCK, _ERFC_ZERO, _TAIL, SQRT_TWO, _erfcx as erfcx, _expit,
+                              _phi)
 
 # 50-digit quadrature of e^{-t^2/2}/sqrt(2*pi) over (-inf, 1]
 PHI_AT_1 = 0.8413447460685429
@@ -239,3 +240,34 @@ def test_float_and_array_entry_have_the_same_bits(kernel, lo, hi, data):
     values = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=40))
     array = kernel(np.array(values)).tolist()
     assert [_bits(kernel(v)) for v in values] == [_bits(v) for v in array]
+
+
+def _around(x):
+    """x and its neighbours one ulp below and above."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# More than two blocks of seeded arguments, plus each piece boundary at -1, 0
+# and +1 ulp: Phi's |z| = sqrt(2)/2 (pieces A and B) and its cut to 0 or 1,
+# erfcx's x = 4 (pieces B and C), and the non-finite values.
+_PHI_EDGES = [s * v for s in (-1.0, 1.0)
+              for x in (SQRT_TWO / 2.0, _ERFC_ZERO * SQRT_TWO) for v in _around(x)]
+_ERFCX_EDGES = _around(_TAIL)
+
+
+@pytest.mark.parametrize("kernel, args", [
+    (_phi, np.r_[np.random.default_rng(28).uniform(-60.0, 60.0, 2 * _BLOCK + 1_000),
+                 np.random.default_rng(29).normal(0.0, 1.0, 2_000),
+                 _PHI_EDGES, -math.inf, math.inf, math.nan]),
+    (erfcx, np.r_[np.random.default_rng(30).uniform(0.0, 30.0, 2 * _BLOCK + 1_000),
+                  np.random.default_rng(31).lognormal(0.0, 20.0, 2_000),
+                  _ERFCX_EDGES, math.inf, math.nan]),
+], ids=["phi", "erfcx"])
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+def test_array_entries_across_blocks_have_the_bits_of_float_calls(kernel, args, order):
+    # sorted, a piece whose entries form one run of a block goes through
+    # _fill's slice; shuffled, every piece goes through indices
+    x = np.sort(args) if order == "sorted" else np.random.default_rng(32).permutation(args)
+    assert x.size > 2 * _BLOCK
+    floats = np.array([kernel(v) for v in x.tolist()])
+    assert kernel(x).tobytes() == floats.tobytes()
