@@ -23,13 +23,12 @@ from typing import Callable, Iterable, Iterator, Optional
 import click
 import numpy as np
 
-from .curves import reduce_params, reduced_prob
+from .curves import ig_peak_coord, ig_stationarity_scaled, reduce_params, reduced_prob
 from .distributions import SCALE_NAME, DistParams, Family, _ig_curve
 from .errors import DomainError, NumericalError, RegimeError
 from .oracles import GridSpec
 from .solver import InfimumResult, LimitDirection, ig_critical_point, infimum
 from .verification import BUDGETS, run_verification
-from . import curves
 
 _FAMILY_NAMES = [f.value for f in Family]
 
@@ -277,11 +276,8 @@ def cmd_root(kappa, fmt, out) -> None:
     """Critical coordinate of the inverse Gaussian curve (kappa > 1 only)."""
     rows = []
     for k in kappa:
-        # ig_critical_point checks k (a float) once; the kernels of ig_peak_coord,
-        # reduced_prob and ig_stationarity_scaled take it and x0 as they are
-        x0 = ig_critical_point(k)
-        h = curves._ig_h(k, x0)[1]
-        rows.append([k, x0, curves._ig_peak(k), _ig_curve(k, x0), curves._ig_scaled(h, x0)])
+        x0 = ig_critical_point(k)  # checks k, so the value takes infimum's unchecked kernel
+        rows.append([k, x0, ig_peak_coord(k), _ig_curve(k, x0), ig_stationarity_scaled(k, x0)])
     _emit([_render(fmt, _ROOT_HEADERS, rows, lambda: {
         "schema": "kappainf-root/1",
         "results": [dict(zip(_ROOT_HEADERS, row)) for row in rows]})], out)

@@ -30,13 +30,10 @@ only through q = (kappa-1)/(2*kappa): in the erfcx argument
 s = (kappa+1)x/sqrt(2*kappa) it is (sqrt(2)/s)*(q - D(s)), with
 D(s) = 1 - sqrt(pi)*s*erfcx(s).  One unchecked kernel, ``_ig_d``, gives D
 and its slope; ``ig_stationarity_scaled`` and ``ig_prob_deriv`` reach it
-through ``_ig_gap``, which checks their arguments and calls the unchecked
-``_ig_h``, and the Newton root finder in ``solver`` calls it on Python floats,
-once per evaluation.  From s = 3 on it takes erfcx from a continued fraction
-in which nothing cancels, so only q - D does near kappa = 1.  ``cli``'s
-``root`` rows, whose kappa ``solver.ig_critical_point`` has checked, take the
-curve, the scaled stationarity and the peak from the unchecked kernels
-``_ig_curve``, ``_ig_h`` with ``_ig_scaled``, and ``_ig_peak``.
+through ``_ig_gap``, which checks their arguments, and the Newton root finder
+in ``solver`` calls it on Python floats, once per evaluation.  From s = 3 on
+it takes erfcx from a continued fraction in which nothing cancels, so only
+q - D does near kappa = 1.
 
 The inverse Gaussian curve, stationarity and critical-point formulas take
 kappa up to ``IG_KAPPA_MAX`` = sqrt(DBL_MAX) ~ 1.34e154 (the peak coordinate
@@ -76,13 +73,6 @@ __all__ = [
     "ig_peak_coord",
 ]
 
-def _ig_kappa(kappa) -> float:
-    """A positive kappa, at most the inverse Gaussian upper limit IG_KAPPA_MAX."""
-    k = require_positive("kappa", kappa)
-    _ig_ratio_limit("kappa", k)
-    return k
-
-
 def _checked_args(kappa, name: str, coord, positive: bool, ig: bool):
     """(k, coord, was_scalar) of a scalar or ndarray kappa and coordinate.
 
@@ -94,7 +84,8 @@ def _checked_args(kappa, name: str, coord, positive: bool, ig: bool):
     scalars; shapes that do not broadcast are a DomainError.
     """
     if not isinstance(kappa, np.ndarray):
-        k = _ig_kappa(kappa) if ig else require_positive("kappa", kappa)
+        k = require_positive("kappa", kappa)
+        k = _ig_ratio_limit("kappa", k) if ig else k
         if type(coord) is float:  # the scalar guards: no 0-d array round trip
             return k, (require_positive if positive else require_finite)(name, coord), True
         return (k, *finite_array(name, coord, positive=positive))
@@ -137,27 +128,19 @@ def _ig_d(s, slope=False):
 
     No validation: s > 0 and finite.  A Python float or numpy scalar s gives
     floats; an ndarray (no ``slope``) is computed element by element with
-    the same bits.  Its fraction entries run sorted by s, so those that still
-    need a term at step n are a prefix, and only that prefix is updated.
+    the same bits.
     """
     if isinstance(s, np.ndarray):
         d = np.empty_like(s)
         tail = s >= _CF_FROM
-        near = s[~tail]
+        near, st = s[~tail], s[tail]
         d[~tail] = 1.0 - _SQRT_PI * near * special._erfcx(near)
-        if tail.any():
-            order = np.argsort(s[tail])
-            st = s[tail][order]
-            terms = 6 + (140.0 / st).astype(int)  # non-increasing
-            top = int(terms[0])
-            # entries with at least n terms, for n = top, ..., 2
-            heads = np.searchsorted(-terms, -np.arange(top, 1, -1), side="right")
-            t2 = np.zeros_like(st)
-            for n, m in zip(range(top, 1, -1), heads.tolist()):  # as the scalar loop
-                head = t2[:m]
-                np.divide(0.5 * n, np.add(st[:m], head, head), head)
-            t = 0.5 / (st + t2)
-            np.put(d, np.flatnonzero(tail)[order], t / (st + t))
+        terms = 6 + (140.0 / st).astype(int)
+        t2 = np.zeros_like(st)
+        for n in range(int(terms.max(initial=0)), 1, -1):  # as the scalar loop
+            np.divide(0.5 * n, st + t2, out=t2, where=terms >= n)
+        t = 0.5 / (st + t2)
+        d[tail] = t / (st + t)
         return d
     if s < _CF_FROM:
         e = float(special._erfcx(s))
@@ -171,42 +154,27 @@ def _ig_d(s, slope=False):
     return (d, -t2 / ((s + t) * (s + t2))) if slope else d
 
 
-def _ig_h(k, x):
-    """(s, h): the erfcx argument s = (k+1)x/sqrt(2k) and h = (x/s)*(q - D(s)).
+def _ig_gap(kappa, x):
+    """(k, x, h, was_scalar): kappa and x checked, and h = (x/s)*(q - D(s)) at
+    the erfcx argument s = (k+1)x/sqrt(2k).
 
     x/s is exactly sqrt(2k)/(k+1), so h = (k-1)/((k+1)sqrt(2k)) - D*sqrt(2k)/(k+1)
     needs no division by s, and unlike q = (k-1)/(2k) its terms stay finite
     for every k > 0 (|h| <= 1/sqrt(2k)).  math.sqrt and np.sqrt are both
     correctly rounded, so scalar and array kappa agree; s >= sqrt(2)*x > 0,
-    since k + 1 >= 2*sqrt(k).  Unchecked: k in the inverse Gaussian range and
-    x > 0; where s overflows to inf, h holds D(inf) = 0, which callers that
-    take any x must reject (``_ig_gap``).
+    since k + 1 >= 2*sqrt(k).  The checks: kappa in the inverse Gaussian
+    range, x > 0, and s finite (at s = inf, D = 0 would silently drop the
+    1/x behaviour of the scaled stationarity sqrt(2)*h/x).
     """
-    sqrt, _, _, quiet = _wrappers(k, x)
+    k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
+    sqrt, _, _, quiet = _wrappers(k, x_arr)
     sqrt_2k = sqrt(2.0 * k)
     with quiet:
-        s = (k + 1.0) * x / sqrt_2k
-    return s, (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s)
-
-
-def _ig_scaled(h, x):
-    """ig_stationarity_scaled from ``_ig_h``'s h, unchecked: sqrt(2)*h/x, which
-    is -inf where it lies below -DBL_MAX (subnormal x), the true limit."""
-    with _wrappers(h, x)[3]:
-        return special.SQRT_TWO * h / x
-
-
-def _ig_gap(kappa, x):
-    """(k, x, h, was_scalar) of ``_ig_h``, checked: kappa in the inverse
-    Gaussian range, x > 0, and its erfcx argument s finite (at s = inf,
-    D = 0 would silently drop the 1/x behaviour of the scaled stationarity
-    sqrt(2)*h/x)."""
-    k, x_arr, scalar = _checked_args(kappa, "x", x, positive=True, ig=True)
-    s, h = _ig_h(k, x_arr)
+        s = (k + 1.0) * x_arr / sqrt_2k
     if not (math.isfinite(s) if type(s) is float else np.isfinite(s).all()):
         raise DomainError(f"x is too large for kappa={k!r}: (kappa+1)*x/sqrt(2*kappa) "
                           f"overflows, got {x!r}")
-    return k, x_arr, h, scalar
+    return k, x_arr, (k - 1.0) / (k + 1.0) / sqrt_2k - sqrt_2k / (k + 1.0) * _ig_d(s), scalar
 
 
 def reduce_params(params: DistParams) -> float:
@@ -268,7 +236,8 @@ def ig_stationarity_scaled(kappa, x):
     ``kappa`` and ``x`` may each be a scalar or an ndarray.
     """
     _, x_arr, h, scalar = _ig_gap(kappa, x)
-    return unwrap(_ig_scaled(h, x_arr), scalar)
+    with _wrappers(h, x_arr)[3]:
+        return unwrap(special.SQRT_TWO * h / x_arr, scalar)
 
 
 def ig_prob_deriv(kappa, x):
@@ -298,15 +267,10 @@ def ig_peak_coord(kappa: float) -> float:
 
     Only exists for kappa > 1; it upper-bounds the critical coordinate.
     """
-    k = _ig_kappa(kappa)
+    k = _ig_ratio_limit("kappa", require_positive("kappa", kappa))
     if k <= 1.0:
         raise RegimeError(
             "the stationarity function has no peak for kappa <= 1; "
             "the curve is strictly decreasing there"
         )
-    return _ig_peak(k)
-
-
-def _ig_peak(k: float) -> float:
-    """``ig_peak_coord`` unchecked: a float k in (1, IG_KAPPA_MAX]."""
     return math.sqrt(k / ((k - 1.0) * (k + 1.0)))

@@ -142,14 +142,15 @@ def _mode(params: DistParams) -> float:
 IG_KAPPA_MAX = math.sqrt(sys.float_info.max)
 
 
-def _ig_ratio_limit(name: str, largest: float) -> None:
-    """Reject a ratio whose largest value exceeds IG_KAPPA_MAX (a plain float
-    comparison, so scalar callers pay no array conversion)."""
+def _ig_ratio_limit(name: str, largest: float) -> float:
+    """The largest value of a ratio, returned if it is <= IG_KAPPA_MAX, else a
+    DomainError (a plain float comparison, so scalars pay no array conversion)."""
     if largest > IG_KAPPA_MAX:
         raise DomainError(
             f"{name} must be <= {IG_KAPPA_MAX!r} for the inverse Gaussian family "
             f"(its formulas square {name} + 1), got {largest!r}"
         )
+    return largest
 
 
 # A kernel takes its numpy wrappers (sqrt, minimum, exp, overflow context) from
@@ -302,6 +303,11 @@ def pdf(params: DistParams, t):
 
 # Length of the samplers' blocks and of their buffers.
 _CHUNK = 65_536
+# The inverse Gaussian sampler's domain: above mu/lambda = 1e6 its root
+# p1*(1 + x - sqrt(x*(x + 2))) cancels to 0 or below, and outside these mu its
+# conjugate's p1*p1 overflows or loses its digits.
+_IG_SAMPLE_MU = (math.sqrt(sys.float_info.min), IG_KAPPA_MAX)
+_IG_SAMPLE_RATIO_MAX = 1e6
 
 
 def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):
@@ -310,7 +316,7 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
     at its offset, so out ends up holding the sample; without it the blocks
     share one buffer, which the next block overwrites (the inverse Gaussian's
     are views of its n normals).  n is unchecked; the seed is checked on the
-    first step."""
+    first step, and so is the inverse Gaussian's domain, before any draw."""
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
     size = min(n, _CHUNK)
@@ -318,6 +324,10 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
     # Every step keeps the order of the plain formula (in the comments), so
     # the draws keep their bits whatever the blocks.
     if params.family is Family.INVERSE_GAUSSIAN:
+        lo, hi = _IG_SAMPLE_MU
+        if not (lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
+            raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
+                              f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
         # the uniforms follow all n normals in the stream
         w = rng.standard_normal(n) if out is None else rng.standard_normal(out=out)
         t_buf, u_buf = np.empty(size), np.empty(size)

@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Optional
 
 from . import curves, special
-from .distributions import POSITIVE_SUPPORT, Family, _ig_curve
+from .distributions import POSITIVE_SUPPORT, Family, _ig_curve, _ig_ratio_limit
 from .errors import NumericalError, RegimeError, require_positive
 
 __all__ = ["LimitDirection", "InfimumResult", "ig_critical_point", "infimum"]
@@ -114,7 +114,7 @@ def ig_critical_point(kappa: float) -> float:
     a step below _ROOT_NOISE_STEP that fails to halve the one before is
     rounding noise of D, and ends the search.  x0 = s0*sqrt(2*kappa)/(kappa+1).
     """
-    k = curves._ig_kappa(kappa)
+    k = _ig_ratio_limit("kappa", require_positive("kappa", kappa))
     if k <= 1.0:
         raise RegimeError(
             "no interior critical point exists for kappa <= 1: the curve "

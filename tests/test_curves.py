@@ -271,6 +271,18 @@ class TestStationarity:
             assert scalar.hex() == d.hex()
             assert ig_stationarity_scaled(kappa, x).hex() == value.hex()
 
+    def test_d_array_has_the_bits_of_float_calls_at_every_term_count(self):
+        # fractions of every length 6..52 (s = 140/(n - 5.5), s = 200 for 6 terms),
+        # the cut at s = 3 and one ulp to each side, +inf and near entries,
+        # shuffled, so an entry's term count does not follow from its place
+        rng = np.random.default_rng(29)
+        tail = [140.0 / (n - 5.5) for n in range(7, 52)] + [200.0, math.inf]
+        cut = [math.nextafter(3.0, 0.0), 3.0, math.nextafter(3.0, 4.0)]
+        s = rng.permutation([*tail, *cut, *rng.uniform(0.01, 3.0, 40)])
+        assert {6 + int(140.0 / v) for v in s if v >= 3.0} == set(range(6, 53))
+        for arr in (s, s[:0], s[s < 3.0], s[s >= 3.0]):
+            assert [d.hex() for d in _ig_d(arr).tolist()] == [_ig_d(v).hex() for v in arr.tolist()]
+
     @pytest.mark.parametrize("kappa", [1e-300, 0.5, 2.0, 1e100])
     def test_tiny_coordinates_are_finite_limits(self, kappa):
         # as x -> 0+, d/dx of the curve tends to -sqrt(2/(pi*kappa)) and the

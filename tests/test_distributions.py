@@ -29,6 +29,8 @@ from kappainf.distributions import _blocks
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
 
+SQRT_DBL_MIN, SQRT_DBL_MAX = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+
 ALL_PARAMS = [
     DistParams.inverse_gaussian(1.5, 2.0),
     DistParams.log_normal(0.2, 0.8),
@@ -451,6 +453,26 @@ class TestSample:
         finally:
             tracemalloc.stop()
         assert peak <= (10 if params.family is Family.INVERSE_GAUSSIAN else 2) * 2**20
+
+    @pytest.mark.parametrize("mu, lam", [(1e7, 1.0), (2.6e-35, 4.3e-201), (1e200, 1e200),
+                                         (1e-200, 1e-200)])
+    def test_inverse_gaussian_sampler_refuses_where_its_draws_go_wrong(self, mu, lam):
+        # above mu/lambda = 1e6 the root cancels to 0 or below; above
+        # sqrt(DBL_MAX) p1*p1 overflows, below sqrt(DBL_MIN) it loses its digits
+        params = DistParams.inverse_gaussian(mu, lam)
+        with pytest.raises(DomainError, match="sampler takes"):
+            sample(params, 10, seed=1)
+        with pytest.raises(DomainError, match="sampler takes"):
+            mc_prob(params, 2.0, 1000, seed=1)
+
+    @pytest.mark.parametrize("mu, lam", [(SQRT_DBL_MIN, SQRT_DBL_MIN), (SQRT_DBL_MAX, SQRT_DBL_MAX),
+                                         (1e6, 1.0), (SQRT_DBL_MIN, SQRT_DBL_MIN / 1e6),
+                                         (SQRT_DBL_MAX, SQRT_DBL_MAX / 1e6)])
+    def test_inverse_gaussian_draws_at_the_sampler_limits_are_positive(self, mu, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample(DistParams.inverse_gaussian(mu, lam), 200_000, seed=7)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
     def test_zero_draws_is_empty_not_an_error(self):
         assert sample(ALL_PARAMS[0], 0, seed=1).size == 0
