@@ -15,9 +15,10 @@ uses a fixed transformation of that stream:
 One private generator, ``_blocks``, writes each transform once and yields
 the draws 65,536 at a time, with its intermediates in reused buffers.
 ``sample`` has it fill the one n-float array it returns (~8 MB at 1e6
-draws); ``oracles.mc_prob`` counts each block and holds no n-array, except
-the inverse Gaussian's n normals, whose uniforms follow all of them in the
-stream.  So samplers running side by side on threads stay small.
+draws); ``oracles.mc_prob`` counts each block and holds no n-array: the
+inverse Gaussian's n normals, whose uniforms follow all of them in the
+stream, are held one block-long array each.  So samplers running side by
+side on threads stay small, and their memory steady.
 """
 
 from __future__ import annotations
@@ -315,8 +316,9 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
     _CHUNK at a time.  With ``out`` (n floats) each block is the view of out
     at its offset, so out ends up holding the sample; without it the blocks
     share one buffer, which the next block overwrites (the inverse Gaussian's
-    are views of its n normals).  n is unchecked; the seed is checked on the
-    first step, and so is the inverse Gaussian's domain, before any draw."""
+    are its n normals, one array per block).  n is unchecked; the seed is
+    checked on the first step, and so is the inverse Gaussian's domain,
+    before any draw."""
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
     size = min(n, _CHUNK)
@@ -328,12 +330,18 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
         if not (lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
             raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
                               f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
-        # the uniforms follow all n normals in the stream
-        w = rng.standard_normal(n) if out is None else rng.standard_normal(out=out)
+        # the uniforms follow all n normals in the stream.  Without out each
+        # block of normals is an array of its own: one n-float array (8 MB at
+        # 1e6) on the Monte Carlo pool's threads moved the peak memory of
+        # identical runs by 7-10 MB, as the allocator found room for it or not
+        if out is None:
+            normals = [rng.standard_normal(min(n - s, _CHUNK)) for s in range(0, n, _CHUNK)]
+        else:
+            normals = [out[s:s + _CHUNK] for s in range(0, n, _CHUNK)]
+            rng.standard_normal(out=out)
         t_buf, u_buf = np.empty(size), np.empty(size)
         pick_buf = np.empty(size, dtype=np.int64)
-        for s in range(0, n, _CHUNK):
-            x = w[s:s + _CHUNK]
+        for x in normals:
             t, v, pick = t_buf[:x.size], u_buf[:x.size], pick_buf[:x.size]
             x *= x
             x *= p1
