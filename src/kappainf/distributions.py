@@ -18,7 +18,9 @@ the draws 65,536 at a time, with its intermediates in reused buffers.
 draws); ``oracles.mc_prob`` counts each block and holds no n-array: the
 inverse Gaussian's n normals, whose uniforms follow all of them in the
 stream, are held one block-long array each.  So samplers running side by
-side on threads stay small, and their memory steady.
+side on threads stay small.  ``verify`` runs its inverse Gaussian cases
+one after another on its calling thread and lends each the same n-float
+array for its normals.
 """
 
 from __future__ import annotations
@@ -313,12 +315,14 @@ _IG_SAMPLE_RATIO_MAX = 1e6
 
 def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):
     """Yield the n draws of ``sample(params, n, seed)`` in order, at most
-    _CHUNK at a time.  With ``out`` (n floats) each block is the view of out
-    at its offset, so out ends up holding the sample; without it the blocks
-    share one buffer, which the next block overwrites (the inverse Gaussian's
-    are its n normals, one array per block).  n is unchecked; the seed is
-    checked on the first step, and so is the inverse Gaussian's domain,
-    before any draw."""
+    _CHUNK at a time.  With ``out`` (exactly n floats: the inverse Gaussian
+    draws out.size normals) each block is the view of out at its offset, so
+    out ends up holding the sample; ``sample`` passes its result and
+    ``verify`` one array for all its inverse Gaussian cases.  Without out
+    the blocks share one buffer, which the next block overwrites (the
+    inverse Gaussian's are its n normals, one array per block).  n is
+    unchecked; the seed is checked on the first step, and so is the inverse
+    Gaussian's domain, before any draw."""
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
     size = min(n, _CHUNK)
@@ -332,7 +336,7 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
                               f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
         # the uniforms follow all n normals in the stream.  Without out each
         # block of normals is an array of its own: one n-float array (8 MB at
-        # 1e6) on the Monte Carlo pool's threads moved the peak memory of
+        # 1e6) made on each Monte Carlo pool thread moved the peak memory of
         # identical runs by 7-10 MB, as the allocator found room for it or not
         if out is None:
             normals = [rng.standard_normal(min(n - s, _CHUNK)) for s in range(0, n, _CHUNK)]

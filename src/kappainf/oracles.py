@@ -9,10 +9,11 @@ The quadrature engine is a 7/15 Gauss-Kronrod pair applied to a list of
 seed intervals, with repeated bisection of every interval whose nested-rule
 error estimate exceeds its share (proportional to length) of the error
 budget.  It runs many integrals at once: ``verify`` integrates all density
-cases of one family in one run, with one unchecked density call per round
-over the open intervals of every case, and each result keeps the bits of a
-run on its own, because the rule products are row-local and each case's sums
-follow index order; ``quadrature_prob`` is a one-integral run.  The inverse
+cases of one family in one run, each round calling the unchecked density
+on the open intervals of every case a special-function block of nodes at a
+time, and each result keeps the bits of a run on its own, because the rule
+products are row-local and each case's sums follow index order;
+``quadrature_prob`` is a one-integral run.  The inverse
 Gaussian density looks singular near 0 (an x^{-3/2} factor, tamed by the
 exponential) and can be a needle when lambda/mu is large, so the seed knots
 always straddle the density mode.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curves
+from . import curves, special
 from .distributions import (_CHUNK, _LOG_MAX, POSITIVE_SUPPORT, DistParams, Family, _blocks,
                             _density, _mode, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
@@ -120,12 +121,15 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     ``knots[i]`` is a strictly increasing array whose consecutive pairs are
     the seed intervals of integral i, whose absolute accuracy target is tol.
     ``f(x, case)`` gets the (n, 15) nodes of n intervals and the integral
-    each interval belongs to, and returns the integrands at x: one call per
-    round covers the open intervals of every integral.
+    each interval belongs to, and returns the integrands at x.  Each round
+    calls it on the open intervals of every integral, ``special._BLOCK //
+    15`` intervals at a time, so that no node or integrand array is larger
+    than a special-function block.
 
     Each result has the bits of a one-integral run, kept by order alone: the
     rule products are row-local (``einsum`` over one row, where a BLAS
-    product row depends on the row count), ``bincount`` adds each integral's
+    product row depends on the row count), so they do not depend on the
+    blocks either; ``bincount`` adds each integral's
     accepted intervals in index order, and each integral's open intervals
     keep the order of a run on its own.  Returns (integrals, error
     estimates); raises NumericalError for the first integral to exhaust its
@@ -139,13 +143,19 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     integral = np.zeros(count)
     err_accepted = np.zeros(count)
     n_eval = np.zeros(count, dtype=np.int64)
+    rows = special._BLOCK // _NODES.size  # intervals whose nodes are one block
     for _ in range(_MAX_ROUNDS):
         mid = 0.5 * a + 0.5 * b  # 0.5*(a + b) overflows near DBL_MAX
         half = 0.5 * (b - a)
-        fx = f(mid[:, None] + half[:, None] * _NODES[None, :], case)
         n_eval += _NODES.size * np.bincount(case, minlength=count)
-        k15 = np.einsum("ij,j->i", fx, _WK) * half
-        g7 = np.einsum("ij,j->i", fx, _WG) * half
+        k15, g7 = np.empty(mid.size), np.empty(mid.size)
+        for s in range(0, mid.size, rows):
+            piece = slice(s, s + rows)
+            fx = f(mid[piece, None] + half[piece, None] * _NODES[None, :], case[piece])
+            np.einsum("ij,j->i", fx, _WK, out=k15[piece])
+            np.einsum("ij,j->i", fx, _WG, out=g7[piece])
+        k15 *= half
+        g7 *= half
         err = np.abs(k15 - g7)
         done = err <= tol * (b - a) / total_len[case]
         integral += np.bincount(case[done], k15[done], count)
@@ -275,14 +285,23 @@ def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float,
 
     The draws are those of ``sample(params, n, seed)``, counted a block of
     65,536 at a time: no n-float array is held, except the inverse
-    Gaussian's n normals, which its uniforms follow in the stream."""
+    Gaussian's n normals, which its uniforms follow in the stream (one
+    block-long array each).  ``verify`` runs its inverse Gaussian cases
+    through ``_mc_prob`` with one n-float array for them instead."""
+    return _mc_prob(params, kappa, n, seed)
+
+
+def _mc_prob(params: DistParams, kappa: float, n: int, seed: int,
+             out: np.ndarray | None = None) -> tuple[float, float]:
+    """mc_prob, with the draws written to ``out`` (exactly n floats) when
+    it is given, as ``distributions._blocks`` writes them."""
     if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
     # raises before any draw
     t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
     hits = 0
     below = np.empty(min(n, _CHUNK), dtype=bool)
-    for block in _blocks(params, n, seed):
+    for block in _blocks(params, n, seed, out):
         hits += np.count_nonzero(np.less_equal(block, t_end, out=below[:block.size]))
     p_hat = float(hits) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -346,6 +365,12 @@ def grid_min(family: Family, kappa: float, grid: GridSpec) -> tuple[float, float
         raise DomainError(f"grid leaves the coordinate domain of {family.value}")
     if pts.size < 1000:
         raise DomainError(f"need at least 1000 grid points, got {pts.size}")
-    values = curves.reduced_prob(family, k, pts)
-    idx = int(np.argmin(values))
-    return float(pts[idx]), float(values[idx])
+    # a special-function block at a time; the strict < keeps the first of
+    # equal minima, as np.argmin over the whole grid does
+    best = None
+    for s in range(0, pts.size, special._BLOCK):
+        values = curves.reduced_prob(family, k, pts[s:s + special._BLOCK])
+        idx = int(np.argmin(values))
+        if best is None or values[idx] < best[1]:
+            best = float(pts[s + idx]), float(values[idx])
+    return best

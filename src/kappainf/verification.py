@@ -12,13 +12,17 @@ random quadrature cases per family; ``full`` raises these to 1e6, 1e5 and
 200.  The seed drives every random draw through derived child seeds, so a
 run is reproducible end to end.  All random inputs are drawn first, in the
 order of a serial run: the quadrature cases, the derivative points, then one
-child seed per Monte Carlo case.  The Monte Carlo cases then run on a thread
-pool as wide as the usable CPUs (at most one thread per case) while the
-calling thread computes the rows that come before theirs; the two short
-groups of rows after theirs follow once they are collected.  Each case
-draws from its own child seed and counts its draws a block at a time, so
-the rows, their order, the first error raised and the bytes are those of a
-serial loop.
+child seed per Monte Carlo case.  Then a thread pool as wide as the usable
+CPUs computes the rows that come before the Monte Carlo rows, as its first
+task, and the nine Monte Carlo cases of the other families after it.
+Meanwhile the calling thread runs the three inverse Gaussian cases in
+order, whose n normals, drawn before their uniforms, share one n-float
+array (~8 MB at ``full``): one owner for the run's largest memory.  The
+two short groups of rows after the Monte Carlo rows follow once those are
+collected.  Each case draws from its own child seed and counts its draws a
+block at a time, and an error waits for every row before it, so the rows,
+their order, the first error raised and the bytes are those of a serial
+loop.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ import numpy as np
 from . import curves, solver
 from .distributions import DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
-from .oracles import GridSpec, OracleReport, _quadrature_batch, grid_min, mc_prob
+from .oracles import GridSpec, OracleReport, _mc_prob, _quadrature_batch, grid_min, mc_prob
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
 
@@ -243,30 +247,45 @@ def _usable_cpus() -> int:
 
 def _mc_rows(budget: Budget, seed_source: np.random.Generator,
              first: Callable[[], list[OracleReport]] = list) -> list[OracleReport]:
-    """first() + the Monte Carlo rows.  The cases run on a pool as wide as the
-    usable CPUs while the calling thread computes first(); if that raises,
-    the cases not started are cancelled and the pool is joined before the
-    error goes on, so no thread outlives the call."""
+    """first() + the Monte Carlo rows.  first() is the first task of a pool
+    as wide as the usable CPUs, and the cases other than the inverse
+    Gaussian's follow it.  The calling thread runs the inverse Gaussian
+    cases in order, with their normals in one n-float array: the memory of
+    a thread that the pool makes anew can land anywhere, that of the
+    calling thread always in the same place.  A case's error waits until
+    first() is done, since a serial loop would raise first()'s.  On any
+    error the cases not started are cancelled and the pool is joined
+    before the error goes on, so no thread outlives the call."""
     # every case has its own generator, and numpy's fills and ufuncs release
     # the GIL, so the cases run on threads with the draws of a serial loop
     seeds = [int(seed_source.integers(2**63)) for _ in _MC_CASES]
-    with ThreadPoolExecutor(min(len(_MC_CASES), _usable_cpus())) as pool:
-        futures = [pool.submit(mc_prob, params, kappa, budget.mc_samples, child_seed)
-                   for (params, kappa), child_seed in zip(_MC_CASES, seeds)]
+    n = budget.mc_samples
+    here = [params.family is Family.INVERSE_GAUSSIAN for params, _ in _MC_CASES]
+    with ThreadPoolExecutor(min(1 + here.count(False), _usable_cpus())) as pool:
+        first_rows = pool.submit(first)
+        futures = [Future() if mine else pool.submit(mc_prob, params, kappa, n, child_seed)
+                   for (params, kappa), child_seed, mine in zip(_MC_CASES, seeds, here)]
         try:
-            rows = first()
+            normals = np.empty(n) if any(here) else None
+            for (params, kappa), child_seed, mine, future in zip(_MC_CASES, seeds, here, futures):
+                if mine:
+                    try:
+                        future.set_result(_mc_prob(params, kappa, n, child_seed, normals))
+                    except Exception as error:
+                        future.set_exception(error)
+            rows = first_rows.result()
+            for (params, kappa), child_seed, future in zip(_MC_CASES, seeds, futures):
+                analytic = cdf(params, kappa * mean(params))
+                estimate, se = future.result()  # a serial loop's first error
+                rows.append(OracleReport(
+                    "monte_carlo", analytic, estimate, 4.0 * se,
+                    f"{params.family.value} P(X <= kappa*mean) vs {n} "
+                    f"draws (4-sigma band), p1={params.p1:g} p2={params.p2:g} "
+                    f"kappa={kappa:g} seed={child_seed}",
+                ))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-        for (params, kappa), child_seed, future in zip(_MC_CASES, seeds, futures):
-            analytic = cdf(params, kappa * mean(params))
-            estimate, se = future.result()  # a serial loop's first error
-            rows.append(OracleReport(
-                "monte_carlo", analytic, estimate, 4.0 * se,
-                f"{params.family.value} P(X <= kappa*mean) vs {budget.mc_samples} "
-                f"draws (4-sigma band), p1={params.p1:g} p2={params.p2:g} "
-                f"kappa={kappa:g} seed={child_seed}",
-            ))
     return rows
 
 

@@ -4,12 +4,13 @@ analytic path."""
 import hashlib
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from kappainf import oracles, verification
+from kappainf import curves, oracles, special, verification
 from kappainf import (
     DistParams,
     DomainError,
@@ -159,6 +160,31 @@ class TestQuadratureBatch:
         assert str(batch.value) == str(alone.value)
         assert "did not converge" in str(batch.value)
 
+    def test_row_blocks_of_seven_keep_the_bits(self, monkeypatch):
+        # each round evaluates special._BLOCK // 15 intervals at a time; the
+        # rule products are row-local, so the blocks change no bit
+        for cases in verification._quad_cases(verification.BUDGETS["quick"],
+                                               np.random.default_rng(7)):
+            default = oracles._quadrature_batch(cases)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracles, "_MAX_ROUNDS", 1)
+                with pytest.raises(NumericalError, match="did not converge"):
+                    oracles._quadrature_batch(cases)  # so the batch takes several rounds
+            rows = []
+
+            def recorded(f, knots, tol, _g=oracles._gauss_kronrod):
+                def f_rows(x, case):
+                    rows.append(x.shape[0])
+                    return f(x, case)
+                return _g(f_rows, knots, tol)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(special, "_BLOCK", 7 * 15)
+                patch.setattr(oracles, "_gauss_kronrod", recorded)
+                blocked = oracles._quadrature_batch(cases)
+            assert max(rows) == 7
+            assert blocked.tobytes() == default.tobytes()
+
 
 class TestTailCutoffs:
     # rows 0 and 2 decay like a Cauchy density and reach 1e-16 of their peak
@@ -217,6 +243,33 @@ class TestGridMin:
             Family.LOGISTIC, 1.0, GridSpec("linear", -50.0, 50.0, 2000)
         )
         assert value == 0.5
+
+    @pytest.mark.parametrize("family, kappas, spec", [
+        (Family.INVERSE_GAUSSIAN, (0.5, 1.0, 1.5, 10.0), ("geometric", 1e-3, 10.0)),
+        (Family.LOG_NORMAL, (0.5, 1.0, math.e, 4.0), ("geometric", 1e-2, 1e2)),
+        (Family.GUMBEL, (0.5, 1.0, 2.0), ("linear", -50.0, 50.0)),
+        (Family.LOGISTIC, (0.5, 1.0, 2.0), ("linear", -50.0, 50.0)),
+    ], ids=lambda v: getattr(v, "value", ""))
+    def test_blocked_scan_is_a_whole_grid_argmin(self, family, kappas, spec):
+        # grid_min scans special._BLOCK points at a time; the (x, value) are
+        # those of np.argmin over the whole grid, bit for bit.  At kappa = 1
+        # the Gumbel and logistic curves are constant: every block ties
+        for count in (1000, special._BLOCK + 1, 3 * special._BLOCK - 7, 100_000):
+            grid = GridSpec(*spec, count)
+            pts = grid.points()
+            for kappa in kappas:
+                values = reduced_prob(family, kappa, pts)
+                i = int(np.argmin(values))
+                got = grid_min(family, kappa, grid)
+                assert np.array(got).tobytes() == np.array([pts[i], values[i]]).tobytes()
+
+    def test_equal_minima_in_two_blocks_give_the_first(self, monkeypatch):
+        grid = GridSpec("linear", 0.0, 1.0, 2 * special._BLOCK + 500)
+        pts = grid.points()
+        first, second = pts[special._BLOCK - 1], pts[special._BLOCK + 3]
+        monkeypatch.setattr(curves, "reduced_prob", lambda family, kappa, x: np.where(
+            (x == first) | (x == second), 0.25, 1.0))
+        assert grid_min(Family.LOGISTIC, 2.0, grid) == (first, 0.25)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -371,7 +424,8 @@ class TestVerificationRows:
         rows = verification._closed_form_rows(verification._quad_cases(
             verification.Budget(1000, 1000, quad_cases), np.random.default_rng(1)))
         assert all(row.passed for row in rows)
-        # a round per call, plus the peaks and the left tails of the real-line families
+        # a call per row block of a round, plus the peaks and the left tails of
+        # the real-line families
         assert len(density_calls) == len(rounds) + 2 * 2
         assert len(rounds) <= 10 * len(Family)
 
@@ -417,6 +471,39 @@ class TestMcRowsPool:
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got -1.5"
 
+    def test_inverse_gaussian_cases_share_one_n_float_array(self, monkeypatch):
+        # _blocks draws out.size normals, so the array must be exactly n long
+        serial = _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
+        outs = []
+
+        def recorded(params, n, seed, out=None, _f=oracles._blocks):
+            outs.append((params.family, n, out))
+            return _f(params, n, seed, out)
+
+        monkeypatch.setattr(oracles, "_blocks", recorded)
+        rows = verification._mc_rows(self.BUDGET, np.random.default_rng(5))
+        assert [row.estimate for row in rows] == [estimate for _, estimate, _, _ in serial]
+        lent = [out for family, _, out in outs if family is Family.INVERSE_GAUSSIAN]
+        assert len(lent) == 3 and all(out is lent[0] for out in lent)
+        assert lent[0].shape == (self.BUDGET.mc_samples,)
+        assert all(out is None for family, _, out in outs if family is not Family.INVERSE_GAUSSIAN)
+
+    def test_full_budget_peak_holds_one_set_of_normals(self, monkeypatch):
+        # two pool threads and the calling thread, each with at most four
+        # block-long float buffers, plus one n-float array of normals: 13.6
+        # MiB, against 11.4 MiB measured.  With the inverse Gaussian cases on
+        # the pool, two ran side by side and each held its n normals:
+        # 18.4 MiB.
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+        budget = verification.BUDGETS["full"]
+        tracemalloc.start()
+        try:
+            verification._mc_rows(budget, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * budget.mc_samples + 3 * 4 * 8 * oracles._CHUNK
+
 
 def _serial_run(budget, seed):
     """The rows of run_verification from its parts one after another, with
@@ -449,7 +536,11 @@ class TestMonteCarloAlongside:
 
     @pytest.mark.parametrize("broken", ["_ig_critical_rows", "_location_scale_rows",
                                         "_phase_transition_rows"])
-    def test_a_raising_row_raises_the_serial_error(self, monkeypatch, broken):
+    @pytest.mark.parametrize("bad_case", [
+        (DistParams.logistic(1.0, 0.3), -1.5),  # a pool case: kappa must be > 0
+        (DistParams.inverse_gaussian(1e7, 1.0), 1.5),  # on the calling thread: mu/lambda > 1e6
+    ], ids=["pool", "calling-thread"])
+    def test_a_raising_row_raises_the_serial_error(self, monkeypatch, broken, bad_case):
         # the row raises while the Monte Carlo cases run, and one of those
         # cases raises too: a serial loop raises whichever comes first
         def fail(*args):
@@ -457,9 +548,7 @@ class TestMonteCarloAlongside:
 
         monkeypatch.setattr(verification, broken, fail)
         monkeypatch.setattr(verification, "_MC_CASES", [
-            *verification._MC_CASES[:3],
-            (DistParams.logistic(1.0, 0.3), -1.5),
-            *verification._MC_CASES[3:],
+            *verification._MC_CASES[:3], bad_case, *verification._MC_CASES[3:],
         ])
         monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
         with pytest.raises(KappainfError) as serial:
