@@ -311,6 +311,10 @@ _CHUNK = 65_536
 # conjugate's p1*p1 overflows or loses its digits.
 _IG_SAMPLE_MU = (math.sqrt(sys.float_info.min), IG_KAPPA_MAX)
 _IG_SAMPLE_RATIO_MAX = 1e6
+# Families whose sampler holds n floats at once: the inverse Gaussian draws
+# all n normals before its uniforms.  ``_blocks`` puts them in ``out`` when
+# it is given one, and ``verify`` lends these cases one n-float array.
+_HOLDS_N_FLOATS = frozenset({Family.INVERSE_GAUSSIAN})
 
 
 def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):

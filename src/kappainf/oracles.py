@@ -233,7 +233,8 @@ _QUAD_TOL = 1e-10
 def _quadrature_batch(cases) -> np.ndarray:
     """quadrature_prob of every (params, kappa) in ``cases``, all of one
     family, from one adaptive Gauss-Kronrod run with one density call per
-    round; each estimate has the bits of a run on its own."""
+    row block of a round (``special._BLOCK // 15`` intervals); each estimate
+    has the bits of a run on its own."""
     family = cases[0][0].family
     if any(params.family is not family for params, _ in cases):
         raise DomainError("a quadrature batch takes one family")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves, solver
-from .distributions import DistParams, Family, cdf, mean
+from .distributions import _HOLDS_N_FLOATS, DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
 from .oracles import GridSpec, OracleReport, _mc_prob, _quadrature_batch, grid_min, mc_prob
 
@@ -248,19 +248,20 @@ def _usable_cpus() -> int:
 def _mc_rows(budget: Budget, seed_source: np.random.Generator,
              first: Callable[[], list[OracleReport]] = list) -> list[OracleReport]:
     """first() + the Monte Carlo rows.  first() is the first task of a pool
-    as wide as the usable CPUs, and the cases other than the inverse
-    Gaussian's follow it.  The calling thread runs the inverse Gaussian
-    cases in order, with their normals in one n-float array: the memory of
-    a thread that the pool makes anew can land anywhere, that of the
-    calling thread always in the same place.  A case's error waits until
-    first() is done, since a serial loop would raise first()'s.  On any
-    error the cases not started are cancelled and the pool is joined
-    before the error goes on, so no thread outlives the call."""
+    as wide as the usable CPUs, and the cases whose sampler holds no n
+    floats follow it.  The calling thread runs the others (the inverse
+    Gaussian's, ``distributions._HOLDS_N_FLOATS``) in order, with their n
+    floats in one array: the memory of a thread that the pool makes anew
+    can land anywhere, that of the calling thread always in the same place.
+    A case's error waits until first() is done, since a serial loop would
+    raise first()'s.  On any error the cases not started are cancelled and
+    the pool is joined before the error goes on, so no thread outlives the
+    call."""
     # every case has its own generator, and numpy's fills and ufuncs release
     # the GIL, so the cases run on threads with the draws of a serial loop
     seeds = [int(seed_source.integers(2**63)) for _ in _MC_CASES]
     n = budget.mc_samples
-    here = [params.family is Family.INVERSE_GAUSSIAN for params, _ in _MC_CASES]
+    here = [params.family in _HOLDS_N_FLOATS for params, _ in _MC_CASES]
     with ThreadPoolExecutor(min(1 + here.count(False), _usable_cpus())) as pool:
         first_rows = pool.submit(first)
         futures = [Future() if mine else pool.submit(mc_prob, params, kappa, n, child_seed)

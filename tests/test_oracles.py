@@ -406,8 +406,8 @@ class TestVerificationRows:
         assert all(row.passed for row in rows)
 
     @pytest.mark.parametrize("quad_cases", [5, 200])
-    def test_one_density_call_per_quadrature_round(self, monkeypatch, quad_cases):
-        density_calls, rounds = [], []
+    def test_few_density_calls_per_quadrature_round(self, monkeypatch, quad_cases):
+        density_calls, block_calls = [], []
 
         def counted_density(*args, _f=oracles._density):
             density_calls.append(args[0])
@@ -415,7 +415,7 @@ class TestVerificationRows:
 
         def counted_engine(f, knots, tol, _g=oracles._gauss_kronrod):
             def counted_f(x, case):
-                rounds.append(x.shape[0])
+                block_calls.append(x.shape[0])
                 return f(x, case)
             return _g(counted_f, knots, tol)
 
@@ -426,8 +426,8 @@ class TestVerificationRows:
         assert all(row.passed for row in rows)
         # a call per row block of a round, plus the peaks and the left tails of
         # the real-line families
-        assert len(density_calls) == len(rounds) + 2 * 2
-        assert len(rounds) <= 10 * len(Family)
+        assert len(density_calls) == len(block_calls) + 2 * 2
+        assert len(block_calls) <= 10 * len(Family)
 
 
 def _serial_mc_rows(budget, seed_source):

@@ -1,13 +1,13 @@
 """Minor page faults and peak memory of ``verify`` calls, in one process.
 
-Runs ``run_verification`` CALLS times per budget, one budget after the
-other, and prints one line per call: its wall time, the minor page faults
-it took (``ru_minflt`` of this process before and after the call) and the
-process's peak resident set so far (``ru_maxrss``, in MB).  Nothing is
-gated: both counts depend on the C library's allocator.
+Runs ``run_verification`` CALLS times at ``quick``, then CALLS times at
+``full``, all with seed 1, and prints one line per call: its wall time, the
+minor page faults it took (``ru_minflt`` of this process before and after
+the call) and the process's peak resident set so far (``ru_maxrss``, in
+MB).  Nothing is gated: both counts depend on the C library's allocator.
 
-    PYTHONPATH=src python3 tools/verify_memory.py                # 3 quick, 3 full, seed 1
-    PYTHONPATH=src python3 tools/verify_memory.py --calls 6 --seed 2 full
+    PYTHONPATH=src python3 tools/verify_memory.py             # 3 quick, then 3 full
+    PYTHONPATH=src python3 tools/verify_memory.py --calls 6
 """
 
 from __future__ import annotations
@@ -20,20 +20,17 @@ import time
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("budgets", nargs="*", default=["quick", "full"],
-                        help="budgets to run, in order (default: quick full)")
     parser.add_argument("--calls", type=int, default=3, help="calls per budget (default: 3)")
-    parser.add_argument("--seed", type=int, default=1, help="verify seed (default: 1)")
     args = parser.parse_args(argv)
 
     from kappainf.verification import run_verification
 
     print("budget  call  wall_ms  minflt  maxrss_mb")
-    for budget in args.budgets:
+    for budget in ("quick", "full"):
         for call in range(args.calls):
             before = resource.getrusage(resource.RUSAGE_SELF)
             start = time.perf_counter()
-            rows = run_verification(budget, args.seed)
+            rows = run_verification(budget, 1)
             wall_ms = 1e3 * (time.perf_counter() - start)
             after = resource.getrusage(resource.RUSAGE_SELF)
             failed = sum(not row.passed for row in rows)
