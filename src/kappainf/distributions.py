@@ -15,12 +15,10 @@ uses a fixed transformation of that stream:
 One private generator, ``_blocks``, writes each transform once and yields
 the draws 65,536 at a time, with its intermediates in reused buffers.
 ``sample`` has it fill the one n-float array it returns (~8 MB at 1e6
-draws); ``oracles.mc_prob`` counts each block and holds no n-array: the
+draws); ``oracles.mc_prob`` counts each block and holds no n-array but the
 inverse Gaussian's n normals, whose uniforms follow all of them in the
-stream, are held one block-long array each.  So samplers running side by
-side on threads stay small.  ``verify`` runs its inverse Gaussian cases
-one after another on its calling thread and lends each the same n-float
-array for its normals.
+stream: ``_blocks`` holds them in one n-float array, ``sample``'s result
+when it is given one.
 """
 
 from __future__ import annotations
@@ -312,21 +310,20 @@ _CHUNK = 65_536
 _IG_SAMPLE_MU = (math.sqrt(sys.float_info.min), IG_KAPPA_MAX)
 _IG_SAMPLE_RATIO_MAX = 1e6
 # Families whose sampler holds n floats at once: the inverse Gaussian draws
-# all n normals before its uniforms.  ``_blocks`` puts them in ``out`` when
-# it is given one, and ``verify`` lends these cases one n-float array.
+# all n normals before its uniforms, so ``verify`` runs these cases one at a
+# time on its calling thread.
 _HOLDS_N_FLOATS = frozenset({Family.INVERSE_GAUSSIAN})
 
 
 def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):
     """Yield the n draws of ``sample(params, n, seed)`` in order, at most
-    _CHUNK at a time.  With ``out`` (exactly n floats: the inverse Gaussian
-    draws out.size normals) each block is the view of out at its offset, so
-    out ends up holding the sample; ``sample`` passes its result and
-    ``verify`` one array for all its inverse Gaussian cases.  Without out
-    the blocks share one buffer, which the next block overwrites (the
-    inverse Gaussian's are its n normals, one array per block).  n is
-    unchecked; the seed is checked on the first step, and so is the inverse
-    Gaussian's domain, before any draw."""
+    _CHUNK at a time.  With ``out`` (n floats, as ``sample`` passes its
+    result) each block is the view of out at its offset, so out ends up
+    holding the sample.  Without out the blocks share one buffer, which the
+    next block overwrites; the inverse Gaussian's are views of its n
+    normals, in an array of its own.  n is unchecked; the seed is checked
+    on the first step, and so is the inverse Gaussian's domain, before any
+    draw."""
     rng = np.random.default_rng(require_count("seed", seed))
     p1, p2 = params.p1, params.p2
     size = min(n, _CHUNK)
@@ -338,18 +335,13 @@ def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None
         if not (lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
             raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
                               f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
-        # the uniforms follow all n normals in the stream.  Without out each
-        # block of normals is an array of its own: one n-float array (8 MB at
-        # 1e6) made on each Monte Carlo pool thread moved the peak memory of
-        # identical runs by 7-10 MB, as the allocator found room for it or not
-        if out is None:
-            normals = [rng.standard_normal(min(n - s, _CHUNK)) for s in range(0, n, _CHUNK)]
-        else:
-            normals = [out[s:s + _CHUNK] for s in range(0, n, _CHUNK)]
-            rng.standard_normal(out=out)
+        # the uniforms follow all n normals in the stream
+        normals = np.empty(n) if out is None else out
+        rng.standard_normal(out=normals)
         t_buf, u_buf = np.empty(size), np.empty(size)
         pick_buf = np.empty(size, dtype=np.int64)
-        for x in normals:
+        for s in range(0, n, _CHUNK):
+            x = normals[s:s + _CHUNK]
             t, v, pick = t_buf[:x.size], u_buf[:x.size], pick_buf[:x.size]
             x *= x
             x *= p1

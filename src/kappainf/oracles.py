@@ -192,7 +192,11 @@ def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
         cand += [math.exp(u) for u in exps if u < _LOG_MAX]
     else:
         ig = params.family is Family.INVERSE_GAUSSIAN
-        s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2
+        try:
+            s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2
+        except OverflowError:  # mu**3 past DBL_MAX
+            raise DomainError(f"inverse Gaussian quadrature takes mu <= DBL_MAX^(1/3) "
+                              f"~ 5.6e102, got mu={params.p1!r}") from None
         for j in _GEOMETRIC_STEPS:
             cand += [center - j * s, center + j * s]
         if ig:  # heavy right tail when lambda << mu; points >= hi are dropped below
@@ -286,23 +290,14 @@ def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float,
 
     The draws are those of ``sample(params, n, seed)``, counted a block of
     65,536 at a time: no n-float array is held, except the inverse
-    Gaussian's n normals, which its uniforms follow in the stream (one
-    block-long array each).  ``verify`` runs its inverse Gaussian cases
-    through ``_mc_prob`` with one n-float array for them instead."""
-    return _mc_prob(params, kappa, n, seed)
-
-
-def _mc_prob(params: DistParams, kappa: float, n: int, seed: int,
-             out: np.ndarray | None = None) -> tuple[float, float]:
-    """mc_prob, with the draws written to ``out`` (exactly n floats) when
-    it is given, as ``distributions._blocks`` writes them."""
+    Gaussian's n normals, which its uniforms follow in the stream."""
     if require_count("n", n) < 1000:
         raise DomainError(f"need n >= 1000 samples, got {n}")
     # raises before any draw
     t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
     hits = 0
     below = np.empty(min(n, _CHUNK), dtype=bool)
-    for block in _blocks(params, n, seed, out):
+    for block in _blocks(params, n, seed):
         hits += np.count_nonzero(np.less_equal(block, t_end, out=below[:block.size]))
     p_hat = float(hits) / n
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)

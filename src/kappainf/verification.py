@@ -16,9 +16,9 @@ child seed per Monte Carlo case.  Then a thread pool as wide as the usable
 CPUs computes the rows that come before the Monte Carlo rows, as its first
 task, and the nine Monte Carlo cases of the other families after it.
 Meanwhile the calling thread runs the three inverse Gaussian cases in
-order, whose n normals, drawn before their uniforms, share one n-float
-array (~8 MB at ``full``): one owner for the run's largest memory.  The
-two short groups of rows after the Monte Carlo rows follow once those are
+order, each of which holds its n normals (~8 MB at ``full``) until its
+uniforms are drawn, so no two of them are held at once.  The two short
+groups of rows after the Monte Carlo rows follow once those are
 collected.  Each case draws from its own child seed and counts its draws a
 block at a time, and an error waits for every row before it, so the rows,
 their order, the first error raised and the bytes are those of a serial
@@ -38,7 +38,7 @@ import numpy as np
 from . import curves, solver
 from .distributions import _HOLDS_N_FLOATS, DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
-from .oracles import GridSpec, OracleReport, _mc_prob, _quadrature_batch, grid_min, mc_prob
+from .oracles import GridSpec, OracleReport, _quadrature_batch, grid_min, mc_prob
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
 
@@ -250,9 +250,9 @@ def _mc_rows(budget: Budget, seed_source: np.random.Generator,
     """first() + the Monte Carlo rows.  first() is the first task of a pool
     as wide as the usable CPUs, and the cases whose sampler holds no n
     floats follow it.  The calling thread runs the others (the inverse
-    Gaussian's, ``distributions._HOLDS_N_FLOATS``) in order, with their n
-    floats in one array: the memory of a thread that the pool makes anew
-    can land anywhere, that of the calling thread always in the same place.
+    Gaussian's, ``distributions._HOLDS_N_FLOATS``) in order, one set of n
+    floats at a time: the memory of a thread that the pool makes anew can
+    land anywhere, that of the calling thread always in the same place.
     A case's error waits until first() is done, since a serial loop would
     raise first()'s.  On any error the cases not started are cancelled and
     the pool is joined before the error goes on, so no thread outlives the
@@ -267,11 +267,10 @@ def _mc_rows(budget: Budget, seed_source: np.random.Generator,
         futures = [Future() if mine else pool.submit(mc_prob, params, kappa, n, child_seed)
                    for (params, kappa), child_seed, mine in zip(_MC_CASES, seeds, here)]
         try:
-            normals = np.empty(n) if any(here) else None
             for (params, kappa), child_seed, mine, future in zip(_MC_CASES, seeds, here, futures):
                 if mine:
                     try:
-                        future.set_result(_mc_prob(params, kappa, n, child_seed, normals))
+                        future.set_result(mc_prob(params, kappa, n, child_seed))
                     except Exception as error:
                         future.set_exception(error)
             rows = first_rows.result()

@@ -442,18 +442,6 @@ class TestSample:
                 p_hat, _ = mc_prob(params, kappa, n, 123)
                 assert p_hat == float(np.count_nonzero(draws <= t_end)) / n, (params, kappa)
 
-    def test_inverse_gaussian_blocks_hold_their_normals_a_block_to_an_array(self):
-        # one n-float array of normals on each Monte Carlo pool thread made
-        # the peak memory of identical verify runs differ by 7-10 MB
-        tracemalloc.start()
-        try:
-            blocks = _blocks(DistParams.inverse_gaussian(2.0, 6.0), 10**6, 3)
-            next(blocks)
-            largest = max(trace.size for trace in tracemalloc.take_snapshot().traces)
-        finally:
-            tracemalloc.stop()
-        assert largest <= 65_536 * 8
-
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
     def test_million_draw_count_holds_no_draw_array(self, params):
         # block buffers only; the inverse Gaussian holds its 8 MB of normals,

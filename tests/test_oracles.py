@@ -133,6 +133,15 @@ class TestQuadratureProb:
             value = quadrature_prob(DistParams.log_normal(709.0, 1.0), 1.0)
         assert value == pytest.approx(0.691462461274013, abs=1e-13)  # Phi(1/2)
 
+    @pytest.mark.parametrize("mu", [1e103, 1e110, 1e300])
+    def test_inverse_gaussian_mu_past_the_cube_root_of_dbl_max_is_a_domain_error(self, mu):
+        # the seed knots' spread sqrt(mu^3/lambda) takes mu**3, which raised
+        # a raw OverflowError past DBL_MAX^(1/3)
+        with pytest.raises(DomainError, match=r"mu <= DBL_MAX\^\(1/3\)"):
+            quadrature_prob(DistParams.inverse_gaussian(mu, 1.0), 2.0)
+        below = DistParams.inverse_gaussian(5.6e102, 1e100)
+        assert abs(quadrature_prob(below, 2.0) - cdf(below, 2.0 * 5.6e102)) <= 1e-9
+
 
 class TestQuadratureBatch:
     def test_zero_peak_case_inside_a_batch(self):
@@ -471,22 +480,19 @@ class TestMcRowsPool:
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got -1.5"
 
-    def test_inverse_gaussian_cases_share_one_n_float_array(self, monkeypatch):
-        # _blocks draws out.size normals, so the array must be exactly n long
-        serial = _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
-        outs = []
+    def test_every_case_goes_through_mc_prob(self, monkeypatch):
+        # the binding that a tracer of oracles.mc_prob rebinds, so every
+        # case's time counts as Monte Carlo time
+        calls = []
 
-        def recorded(params, n, seed, out=None, _f=oracles._blocks):
-            outs.append((params.family, n, out))
-            return _f(params, n, seed, out)
+        def counted(params, kappa, n, seed, _f=verification.mc_prob):
+            calls.append((params, kappa))
+            return _f(params, kappa, n, seed)
 
-        monkeypatch.setattr(oracles, "_blocks", recorded)
+        monkeypatch.setattr(verification, "mc_prob", counted)
         rows = verification._mc_rows(self.BUDGET, np.random.default_rng(5))
-        assert [row.estimate for row in rows] == [estimate for _, estimate, _, _ in serial]
-        lent = [out for family, _, out in outs if family is Family.INVERSE_GAUSSIAN]
-        assert len(lent) == 3 and all(out is lent[0] for out in lent)
-        assert lent[0].shape == (self.BUDGET.mc_samples,)
-        assert all(out is None for family, _, out in outs if family is not Family.INVERSE_GAUSSIAN)
+        assert len(rows) == len(verification._MC_CASES)
+        assert sorted(calls, key=verification._MC_CASES.index) == verification._MC_CASES
 
     def test_full_budget_peak_holds_one_set_of_normals(self, monkeypatch):
         # two pool threads and the calling thread, each with at most four
