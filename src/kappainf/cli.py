@@ -1,12 +1,16 @@
 """Command line surface: eval, infimum, root, verify.
 
 Exit codes are a stable contract: 0 success, 2 usage or domain error
-(including an output path that cannot be opened), 3 numerical failure
-(including any failed verification report).  CSV and JSON outputs print
-floats in shortest round-trip form, so re-reading a file and re-evaluating
-the curve reproduces the written values bit for bit.  Every format writes curve
-samples a block of points at a time, to a file or stdout as each block is made,
-so memory stays flat in the point count and the number of kappa.
+(including an output path or stdout that cannot be opened or written), 3
+numerical failure (including any failed verification report).  CSV and JSON
+outputs print floats in shortest round-trip form, so re-reading a file and
+re-evaluating the curve reproduces the written values bit for bit.  Every format
+writes curve samples a block of points at a time, to a file or stdout as each
+block is made, so memory stays flat in the point count and the number of kappa.
+
+A plain argument list, a command name and ``--option value`` pairs, is parsed from
+the commands' click declarations without click's parser (``_plain_params``); click
+parses every other list, and writes every help, usage and error text.
 """
 
 from __future__ import annotations
@@ -105,19 +109,90 @@ def _render(fmt: str, headers: list[str], rows: list[list], doc: Callable[[], di
 
 def _emit(pieces: Iterable[str], out: Optional[str]) -> None:
     """The text of ``pieces`` and a newline, a piece at a time: to the file ``out``,
-    else to stdout."""
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(pieces)
-        fh.write("\n")
-        fh.flush()  # so a closed stdout pipe raises here, where invoke handles it
+    else to stdout.  A write error names its target, the path or "stdout"."""
+    try:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
+            fh.write("\n")
+            fh.flush()  # so a closed stdout pipe raises here, where invoke handles it
+    except OSError as exc:  # a failed write (a full disk) names no file
+        raise OSError(exc.errno, exc.strerror, out or "stdout") from None
+
+
+_PLAIN = "kappainf.plain"  # the ctx.meta key of a plain list's command context
+
+
+def _plain_params(ctx, args: list[str]) -> Optional[click.Context]:
+    """The command's context of a plain list: a command name, then ``--option value``
+    pairs of its declared options, each option at most once and each value neither
+    empty nor starting with "-".  Each value is converted by its option's type and
+    callback, defaults fill the rest.  None for any other list, or one that click
+    would reject, so that click parses it and writes the help or the error."""
+    command = ctx.command.get_command(ctx, args[0]) if args else None
+    if command is None or command.context_settings or len(args) % 2 == 0:
+        return None
+    options = {opt: param for param in command.params for opt in param.opts
+               if opt.startswith("--")}
+    given = {}
+    for opt, raw in zip(args[1::2], args[2::2]):
+        param = options.get(opt)
+        if param is None or param.name in given or not raw or raw.startswith("-"):
+            return None
+        given[param.name] = raw
+    # converted in a context of the command, as click converts them
+    sub_ctx = command.context_class(command, info_name=args[0], parent=ctx)
+    try:
+        for param in command.params:
+            if param.required and param.name not in given:
+                return None
+            raw = given.get(param.name, param.default)
+            if (not isinstance(param, click.Option) or param.is_flag or param.multiple
+                    or param.nargs != 1 or param.envvar or param.prompt is not None
+                    or not (raw is None or isinstance(raw, (str, int, float)))):
+                return None
+            value = param.type(raw, param, sub_ctx)
+            sub_ctx.params[param.name] = (value if param.callback is None
+                                          else param.callback(sub_ctx, param, value))
+    except click.ClickException:
+        return None
+    return sub_ctx
+
+
+def _quiet_stdout() -> None:
+    """Point stdout at the null device, so that the exit flush of what it still
+    holds cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 class _Main(click.Group):
-    """Maps library errors to the exit-code contract for every command."""
+    """Maps library errors to the exit-code contract for every command.
+
+    A plain argument list (``_plain_params``) skips click's parser: make_context
+    converts its values from the options' own declarations into the command's
+    context, and invoke runs the command in it.  Click parses every other list,
+    and writes every help, usage and error text."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        # the group's own options, --version and --help, are flags: a plain list has none
+        if parent is None and not extra and not self.context_settings:
+            ctx = self.context_class(self, info_name=info_name)
+            sub_ctx = _plain_params(ctx, args)
+            if sub_ctx is not None:
+                ctx.meta[_PLAIN] = sub_ctx
+                return ctx
+        return super().make_context(info_name, args, parent, **extra)
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            # popped, so that ctx.meta, which sub_ctx shares, stops holding sub_ctx
+            sub_ctx = ctx.meta.pop(_PLAIN, None)
+            if sub_ctx is None:
+                return super().invoke(ctx)
+            with ctx:
+                ctx.invoked_subcommand = sub_ctx.info_name
+                click.Command.invoke(self, ctx)  # the group's callback
+                with sub_ctx:
+                    return sub_ctx.command.invoke(sub_ctx)
         except (DomainError, RegimeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -125,11 +200,13 @@ class _Main(click.Group):
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
         except BrokenPipeError:  # stdout's reader has closed it, as ``| head`` does
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+            _quiet_stdout()
             sys.exit(0)
         except OSError as exc:
-            if exc.filename is None:  # not a path: stdout itself
+            if exc.filename is None:  # not a write of _emit's, which names its target
                 raise
+            if exc.filename == "stdout":
+                _quiet_stdout()
             click.echo(f"error: cannot write {exc.filename}: {exc.strerror}", err=True)
             sys.exit(2)
 
@@ -166,7 +243,7 @@ def cmd_eval(family, kappa, coord, mu, lam, sigma, beta) -> None:
         coord = reduce_params(DistParams(fam, native["mu"], native[SCALE_NAME[fam]]))
     elif native:
         raise DomainError("supply either --coord or native parameters, not both")
-    click.echo(format(reduced_prob(fam, kappa, coord), ".15g"))
+    _emit([format(reduced_prob(fam, kappa, coord), ".15g")], None)
 
 
 # the text of None and of each Family and LimitDirection member, read from a

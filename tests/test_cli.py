@@ -7,8 +7,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -572,3 +575,174 @@ class TestVerifyCommand:
         monkeypatch.setattr(kappainf.special, name, corrupted)
         result = runner.invoke(main, ["verify", "--budget", "quick", "--seed", "1"])
         assert result.exit_code == 3
+
+
+def _click_parses(ctx, args):
+    """A stand-in for ``cli._plain_params`` that leaves every list to click."""
+    return None
+
+
+# (valid, invalid) values of each option kind for the two-path property: "invalid"
+# ones are rejected by click or the library, or are valid only in click's spelling
+_FLOATS = (["2", "0.5", "1.0001", "1000"],
+           ["-1", "0", "", "1_0", " 2", "nan", "1e400", "abc"])
+_KAPPAS = (["2", "0.5,1,2", "1.0001,1.01,2"],
+           ["2,", ",", "-1,2", "0", "1_0", " 2", "nan", "1e400", "a,b", ""])
+_POINTS = (["5", "2"], ["1", "0", "1000001", "-3", "3.5", "1_0", " 4", ""])
+_PATHS = (["new.csv", "old.csv"], ["dir", "missing/x.csv", ""])  # old.csv and dir exist
+_SEEDS = (["1"], ["-1", "x", ""])  # verify runs at one seed only
+_BOGUS = ["--kappa=2", "--kap", "-h", "--help", "--", "--version", "extra"]
+
+
+def _values(param):
+    if param.callback is not None:  # --kappa of infimum and root
+        return _KAPPAS
+    if isinstance(param.type, click.Choice):
+        choices = [c for c in param.type.choices if c != "full"]  # verify at quick only
+        return choices, [choices[0].upper(), "bogus", ""]
+    return {click.Path: _PATHS, click.IntRange: _POINTS}.get(
+        type(param.type), _SEEDS if param.type is click.INT else _FLOATS)
+
+
+@st.composite
+def _arg_lists(draw):
+    """Mostly valid lists: each required option given 7 times in 8, each value drawn
+    from the valid ones 2 times in 3 (else from all), an option given twice 1 time
+    in 6, a bogus token 1 time in 4."""
+    name = draw(st.sampled_from([*main.commands, "infimun"]))
+    args = [name]
+    command = main.commands.get(name)
+    for param in draw(st.permutations(command.params)) if command else []:
+        if draw(st.integers(0, 7)) if param.required else draw(st.booleans()):
+            valid, invalid = _values(param)
+            for _ in range(1 + (draw(st.integers(0, 5)) == 0)):
+                pool = valid if draw(st.integers(0, 2)) else valid + invalid
+                args += [param.opts[0], draw(st.sampled_from(pool))]
+    if draw(st.integers(0, 3)) == 0:
+        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(_BOGUS)))
+    return args
+
+
+def _outcome(args, plain_params):
+    """Exit code, stdout, stderr, exception type and the files written of ``args``
+    in a fresh directory holding old.csv and dir/."""
+    runner = CliRunner()
+    with runner.isolated_filesystem(), mock.patch.object(cli, "_plain_params", plain_params):
+        Path("old.csv").write_text("old\n")
+        Path("dir").mkdir()
+        result = runner.invoke(main, args, prog_name="kappainf")
+        files = {str(p): p.read_bytes() for p in sorted(Path().rglob("*")) if p.is_file()}
+    return result.exit_code, result.stdout, result.stderr, type(result.exception), files
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arg_lists())
+@example(["infimum", "--family", "gumbel", "--kappa", "0.5,2", "--curve-points", "5",
+          "--format", "json", "--out", "new.csv"])
+@example(["root", "--kappa", "2", "--out", "dir"])
+@example(["infimum", "--family", "gumbel", "--kappa", "a,b"])  # the callback rejects it
+@example(["infimum", "--family", "GUMBEL", "--kappa", "2"])  # the type rejects it
+@example(["verify", "--seed", "x"])
+def test_plain_parse_gives_the_bytes_of_clicks(args):
+    assert _outcome(args, cli._plain_params) == _outcome(args, _click_parses), args
+
+
+def _parse_args_calls(monkeypatch, args):
+    """How many times click's parser ran for ``args``, and the exit code."""
+    calls = []
+    parse_args = click.Command.parse_args
+
+    def counted(self, ctx, args):
+        calls.append(self.name)
+        return parse_args(self, ctx, args)
+
+    monkeypatch.setattr(click.Command, "parse_args", counted)
+    result = CliRunner().invoke(main, args)
+    return len(calls), result.exit_code
+
+
+# the invocation shapes of the benchmark workloads
+BENCHMARK_SHAPES = [
+    ["infimum", "--family", "gumbel", "--kappa", "0.5,1,2", "--format", "csv"],
+    ["root", "--kappa", "1.0001,1.5,2", "--format", "csv"],
+    ["root", "--kappa", "1.000001", "--format", "csv"],
+    ["infimum", "--family", "inverse-gaussian", "--kappa", "0.5,1,2", "--curve-points", "50",
+     "--format", "csv", "--curve-out", "curve.csv"],
+    ["infimum", "--family", "log-normal", "--kappa", "0.5,1,2", "--curve-points", "50",
+     "--format", "json", "--out", "main.json"],
+    ["verify", "--budget", "quick", "--seed", "1", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("args", BENCHMARK_SHAPES, ids=["infimum-csv", "root-csv", "edge-root",
+                                                        "curve-csv", "curve-json", "verify-json"])
+def test_plain_lists_skip_clicks_parser(monkeypatch, tmp_path, args):
+    monkeypatch.chdir(tmp_path)
+    assert _parse_args_calls(monkeypatch, args) == (0, 0)
+
+
+@pytest.mark.parametrize("args", [
+    ["root", "--kappa=2"],
+    ["root", "--help"],
+    ["root", "--kappa", "2", "--kappa", "3"],
+])
+def test_other_lists_go_to_clicks_parser(monkeypatch, args):
+    calls, code = _parse_args_calls(monkeypatch, args)
+    assert calls > 0 and code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["root"],
+    ["infimum", "--family", "gumbel"],
+    ["infimum", "--kappa", "2"],
+    ["eval", "--family", "gumbel", "--coord", "1"],
+])
+def test_a_missing_required_option_goes_to_clicks_parser(monkeypatch, args):
+    # click before 8.3 declares a required option's default None, not a sentinel:
+    # the list must reach click's parser, which reports the missing option, either way
+    for param in main.commands[args[0]].params:
+        if param.required:
+            monkeypatch.setattr(param, "default", None)
+    assert _parse_args_calls(monkeypatch, args)[0] > 0
+
+
+def test_shell_completion_still_parses_with_click():
+    args = ["infimum", "--family", "gumbel", "--kappa", "2"]
+    ctx = main.make_context("kappainf", args, resilient_parsing=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # protected_args is deprecated
+        assert ctx.protected_args == ["infimum"]
+    result = CliRunner().invoke(main, [], prog_name="kappainf", env={
+        "_KAPPAINF_COMPLETE": "bash_complete", "COMP_CWORD": "4",
+        "COMP_WORDS": "kappainf infimum --family gumbel --fo"})
+    assert (result.exit_code, result.stdout) == (0, "plain,--format\n")
+
+
+FULL_DISK_CALLS = [
+    ["infimum", "--family", "gumbel", "--kappa", "2", "--out", "/dev/full"],
+    ["infimum", "--family", "gumbel", "--kappa", "2", "--curve-points", "5",
+     "--curve-out", "/dev/full"],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", FULL_DISK_CALLS, ids=["out", "curve-out"])
+def test_full_disk_is_exit_2_naming_the_file(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [["infimum", "--family", "gumbel", "--kappa", "2"],
+                                  ["eval", "--family", "gumbel", "--kappa", "2", "--coord", "1"]],
+                         ids=lambda a: a[0])
+def test_full_disk_on_stdout_is_exit_2_naming_stdout(args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "kappainf", *args], stdout=full,
+                              stderr=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stderr) == (
+        2, b"error: cannot write stdout: No space left on device\n")

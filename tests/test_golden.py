@@ -6,7 +6,8 @@ three formats of ``infimum`` (all four families) and ``root`` on one seeded swee
 batch with kappa at 1, just above 1 and at the inverse Gaussian limit, the
 ``infimum --curve-out`` output (stdout and the curve file) for the CSV and
 table formats, the ``root`` CSV, the ``verify --budget quick --seed 1`` JSON report,
-and a set of ``eval --coord`` lines.  The ``verify --budget full --seed 1`` JSON
+a set of ``eval --coord`` lines, and click's own text: five usage errors (stderr and
+exit code) and two help pages at 80 columns.  The ``verify --budget full --seed 1`` JSON
 report is pinned by its SHA-256 instead of a file.  Any refactoring that changes a
 single printed digit fails here.
 
@@ -89,6 +90,18 @@ EVAL_POINTS = [
 ]
 EVAL_FILE = "eval-coord.txt"
 
+# click's own text, as the console entry prints it at a fixed width: the stderr
+# and exit code of usage errors, one block each, and the help pages
+USAGE_ERRORS = [
+    ["infimum", "--family", "weibull", "--kappa", "2"],
+    ["infimum", "--family", "gumbel"],
+    ["infimum", "--family", "gumbel", "--kappa", "abc"],
+    ["infimum", "--family", "gumbel", "--kappa", "2", "--curve-points", "1"],
+    ["infimum", "--family", "gumbel", "--kappa", "2", "--bogus", "1"],
+]
+USAGE_FILE = "usage-errors.txt"
+HELP_CASES = {"help.txt": ["--help"], "help-infimum.txt": ["infimum", "--help"]}
+
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
@@ -110,6 +123,21 @@ def _run_curve_out(args, directory):
     path = Path(directory) / "curve.csv"
     stdout = _run(args + ["--curve-out", str(path)])
     return stdout, path.read_bytes()
+
+
+def _click_run(args):
+    return CliRunner().invoke(main, args, prog_name="kappainf", env={"COLUMNS": "80"})
+
+
+def _usage_text():
+    return "".join(f"$ kappainf {' '.join(args)}\nexit {result.exit_code}\n{result.stderr}"
+                   for args in USAGE_ERRORS for result in [_click_run(args)])
+
+
+def _help_text(args):
+    result = _click_run(args)
+    assert result.exit_code == 0, (args, result.output)
+    return result.stdout
 
 
 def _eval_lines():
@@ -136,6 +164,15 @@ def test_eval_coord_matches_golden_bytes():
     assert _eval_lines() == (DATA / EVAL_FILE).read_text(encoding="utf-8")
 
 
+def test_usage_errors_match_golden_bytes():
+    assert _usage_text() == (DATA / USAGE_FILE).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_matches_golden_bytes(name):
+    assert _help_text(HELP_CASES[name]) == (DATA / name).read_text(encoding="utf-8")
+
+
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -154,6 +191,9 @@ if __name__ == "__main__":
             (DATA / name).write_text(stdout, encoding="utf-8")
             (DATA / _curve_name(name)).write_bytes(curve)
     (DATA / EVAL_FILE).write_text(_eval_lines(), encoding="utf-8")
+    (DATA / USAGE_FILE).write_text(_usage_text(), encoding="utf-8")
+    for name, args in HELP_CASES.items():
+        (DATA / name).write_text(_help_text(args), encoding="utf-8")
     print("VERIFY_FULL_SHA256 =", _digest(_run(VERIFY_FULL_ARGS)))
     from test_oracles import FROZEN_QUADRATURE, quadrature_batches, quadrature_digests
     print("FROZEN_QUADRATURE = {")
