@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import click
 import numpy as np
 
+from . import __version__
 from .curves import ig_peak_coord, ig_stationarity_scaled, reduce_params, reduced_prob
 from .distributions import SCALE_NAME, DistParams, Family, _ig_curve
 from .errors import DomainError, NumericalError, RegimeError
@@ -212,7 +213,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="kappainf", prog_name="kappainf")
+@click.version_option(__version__, prog_name="kappainf")
 def main() -> None:
     """Probabilities P(X <= kappa*E[X]) and their infima for the inverse
     Gaussian, log-normal, Gumbel and logistic families."""

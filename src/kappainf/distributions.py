@@ -6,19 +6,17 @@ seed feeds a ``numpy.random.Generator`` (PCG64 via ``default_rng``, i.e. the
 stream is derived from the seed through ``SeedSequence``), and each family
 uses a fixed transformation of that stream:
 
-* log-normal, Gumbel, logistic: inverse-CDF transform of uniforms;
-* inverse Gaussian: the Michael-Schucany-Haas transformation (a chi-square
-  variate, the smaller root of the defining quadratic, then a uniform to pick
-  between the root and its conjugate), since this CDF has no closed-form
-  inverse.
+* log-normal: exp(mu + sigma*z) of standard normals z;
+* Gumbel, logistic: inverse-CDF transform of uniforms;
+* inverse Gaussian: the Michael-Schucany-Haas transformation (Amer. Statist.
+  30, 1976): a chi-square variate, the smaller root of the defining
+  quadratic in a form that nothing cancels, then a uniform to pick between
+  the root and its conjugate, since this CDF has no closed-form inverse.
 
-One private generator, ``_blocks``, writes each transform once and yields
-the draws 65,536 at a time, with its intermediates in reused buffers.
-``sample`` has it fill the one n-float array it returns (~8 MB at 1e6
-draws); ``oracles.mc_prob`` counts each block and holds no n-array but the
-inverse Gaussian's n normals, whose uniforms follow all of them in the
-stream: ``_blocks`` holds them in one n-float array, ``sample``'s result
-when it is given one.
+Each block of 65,536 draws is a standard draw of the family (the inverse
+Gaussian's normals, then its uniforms; the log-normal's normals; the
+parameter-free part of the Gumbel and logistic transforms) and a transform
+per member, so members drawn from one seed share one stream (``_draws``).
 """
 
 from __future__ import annotations
@@ -304,102 +302,104 @@ def pdf(params: DistParams, t):
 
 # Length of the samplers' blocks and of their buffers.
 _CHUNK = 65_536
-# The inverse Gaussian sampler's domain: above mu/lambda = 1e6 its root
-# p1*(1 + x - sqrt(x*(x + 2))) cancels to 0 or below, and outside these mu its
-# conjugate's p1*p1 overflows or loses its digits.
+# The inverse Gaussian sampler's domain.  Its draws are mu/d and mu*d, with
+# d < (mu/lambda)*z^2 + 2 < 1e102 where |z| < 10 (beyond: 1.5e-23), so both are
+# normal floats inside the range of ``cdf``, which a DKW test checks them against.
 _IG_SAMPLE_MU = (math.sqrt(sys.float_info.min), IG_KAPPA_MAX)
-_IG_SAMPLE_RATIO_MAX = 1e6
-# Families whose sampler holds n floats at once: the inverse Gaussian draws
-# all n normals before its uniforms, so ``verify`` runs these cases one at a
-# time on its calling thread.
-_HOLDS_N_FLOATS = frozenset({Family.INVERSE_GAUSSIAN})
+_IG_SAMPLE_RATIO_MAX = 1e100
 
 
-def _blocks(params: DistParams, n: int, seed: int, out: np.ndarray | None = None):
-    """Yield the n draws of ``sample(params, n, seed)`` in order, at most
-    _CHUNK at a time.  With ``out`` (n floats, as ``sample`` passes its
-    result) each block is the view of out at its offset, so out ends up
-    holding the sample.  Without out the blocks share one buffer, which the
-    next block overwrites; the inverse Gaussian's are views of its n
-    normals, in an array of its own.  n is unchecked; the seed is checked
-    on the first step, and so is the inverse Gaussian's domain, before any
-    draw."""
-    rng = np.random.default_rng(require_count("seed", seed))
+def _check_sampler(params: DistParams) -> None:
     p1, p2 = params.p1, params.p2
-    size = min(n, _CHUNK)
+    lo, hi = _IG_SAMPLE_MU
+    if params.family is Family.INVERSE_GAUSSIAN and not (
+            lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
+        raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
+                          f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
 
-    # Every step keeps the order of the plain formula (in the comments), so
-    # the draws keep their bits whatever the blocks.
-    if params.family is Family.INVERSE_GAUSSIAN:
-        lo, hi = _IG_SAMPLE_MU
-        if not (lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
-            raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
-                              f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
-        # the uniforms follow all n normals in the stream
-        normals = np.empty(n) if out is None else out
-        rng.standard_normal(out=normals)
-        t_buf, u_buf = np.empty(size), np.empty(size)
-        pick_buf = np.empty(size, dtype=np.int64)
-        for s in range(0, n, _CHUNK):
-            x = normals[s:s + _CHUNK]
-            t, v, pick = t_buf[:x.size], u_buf[:x.size], pick_buf[:x.size]
-            x *= x
-            x *= p1
-            x /= 2.0 * p2  # x = p1*y/(2*p2), y = z^2 chi-square
-            np.add(x, 2.0, out=t)
-            t *= x
-            np.sqrt(t, out=t)
-            x += 1.0
-            x -= t
-            x *= p1  # root = p1*(1 + x - sqrt(x*(x + 2)))
-            np.add(x, p1, out=t)
-            np.divide(p1, t, out=t)
-            rng.random(out=v)
-            np.less_equal(v, t, out=pick)  # 1 where u <= p1/(p1 + root) keeps the root,
-            pick -= 1  # else all bits set
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                np.divide(p1 * p1, x, out=t)  # the conjugate p1^2/root, kept only where picked
-            # x ^ ((x ^ t) & pick): the bits of the root or of the conjugate, with no
-            # branch per draw
-            x_bits, t_bits = x.view(np.int64), t.view(np.int64)
-            t_bits ^= x_bits
-            t_bits &= pick
-            x_bits ^= t_bits
-            yield x
-        return
 
-    buf = np.empty(size) if out is None else None
-    log1p_buf = np.empty(size) if params.family is Family.LOGISTIC else None
+def _buffer(store: dict, name: str, size: int, dtype=float) -> np.ndarray:
+    """``size`` entries of ``store``'s buffer ``name``, made (longer) on demand."""
+    buf = store.get(name)
+    if buf is None or buf.size < size:
+        buf = store[name] = np.empty(size, dtype)
+    return buf[:size]
+
+
+def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
+    """Yield (i, draws) for each block of at most _CHUNK draws and each member
+    i, whose blocks make up ``sample(members[i], n, seed)``: in ``store``'s
+    buffers, which the next step overwrites, or in ``out`` (from ``sample``).
+    n is unchecked; the seed and domains are checked on the first step.  The
+    steps keep the plain formulas' order (in the comments), so the draws keep
+    their bits whatever the blocks."""
+    rng = np.random.default_rng(require_count("seed", seed))
+    for params in members:
+        _check_sampler(params)
+    family, size = members[0].family, min(n, _CHUNK)
     for s in range(0, n, _CHUNK):
-        x = buf[:min(n - s, _CHUNK)] if out is None else out[s:s + _CHUNK]
-        if params.family is Family.LOG_NORMAL:
-            rng.standard_normal(out=x)
-            x *= p2
-            x += p1
-            np.exp(x, out=x)  # exp(p1 + p2*z)
+        m = min(n - s, _CHUNK)
+        w = _buffer(store, "w", size)[:m]
+        x = _buffer(store, "x", size)[:m] if out is None else out[s:s + m]
+        # the block's standard draws, shared by the members
+        if family is Family.INVERSE_GAUSSIAN:
+            rng.standard_normal(out=w)
+            w *= w  # y = z^2, chi-square
+            u = _buffer(store, "u", size)[:m]
+            rng.random(out=u)
+            np.subtract(1.0, u, out=x)
+            u /= x  # the odds u/(1 - u)
+        elif family is Family.LOG_NORMAL:
+            rng.standard_normal(out=w)
         else:
-            rng.random(out=x)
-            np.maximum(x, 5e-324, out=x)  # keep inverse transforms finite
-        if params.family is Family.GUMBEL:
-            np.log(x, out=x)
-            np.negative(x, out=x)
-            np.log(x, out=x)
-            x *= p2
-            np.subtract(p1, x, out=x)  # p1 - p2*log(-log(u))
-        elif params.family is Family.LOGISTIC:
-            t = log1p_buf[:x.size]
-            np.negative(x, out=t)
-            np.log1p(t, out=t)
-            np.log(x, out=x)
-            x -= t
-            x *= p2
-            x += p1  # p1 + p2*(log(u) - log1p(-u))
-        yield x
+            rng.random(out=w)
+            np.maximum(w, 5e-324, out=w)  # keep inverse transforms finite
+            if family is Family.GUMBEL:
+                np.log(w, out=w)
+                np.negative(w, out=w)
+                np.log(w, out=w)
+            else:
+                np.negative(w, out=x)
+                np.log1p(x, out=x)
+                np.log(w, out=w)
+                w -= x
+        for i, params in enumerate(members):
+            p1, p2 = params.p1, params.p2
+            if family is not Family.INVERSE_GAUSSIAN:
+                np.multiply(w, p2, out=x)
+            if family is Family.LOG_NORMAL:
+                x += p1
+                np.exp(x, out=x)  # exp(p1 + p2*z)
+            elif family is Family.GUMBEL:
+                np.subtract(p1, x, out=x)  # p1 - p2*log(-log(u))
+            elif family is Family.LOGISTIC:
+                x += p1  # p1 + p2*(log(u) - log1p(-u))
+            else:
+                b, c = _buffer(store, "b", m), _buffer(store, "c", m)
+                np.multiply(w, 0.5 * p1 / p2, out=x)  # x = p1*y/(2*p2)
+                np.add(x, 2.0, out=b)
+                np.sqrt(b, out=b)
+                np.sqrt(x, out=c)
+                c *= b
+                x += 1.0
+                x += c  # d = 1 + x + sqrt(x)*sqrt(x + 2); the roots are p1/d and p1*d
+                # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d: pick = -1 there
+                pick = c.view(np.int64)
+                np.greater(u, x, out=pick)
+                pick -= 1
+                np.divide(p1, x, out=b)
+                x *= p1
+                # x ^ ((x ^ b) & pick): the bits of p1/d or of p1*d, with no branch per draw
+                b_bits, x_bits = b.view(np.int64), x.view(np.int64)
+                b_bits ^= x_bits
+                b_bits &= pick
+                x_bits ^= b_bits
+            yield i, x
 
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws; identical output for identical (params, n, seed)."""
     out = np.empty(require_count("n", n))
-    for _ in _blocks(params, out.size, seed, out):
+    for _ in _draws([params], out.size, seed, {}, out):
         pass
     return out

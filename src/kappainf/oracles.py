@@ -13,7 +13,8 @@ cases of one family in one run, each round calling the unchecked density
 on the open intervals of every case a special-function block of nodes at a
 time, and each result keeps the bits of a run on its own, because the rule
 products are row-local and each case's sums follow index order;
-``quadrature_prob`` is a one-integral run.  The inverse
+``quadrature_prob`` is a one-integral run, as ``mc_prob`` is a one-member
+Monte Carlo batch.  The inverse
 Gaussian density looks singular near 0 (an x^{-3/2} factor, tamed by the
 exponential) and can be a needle when lambda/mu is large, so the seed knots
 always straddle the density mode.
@@ -27,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves, special
-from .distributions import (_CHUNK, _LOG_MAX, POSITIVE_SUPPORT, DistParams, Family, _blocks,
-                            _density, _mode, mean)
+from .distributions import (_LOG_MAX, POSITIVE_SUPPORT, DistParams, Family, _buffer,
+                            _check_sampler, _density, _draws, _mode, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -284,23 +285,35 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
     return float(_quadrature_batch([(params, kappa)])[0])
 
 
+def _mc_target(params: DistParams, kappa: float, n: int) -> float:
+    """kappa*mean, after the checks of ``mc_prob`` on (params, kappa, n)."""
+    if require_count("n", n) < 1000:
+        raise DomainError(f"need n >= 1000 samples, got {n}")
+    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
+    _check_sampler(params)
+    return t_end
+
+
+def _mc_batch(cases, n: int, seed: int, store: dict) -> list[tuple[float, float]]:
+    """``mc_prob`` of every (params, kappa) in ``cases``, all of one family,
+    from one pass over the family's stream, with block buffers in ``store``;
+    raises the first case's error before any draw."""
+    if any(params.family is not cases[0][0].family for params, _ in cases):
+        raise DomainError("a Monte Carlo batch takes one family")
+    t_end = [_mc_target(params, kappa, n) for params, kappa in cases]
+    hits = [0] * len(cases)
+    for i, block in _draws([params for params, _ in cases], n, seed, store):
+        below = _buffer(store, "below", block.size, bool)
+        hits[i] += np.count_nonzero(np.less_equal(block, t_end[i], out=below))
+    return [(p, math.sqrt(p * (1.0 - p) / n)) for p in (float(h) / n for h in hits)]
+
+
 def mc_prob(params: DistParams, kappa: float, n: int, seed: int) -> tuple[float, float]:
     """Fraction of n seeded draws at or below kappa*mean, with its binomial
     standard error sqrt(p(1-p)/n); a kappa*mean that overflows is a DomainError.
-
-    The draws are those of ``sample(params, n, seed)``, counted a block of
-    65,536 at a time: no n-float array is held, except the inverse
-    Gaussian's n normals, which its uniforms follow in the stream."""
-    if require_count("n", n) < 1000:
-        raise DomainError(f"need n >= 1000 samples, got {n}")
-    # raises before any draw
-    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
-    hits = 0
-    below = np.empty(min(n, _CHUNK), dtype=bool)
-    for block in _blocks(params, n, seed):
-        hits += np.count_nonzero(np.less_equal(block, t_end, out=below[:block.size]))
-    p_hat = float(hits) / n
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / n)
+    The draws are those of ``sample(params, n, seed)``, counted a block at a
+    time, so no n-float array is held."""
+    return _mc_batch([(params, kappa)], n, seed, {})[0]
 
 
 # (kind, lo, hi) of each family's default brute-force grid.

@@ -7,38 +7,35 @@ check a property rather than a value encode it as a violation count with
 tolerance 0.5, so the uniform pass rule |analytic - estimate| <= tolerance
 still applies.
 
-Budgets: ``quick`` runs 1e5-sample Monte Carlo, 1e4-point grids and 50
-random quadrature cases per family; ``full`` raises these to 1e6, 1e5 and
-200.  The seed drives every random draw through derived child seeds, so a
+Budgets: ``quick`` runs 1.8e5-sample Monte Carlo, 1e4-point grids and 50
+random quadrature cases per family; ``full`` raises these to 1.8e6, 1e5 and
+200.  A Monte Carlo row passes within 5.36*sqrt(p(1-p)/n) of the analytic
+p.  The seed drives every random draw through derived child seeds, so a
 run is reproducible end to end.  All random inputs are drawn first, in the
-order of a serial run: the quadrature cases, the derivative points, then one
-child seed per Monte Carlo case.  Then a thread pool as wide as the usable
-CPUs computes the rows that come before the Monte Carlo rows, as its first
-task, and the nine Monte Carlo cases of the other families after it.
-Meanwhile the calling thread runs the three inverse Gaussian cases in
-order, each of which holds its n normals (~8 MB at ``full``) until its
-uniforms are drawn, so no two of them are held at once.  The two short
-groups of rows after the Monte Carlo rows follow once those are
-collected.  Each case draws from its own child seed and counts its draws a
-block at a time, and an error waits for every row before it, so the rows,
-their order, the first error raised and the bytes are those of a serial
-loop.
+order of a serial run: the quadrature cases, the derivative points, then
+one child seed per family of Monte Carlo cases.  A thread pool then
+computes the rows before the Monte Carlo rows as its first task, and each
+family's cases from one stream after it; each estimate is ``mc_prob``'s at
+its family's seed.  The short groups of rows after the Monte Carlo rows
+follow, so the rows, the first error raised and the bytes are those of a
+serial loop.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curves, solver
-from .distributions import _HOLDS_N_FLOATS, DistParams, Family, cdf, mean
+from .distributions import DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
-from .oracles import GridSpec, OracleReport, _quadrature_batch, grid_min, mc_prob
+from .oracles import GridSpec, OracleReport, _mc_batch, _mc_target, _quadrature_batch, grid_min
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
 
@@ -51,9 +48,14 @@ class Budget:
 
 
 BUDGETS = {
-    "quick": Budget(mc_samples=100_000, grid_points=10_000, quad_cases=50),
-    "full": Budget(mc_samples=1_000_000, grid_points=100_000, quad_cases=200),
+    "quick": Budget(mc_samples=180_000, grid_points=10_000, quad_cases=50),
+    "full": Budget(mc_samples=1_800_000, grid_points=100_000, quad_cases=200),
 }
+
+# z of the Monte Carlo bands z*sqrt(p(1-p)/n) at the analytic p: P(|Z| > z) =
+# 8.3e-8, so a sound run of 12 rows fails about once in 1e6 runs; with 1.8x
+# the draws (5.36/sqrt(1.8) = 3.995) no band is wider than the old 4-sigma ones.
+_MC_Z = 5.36
 
 _MC_CASES = [
     (DistParams.inverse_gaussian(2.0, 6.0), 1.5),
@@ -247,41 +249,37 @@ def _usable_cpus() -> int:
 
 def _mc_rows(budget: Budget, seed_source: np.random.Generator,
              first: Callable[[], list[OracleReport]] = list) -> list[OracleReport]:
-    """first() + the Monte Carlo rows.  first() is the first task of a pool
-    as wide as the usable CPUs, and the cases whose sampler holds no n
-    floats follow it.  The calling thread runs the others (the inverse
-    Gaussian's, ``distributions._HOLDS_N_FLOATS``) in order, one set of n
-    floats at a time: the memory of a thread that the pool makes anew can
-    land anywhere, that of the calling thread always in the same place.
-    A case's error waits until first() is done, since a serial loop would
-    raise first()'s.  On any error the cases not started are cancelled and
-    the pool is joined before the error goes on, so no thread outlives the
-    call."""
-    # every case has its own generator, and numpy's fills and ufuncs release
-    # the GIL, so the cases run on threads with the draws of a serial loop
-    seeds = [int(seed_source.integers(2**63)) for _ in _MC_CASES]
+    """first() + the Monte Carlo rows: first() and then one ``_mc_batch`` per
+    family, in the order the families first appear, on a pool as wide as the
+    usable CPUs whose threads each reuse one set of block buffers.  Errors
+    come as a serial loop raises them; on any error the tasks not started are
+    cancelled and the pool joined before it goes on, so no thread outlives the call."""
+    families = {}
+    for params, kappa in _MC_CASES:
+        families.setdefault(params.family, []).append((params, kappa))
+    seeds = {family: int(seed_source.integers(2**63)) for family in families}
     n = budget.mc_samples
-    here = [params.family in _HOLDS_N_FLOATS for params, _ in _MC_CASES]
-    with ThreadPoolExecutor(min(1 + here.count(False), _usable_cpus())) as pool:
+    buffers = threading.local()  # numpy's fills and ufuncs release the GIL
+
+    def count(family: Family) -> list[tuple[float, float]]:
+        return _mc_batch(families[family], n, seeds[family], vars(buffers))
+
+    with ThreadPoolExecutor(min(1 + len(families), _usable_cpus())) as pool:
         first_rows = pool.submit(first)
-        futures = [Future() if mine else pool.submit(mc_prob, params, kappa, n, child_seed)
-                   for (params, kappa), child_seed, mine in zip(_MC_CASES, seeds, here)]
+        futures = {family: pool.submit(count, family) for family in families}
         try:
-            for (params, kappa), child_seed, mine, future in zip(_MC_CASES, seeds, here, futures):
-                if mine:
-                    try:
-                        future.set_result(mc_prob(params, kappa, n, child_seed))
-                    except Exception as error:
-                        future.set_exception(error)
             rows = first_rows.result()
-            for (params, kappa), child_seed, future in zip(_MC_CASES, seeds, futures):
-                analytic = cdf(params, kappa * mean(params))
-                estimate, se = future.result()  # a serial loop's first error
+            # each case's own error, which its family's batch raised too
+            analytic = [(cdf(params, kappa * mean(params)), _mc_target(params, kappa, n))
+                        for params, kappa in _MC_CASES]
+            results = {family: iter(future.result()) for family, future in futures.items()}
+            for (params, kappa), (p, _) in zip(_MC_CASES, analytic):
                 rows.append(OracleReport(
-                    "monte_carlo", analytic, estimate, 4.0 * se,
-                    f"{params.family.value} P(X <= kappa*mean) vs {n} "
-                    f"draws (4-sigma band), p1={params.p1:g} p2={params.p2:g} "
-                    f"kappa={kappa:g} seed={child_seed}",
+                    "monte_carlo", p, next(results[params.family])[0],
+                    _MC_Z * math.sqrt(p * (1.0 - p) / n),
+                    f"{params.family.value} P(X <= kappa*mean) vs {n} draws ({_MC_Z}-sigma "
+                    f"band), p1={params.p1:g} p2={params.p2:g} kappa={kappa:g} "
+                    f"seed={seeds[params.family]}",
                 ))
         except BaseException:
             pool.shutdown(cancel_futures=True)

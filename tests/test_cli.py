@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -34,6 +35,20 @@ def runner():
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_version_needs_no_installed_metadata(runner):
+    # the version is the package's own, so a run from the source tree works
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "kappainf, version 0.1.0\n"
+
+
+def test_package_version_is_the_project_version():
+    # tomllib is 3.11+, so pyproject.toml is read with a pattern
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1]
+    assert kappainf.__version__ == re.search(r'^version = "([^"]+)"$', project, re.M).group(1)
 
 
 class TestEval:

@@ -24,7 +24,7 @@ from kappainf import (
     reduced_prob,
     sample,
 )
-from kappainf.distributions import _blocks
+from kappainf.distributions import _draws
 
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
@@ -371,9 +371,11 @@ class TestSample:
     def test_draws_are_frozen_bit_for_bit(self):
         # SHA-256 of sample(params, 10_000, seed=123) for each of ALL_PARAMS,
         # recorded from the plain (not in-place) transformations; the
-        # log-normal one from exp(p1 + p2*z) over the generator's normals
+        # log-normal one from exp(p1 + p2*z) over the generator's normals, and
+        # the inverse Gaussian one from the block-streamed sampler (normals,
+        # then uniforms, per 65,536-block) with the root mu/d
         frozen = [
-            "72ad1c947424247ce699571f241fcf03423c03b371747d7f7ae6e25c48423e07",
+            "2c0271ac8f111df7de7a79ca39cd5ea5c06ee6495b56bb0d05ed3ce83a01e7eb",
             "026a418b8159deaa97d5e6746c824d41d1312a3b18b0b8b49ec93bd2d4790015",
             "f08d3195e03ec7a6ae5a888dea067a79bfffe1923c437c3d491608ae284b5268",
             "52edb9d5e9c751d7fd28495548ecbf581f56c365d9dc770f3cd29ae8d4239d1f",
@@ -385,28 +387,30 @@ class TestSample:
     # SHA-256 of sample(params, n, seed=123) for each of ALL_PARAMS at sizes
     # around the samplers' 65,536-element chunk, recorded from the whole-array
     # transformations before the samplers worked chunk by chunk (the
-    # log-normal ones from exp(p1 + p2*z) over the generator's normals)
+    # log-normal ones from exp(p1 + p2*z) over the generator's normals; the
+    # inverse Gaussian ones from the block-streamed sampler, whose stream
+    # depends on the chunk)
     FROZEN_AT_CHUNK_EDGES = {
         65_535: [
-            "a31a9b847ffb9469b65752f69cad4f367b40046a71f76788a14b745ed8a571bd",
+            "d4aff0818ef9a228f7be79ffe5137c452cef2a5c9690b5c9951ebf104b0778d6",
             "cdc7e5e1f028f894d77644b975ba6ea1ff8ff28b1482e9df41a593a8b9bfdeda",
             "755179a91b7bce35b555f6569fde46bb7ee0f3cfa95e932050bb280ee26c2482",
             "2d6a9504442d59379fb443828f8e7c354443adba040d6ee289dee5857d1d804c",
         ],
         65_536: [
-            "9a7e473e8129ed7ec6e7d94820360769c2bb6f29f5c6dee7280c9b9e2b59df6a",
+            "97cbd928d4e505fd768f8b2c9a5851a5e2343fbc8b41b01f323ec0f3db93bb85",
             "c69809a803b685fdf7eae20d8536dc6d17dcc74261fb85a2bc5c2bbd215bdd28",
             "77481798ed3e9efcf78b37cbd17a44f0c1bada730c5b0e470210f30c9f67d86d",
             "ca08c39d231502f929fb5c11502a31675ee0aebd05918ee56f8d9ea8f7b46f15",
         ],
         65_537: [
-            "6a45772399c302040022ac61cc0121e433b53ee3810940287bdead4353d9f845",
+            "cb7f32ea887e9c445b8aadeaa905d197a8dca10f66447ff62b16eafe6f07303b",
             "af165bd838e0fa0e82612e9f541a985ae47daf46e37084ecde3fdf61d930fdde",
             "58c888ea4e2d0fe6cc90a47d8ba674b85f306ac0ad1f9b62a469d5541cbde2bf",
             "2c86ad776589f99e339a70d9db828a1b951055d5488a7acb3a23a6af88f51243",
         ],
         200_001: [
-            "0c9b794711a1bf17cb317fd015b378d7488f61aa18d8710b1a14d9e073606601",
+            "aeb35a5143ba35de98aeabab1e3f393b0b9a786338ce9f1436ed33684e697b8a",
             "c32d657f65ef9b281bc6a65daa45f6150ecde48d5190c50ec593c3163ee571bb",
             "497f02fe5ab2d7c8bf068f050f565dfe841199bca5b6afcc093f409b3dbd4dda",
             "f0415f5944250d5dbb13d5d6e5bda41ee38e88beeb73f2b2829c6f6549f9b2e8",
@@ -431,12 +435,20 @@ class TestSample:
         assert peak <= 10 * 2**20
 
     @pytest.mark.parametrize("n", [1000, 65_535, 65_536, 65_537, 200_001, 10**6])
-    def test_blocks_are_the_sample_and_mc_prob_counts_them(self, n):
+    def test_family_draws_are_each_members_sample_and_mc_prob_counts_them(self, n):
+        # three members of each family drawn from one stream: member i's
+        # blocks are sample(member i), and mc_prob counts sample's draws
         for params in ALL_PARAMS:
+            members = [params, DistParams(params.family, 2.0 * params.p1, 0.5 * params.p2),
+                       DistParams(params.family, params.p1, 3.0 * params.p2)]
+            blocks = [[] for _ in members]
+            for i, block in _draws(members, n, 123, {}):
+                assert block.size <= 65_536
+                blocks[i].append(block.copy())
+            for member, member_blocks in zip(members, blocks):
+                draws = sample(member, n, seed=123)
+                assert np.concatenate(member_blocks).tobytes() == draws.tobytes(), member
             draws = sample(params, n, seed=123)
-            blocks = [block.copy() for block in _blocks(params, n, 123)]
-            assert all(block.size <= 65_536 for block in blocks)
-            assert np.concatenate(blocks).tobytes() == draws.tobytes(), params
             for kappa in (0.5, 1.0, 2.0):
                 t_end = kappa * mean(params)
                 p_hat, _ = mc_prob(params, kappa, n, 123)
@@ -444,21 +456,22 @@ class TestSample:
 
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
     def test_million_draw_count_holds_no_draw_array(self, params):
-        # block buffers only; the inverse Gaussian holds its 8 MB of normals,
-        # whose uniforms follow all of them in the stream
+        # block buffers only: five 512 KiB float buffers for the inverse
+        # Gaussian, two for the others, and a 64 KiB mask
         tracemalloc.start()
         try:
             mc_prob(params, 1.0, 10**6, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (10 if params.family is Family.INVERSE_GAUSSIAN else 2) * 2**20
+        assert peak <= (3 if params.family is Family.INVERSE_GAUSSIAN else 2) * 2**20
 
-    @pytest.mark.parametrize("mu, lam", [(1e7, 1.0), (2.6e-35, 4.3e-201), (1e200, 1e200),
+    @pytest.mark.parametrize("mu, lam", [(1.0, 1e-101), (2.6e-35, 4.3e-201), (1e200, 1e200),
                                          (1e-200, 1e-200)])
     def test_inverse_gaussian_sampler_refuses_where_its_draws_go_wrong(self, mu, lam):
-        # above mu/lambda = 1e6 the root cancels to 0 or below; above
-        # sqrt(DBL_MAX) p1*p1 overflows, below sqrt(DBL_MIN) it loses its digits
+        # above mu/lambda = 1e100 the root mu/d can leave the normal floats and
+        # d the range of cdf; outside [sqrt(DBL_MIN), sqrt(DBL_MAX)] so can mu/d
+        # and mu*d at smaller ratios
         params = DistParams.inverse_gaussian(mu, lam)
         with pytest.raises(DomainError, match="sampler takes"):
             sample(params, 10, seed=1)
@@ -467,12 +480,32 @@ class TestSample:
 
     @pytest.mark.parametrize("mu, lam", [(SQRT_DBL_MIN, SQRT_DBL_MIN), (SQRT_DBL_MAX, SQRT_DBL_MAX),
                                          (1e6, 1.0), (SQRT_DBL_MIN, SQRT_DBL_MIN / 1e6),
-                                         (SQRT_DBL_MAX, SQRT_DBL_MAX / 1e6)])
+                                         (SQRT_DBL_MAX, SQRT_DBL_MAX / 1e6), (1e100, 1.0),
+                                         (SQRT_DBL_MIN, SQRT_DBL_MIN / 1e100),
+                                         (SQRT_DBL_MAX, SQRT_DBL_MAX / 1e100),
+                                         (SQRT_DBL_MAX, 1e308), (SQRT_DBL_MIN, 1e308)])
     def test_inverse_gaussian_draws_at_the_sampler_limits_are_positive(self, mu, lam):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = sample(DistParams.inverse_gaussian(mu, lam), 200_000, seed=7)
         assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
+    @pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3, 1e7, 1e9, 1e100])
+    @pytest.mark.parametrize("mu", [SQRT_DBL_MIN, 2.0, SQRT_DBL_MAX])
+    def test_inverse_gaussian_draws_follow_cdf(self, mu, ratio):
+        # the Dvoretzky-Kiefer-Wolfowitz inequality with Massart's constant
+        # (Ann. Probab. 18, 1990): P(sup_t |F_n(t) - F(t)| > eps) <=
+        # 2*exp(-2*n*eps^2), so this eps fails a correct sampler with
+        # probability at most 1e-6.  It covers the ratio limit 1e100 and both
+        # ends of the mu range.
+        n = 100_000
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        params = DistParams.inverse_gaussian(mu, mu / ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = cdf(params, np.sort(sample(params, n, seed=20261020)))
+        i = np.arange(1, n + 1)
+        assert max(np.max(i / n - values), np.max(values - (i - 1) / n)) <= eps
 
     def test_zero_draws_is_empty_not_an_error(self):
         assert sample(ALL_PARAMS[0], 0, seed=1).size == 0

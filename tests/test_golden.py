@@ -105,7 +105,7 @@ HELP_CASES = {"help.txt": ["--help"], "help-infimum.txt": ["infimum", "--help"]}
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
-VERIFY_FULL_SHA256 = "0cb531f46d32b543c232f7829b9c34e923bf8ce0bcdb7aa80cb3e337fc93c186"
+VERIFY_FULL_SHA256 = "47bc4610679a88737333e6ea1806771809ddd096611462071ded6a96ef2aba82"
 
 
 def _run(args):

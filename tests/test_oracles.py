@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kappainf import curves, oracles, special, verification
+from kappainf import curves, distributions, oracles, special, verification
 from kappainf import (
     DistParams,
     DomainError,
@@ -440,14 +440,20 @@ class TestVerificationRows:
 
 
 def _serial_mc_rows(budget, seed_source):
-    """(analytic, estimate, tolerance, child seed) of each Monte Carlo case
-    from a plain loop over verification._MC_CASES."""
+    """(analytic, estimate, tolerance, family seed) of each Monte Carlo case
+    from a plain loop over verification._MC_CASES: one seed per family, in
+    the order the families first appear, then one mc_prob call per case."""
+    seeds = {}
+    for params, _ in verification._MC_CASES:
+        seeds.setdefault(params.family, None)
+    seeds = {family: int(seed_source.integers(2**63)) for family in seeds}
     rows = []
+    n = budget.mc_samples
     for params, kappa in verification._MC_CASES:
-        child_seed = int(seed_source.integers(2**63))
         analytic = cdf(params, kappa * mean(params))
-        estimate, se = mc_prob(params, kappa, budget.mc_samples, child_seed)
-        rows.append((analytic, estimate, 4.0 * se, child_seed))
+        estimate, _ = mc_prob(params, kappa, n, seeds[params.family])
+        tolerance = 5.36 * math.sqrt(analytic * (1.0 - analytic) / n)
+        rows.append((analytic, estimate, tolerance, seeds[params.family]))
     return rows
 
 
@@ -460,9 +466,9 @@ class TestMcRowsPool:
         rows = verification._mc_rows(self.BUDGET, np.random.default_rng(5))
         serial = _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
         assert len(rows) == len(serial) == len(verification._MC_CASES)
-        for row, (analytic, estimate, tolerance, child_seed) in zip(rows, serial):
+        for row, (analytic, estimate, tolerance, seed) in zip(rows, serial):
             assert (row.analytic, row.estimate, row.tolerance) == (analytic, estimate, tolerance)
-            assert row.detail.endswith(f" seed={child_seed}")
+            assert row.detail.endswith(f" seed={seed}")
 
     def test_first_invalid_case_raises_the_serial_error(self, monkeypatch):
         cases = [
@@ -480,26 +486,32 @@ class TestMcRowsPool:
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got -1.5"
 
-    def test_every_case_goes_through_mc_prob(self, monkeypatch):
-        # the binding that a tracer of oracles.mc_prob rebinds, so every
-        # case's time counts as Monte Carlo time
-        calls = []
+    def test_a_later_case_of_a_family_raises_after_the_cases_before_it(self, monkeypatch):
+        # the log-normal batch fails on its second case, but the Gumbel case
+        # between its two cases fails first in a serial loop
+        cases = [
+            (DistParams.log_normal(0.0, 1.0), 1.0),
+            (DistParams.gumbel(0.0, 1.0), 0.0),
+            (DistParams.log_normal(709.0, 1.0), 2.0),
+        ]
+        monkeypatch.setattr(verification, "_MC_CASES", cases)
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
+        with pytest.raises(KappainfError) as serial:
+            _serial_mc_rows(self.BUDGET, np.random.default_rng(5))
+        with pytest.raises(KappainfError) as pooled:
+            verification._mc_rows(self.BUDGET, np.random.default_rng(5))
+        assert str(pooled.value) == str(serial.value) == "kappa must be > 0, got 0.0"
 
-        def counted(params, kappa, n, seed, _f=verification.mc_prob):
-            calls.append((params, kappa))
-            return _f(params, kappa, n, seed)
+    def test_a_batch_takes_one_family(self):
+        with pytest.raises(DomainError, match="one family"):
+            oracles._mc_batch([(DistParams.gumbel(0.0, 1.0), 1.0),
+                               (DistParams.logistic(0.0, 1.0), 1.0)], 1000, 1, {})
 
-        monkeypatch.setattr(verification, "mc_prob", counted)
-        rows = verification._mc_rows(self.BUDGET, np.random.default_rng(5))
-        assert len(rows) == len(verification._MC_CASES)
-        assert sorted(calls, key=verification._MC_CASES.index) == verification._MC_CASES
-
-    def test_full_budget_peak_holds_one_set_of_normals(self, monkeypatch):
-        # two pool threads and the calling thread, each with at most four
-        # block-long float buffers, plus one n-float array of normals: 13.6
-        # MiB, against 11.4 MiB measured.  With the inverse Gaussian cases on
-        # the pool, two ran side by side and each held its n normals:
-        # 18.4 MiB.
+    def test_full_budget_peak_holds_block_buffers_only(self, monkeypatch):
+        # two pool threads, each with one set of at most five block-long float
+        # buffers and a block-long mask, reused across its family tasks: 5.1
+        # MiB, against 3.7-4.4 MiB measured.  Before the block-streamed
+        # sampler, the n normals of an inverse Gaussian case alone took 8 MB.
         monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
         budget = verification.BUDGETS["full"]
         tracemalloc.start()
@@ -508,7 +520,7 @@ class TestMcRowsPool:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * budget.mc_samples + 3 * 4 * 8 * oracles._CHUNK
+        assert peak <= 2 * (5 * 8 + 1) * distributions._CHUNK
 
 
 def _serial_run(budget, seed):
@@ -544,8 +556,8 @@ class TestMonteCarloAlongside:
                                         "_phase_transition_rows"])
     @pytest.mark.parametrize("bad_case", [
         (DistParams.logistic(1.0, 0.3), -1.5),  # a pool case: kappa must be > 0
-        (DistParams.inverse_gaussian(1e7, 1.0), 1.5),  # on the calling thread: mu/lambda > 1e6
-    ], ids=["pool", "calling-thread"])
+        (DistParams.inverse_gaussian(1.0, 1e-101), 1.5),  # mu/lambda > 1e100
+    ], ids=["pool", "sampler-domain"])
     def test_a_raising_row_raises_the_serial_error(self, monkeypatch, broken, bad_case):
         # the row raises while the Monte Carlo cases run, and one of those
         # cases raises too: a serial loop raises whichever comes first
@@ -571,6 +583,52 @@ class TestMonteCarloAlongside:
         before = threading.active_count()
         assert all(row.passed for row in run_verification("quick", 3))
         assert threading.active_count() == before
+
+
+def _mc_row_cases(rows):
+    """(params, kappa, seed, row) of each monte_carlo row, the seed read from
+    its detail, in verification._MC_CASES order."""
+    mc = [row for row in rows if row.method == "monte_carlo"]
+    assert len(mc) == len(verification._MC_CASES)
+    return [(params, kappa, int(row.detail.rsplit(" seed=", 1)[1]), row)
+            for (params, kappa), row in zip(verification._MC_CASES, mc)]
+
+
+class TestMonteCarloRows:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_row_is_mc_prob_at_the_seed_it_prints(self, seed):
+        n = verification.BUDGETS["quick"].mc_samples
+        cases = _mc_row_cases(run_verification("quick", seed))
+        for params, kappa, child_seed, row in cases:
+            assert row.estimate == mc_prob(params, kappa, n, child_seed)[0], row.detail
+            assert f"p1={params.p1:g} p2={params.p2:g} kappa={kappa:g} " in row.detail
+        # one stream per family: the three cases of a family print one seed
+        by_family = {}
+        for params, _, child_seed, _ in cases:
+            by_family.setdefault(params.family, set()).add(child_seed)
+        assert all(len(seeds) == 1 for seeds in by_family.values())
+        assert len({seeds.pop() for seeds in by_family.values()}) == len(Family)
+
+    @pytest.mark.parametrize("budget", ["quick", "full"])
+    def test_band_is_5_36_sigma_at_the_analytic_p(self, budget):
+        # 5.36 sigma at the analytic p, for a false-alarm rate of 1e-6 per run
+        # over 12 rows, and with 1.8x the draws no wider than the 4-sigma band
+        # of n/1.8 draws
+        n = verification.BUDGETS[budget].mc_samples
+        assert n == {"quick": 180_000, "full": 1_800_000}[budget]
+        rows = verification._mc_rows(verification.Budget(n, 1000, 5), np.random.default_rng(1))
+        assert len(rows) == 12
+        for (params, kappa), row in zip(verification._MC_CASES, rows):
+            p = cdf(params, kappa * mean(params))
+            assert row.analytic == p
+            assert row.tolerance == 5.36 * math.sqrt(p * (1.0 - p) / n)
+            assert row.tolerance <= 4.0 * math.sqrt(p * (1.0 - p) / (n / 1.8))
+            assert row.passed, row.detail
+
+    def test_the_band_gives_its_rate(self):
+        # 12 rows at P(|Z| > z) each: a sound run fails with probability ~1e-6
+        per_row = math.erfc(verification._MC_Z / math.sqrt(2.0))
+        assert 0.9e-6 <= 12 * per_row <= 1.0e-6
 
 
 # SHA-256 of the quadrature estimates of _closed_form_rows, one per family in
