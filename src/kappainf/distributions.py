@@ -124,17 +124,6 @@ def mean(params: DistParams) -> float:
     return p1
 
 
-def _mode(params: DistParams) -> float:
-    """Location of the density peak (used to seed adaptive quadrature)."""
-    p1, p2 = params.p1, params.p2
-    if params.family is Family.INVERSE_GAUSSIAN:
-        r = 1.5 * p1 / p2
-        return p1 * (math.sqrt(1.0 + r * r) - r)
-    if params.family is Family.LOG_NORMAL:
-        return math.exp(p1 - p2 * p2)
-    return p1
-
-
 # Largest ratio (kappa or t/mu) the inverse Gaussian formulas take: beyond it
 # the (ratio-1)(ratio+1) of the stationarity peak overflows, and the curve and
 # cdf keep the same domain.

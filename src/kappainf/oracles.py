@@ -5,31 +5,40 @@ when producing an estimate (grid_min scans the curve itself by design, but
 its minimizer is located by brute force, not analysis), so agreement between
 these estimates and the analytic path is meaningful evidence.
 
-The quadrature engine is a 7/15 Gauss-Kronrod pair applied to a list of
-seed intervals, with repeated bisection of every interval whose nested-rule
-error estimate exceeds its share (proportional to length) of the error
-budget.  It runs many integrals at once: ``verify`` integrates all density
-cases of one family in one run, each round calling the unchecked density
-on the open intervals of every case a special-function block of nodes at a
-time, and each result keeps the bits of a run on its own, because the rule
-products are row-local and each case's sums follow index order;
-``quadrature_prob`` is a one-integral run, as ``mc_prob`` is a one-member
-Monte Carlo batch.  The inverse
-Gaussian density looks singular near 0 (an x^{-3/2} factor, tamed by the
-exponential) and can be a needle when lambda/mu is large, so the seed knots
-always straddle the density mode.
+The quadrature engine is a 7/15 Gauss-Kronrod pair on seed intervals,
+bisecting each interval whose error estimate exceeds its share (by length)
+of the budget, until a case's accepted plus open errors are within it (the
+global test of QUADPACK's ``qag``, Piessens et al. 1983).  ``verify`` runs
+all cases of a family at once, each round calling the density a
+special-function block of nodes at a time; each result keeps the bits of a
+run on its own, since the rule products are row-local and each case sums in
+index order.
+
+Each family is integrated where its density is one fixed density: in
+z = (t - mu)/beta for the Gumbel and the logistic, in u = (ln t - mu)/sigma
+(a standard normal) for the log-normal, and in y = t/mu for the inverse
+Gaussian, as X/mu ~ IG(1, lambda/mu) (Chhikara and Folks 1989, ch. 2), up
+to kappa*mean in that coordinate as ``cdf`` forms it.  The first three have
+one knot table each around the mode 0, with under 1e-17 of mass past either
+end; IG(1, lambda/mu) has knots at its mode, 2^j standard deviations either
+side, the mode over 2, 4 and 8 (its rise from 0) and the mode times 4^j (its
+heavy tail).  It takes 1e-300 <= lambda/mu <= 1e12 and refuses the rest
+with a DomainError: above, the error near kappa = 1 grows as
+~1e-16*sqrt(lambda/mu) (1.3e-11 at 1e12); below, the knots reach the ends
+of the float range (at 1e-307 a run no longer converges).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import curves, special
-from .distributions import (_LOG_MAX, POSITIVE_SUPPORT, DistParams, Family, _buffer,
-                            _check_sampler, _density, _draws, _mode, mean)
+from .distributions import (_LOG_2PI, POSITIVE_SUPPORT, DistParams, Family, _buffer,
+                            _check_sampler, _density, _draws, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -132,9 +141,10 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     product row depends on the row count), so they do not depend on the
     blocks either; ``bincount`` adds each integral's
     accepted intervals in index order, and each integral's open intervals
-    keep the order of a run on its own.  Returns (integrals, error
-    estimates); raises NumericalError for the first integral to exhaust its
-    subdivision budget.
+    keep the order of a run on its own.  An integral stops once its accepted
+    error plus that of its open intervals is at most tol.  Returns
+    (integrals, error estimates); raises NumericalError for the first
+    integral to exhaust its subdivision budget.
     """
     count = len(knots)
     case = np.repeat(np.arange(count), [k.size - 1 for k in knots])
@@ -159,6 +169,8 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
         g7 *= half
         err = np.abs(k15 - g7)
         done = err <= tol * (b - a) / total_len[case]
+        # a case whose accepted and open errors add up to at most tol is done
+        done |= (err_accepted + np.bincount(case, err, count) <= tol)[case]
         integral += np.bincount(case[done], k15[done], count)
         err_accepted += np.bincount(case[done], err[done], count)
         keep = ~done
@@ -179,60 +191,54 @@ def _gauss_kronrod(f, knots: list[np.ndarray], tol: float) -> tuple[np.ndarray, 
     )
 
 
-# Multiples of the density's spread at which seed knots flank its mode.
-_GEOMETRIC_STEPS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+# Seed knots of the standard normal (the log-normal's), Gumbel and logistic
+# densities around their mode 0; each tail past an end knot holds under 1e-17.
+_KNOTS = {
+    Family.LOG_NORMAL: np.array([-9.0, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, 9.0]),
+    Family.GUMBEL: np.array([-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0]),
+    Family.LOGISTIC: np.array([-40.0, -20.0, -10.0, -5.0, -2.0, 0.0, 2.0, 5.0, 10.0, 20.0, 40.0]),
+}
+# The lambda/mu that inverse Gaussian quadrature takes (see the module docstring)
+IG_QUAD_SHAPE = (1e-300, 1e12)
 
 
-def _interior_knots(params: DistParams, lo: float, hi: float) -> np.ndarray:
-    """Seed knots straddling the density mode, clipped to (lo, hi)."""
-    center = _mode(params)
-    cand = [center]
-    if params.family is Family.LOG_NORMAL:
-        # an exponent past log(DBL_MAX) would give a knot past every float hi
-        exps = (params.p1 + j * params.p2 for j in range(-8, 9))
-        cand += [math.exp(u) for u in exps if u < _LOG_MAX]
-    else:
-        ig = params.family is Family.INVERSE_GAUSSIAN
-        try:
-            s = math.sqrt(params.p1**3 / params.p2) if ig else params.p2
-        except OverflowError:  # mu**3 past DBL_MAX
-            raise DomainError(f"inverse Gaussian quadrature takes mu <= DBL_MAX^(1/3) "
-                              f"~ 5.6e102, got mu={params.p1!r}") from None
-        for j in _GEOMETRIC_STEPS:
-            cand += [center - j * s, center + j * s]
-        if ig:  # heavy right tail when lambda << mu; points >= hi are dropped below
-            cand += [center * 4.0**j for j in range(1, 41)]
-    inner = sorted({c for c in cand if lo < c < hi and math.isfinite(c)})
-    return np.array([lo, *inner, hi])
+def _ig_knots(shape: float, end: float) -> np.ndarray:
+    """Seed knots of IG(1, shape) on [0, end], those of the module docstring."""
+    a = 1.5 / shape
+    mode = 1.0 / (math.hypot(1.0, a) + a)
+    spread = math.sqrt(1.0 / shape)  # the standard deviation
+    cand = [mode + sign * 2.0**j * spread for j in range(7) for sign in (-1.0, 1.0)]
+    cand += [mode / 2.0, mode / 4.0, mode / 8.0]
+    step = mode
+    while step < end:
+        cand.append(step)
+        step *= 4.0
+    return np.array([0.0, *sorted({c for c in cand if 0.0 < c < end}), end])
 
 
-# Left-tail search of a real-line density: the points start - p2*2^j, the
-# whole ladder in one density call.
-_TAIL_STEPS = np.arange(200)
-
-
-def _tail_cutoffs(members, start, peak, p2, density) -> np.ndarray:
-    """Per member, the first point start - p2*2^j (j = 0..199) where the
-    density drops below 1e-16 of its value ``peak`` at start.  start, peak
-    and p2 are columns; ``density(t, rows)`` takes member rows[i]'s row i
-    of t."""
-    rows = np.arange(len(members))
-    with np.errstate(over="ignore"):
-        pts = start - np.ldexp(p2, _TAIL_STEPS)
-    finite = np.isfinite(pts)
-    low = ~finite | (density(np.where(finite, pts, start), rows) <= 1e-16 * peak)
-    cut = pts[rows, np.argmax(low, axis=1)]
-    found = low.any(axis=1)
-    bad = np.flatnonzero(~found | ~np.isfinite(cut))
-    if bad.size:
-        i = int(bad[0])
-        if not found[i]:
-            raise NumericalError(f"no negligible left tail found for {members[i]!r}")
-        require_finite("t", cut[i])  # the search ran off the float range
-    return cut
+def _standard_density(family: Family, z, shape=None, log_shape=None):
+    """Density at z of IG(1, shape), with log_shape = math.log(shape), of the
+    standard normal for the log-normal, or of the Gumbel or logistic with
+    mu = 0, beta = 1.  Inverse Gaussian nodes are checked, since those of a
+    subnormal interval can round to 0."""
+    if family is Family.INVERSE_GAUSSIAN:
+        return _density(family, finite_array("t", z, positive=True)[0], 1.0, shape, log_shape)
+    if family is Family.LOG_NORMAL:
+        return np.exp(-0.5 * z * z - 0.5 * _LOG_2PI)
+    return _density(family, z, 0.0, 1.0, 0.0)
 
 
 _QUAD_TOL = 1e-10
+
+
+def _quad_target(params: DistParams, kappa: float) -> float:
+    """kappa*mean, after the checks of ``quadrature_prob`` on (params, kappa)."""
+    t_end = require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
+    lo, hi = IG_QUAD_SHAPE
+    if params.family is Family.INVERSE_GAUSSIAN and not lo <= params.p2 / params.p1 <= hi:
+        raise DomainError(f"inverse Gaussian quadrature takes {lo:g} <= lambda/mu <= {hi:g}, "
+                          f"got mu={params.p1!r}, lambda={params.p2!r}")
+    return t_end
 
 
 def _quadrature_batch(cases) -> np.ndarray:
@@ -243,35 +249,28 @@ def _quadrature_batch(cases) -> np.ndarray:
     family = cases[0][0].family
     if any(params.family is not family for params, _ in cases):
         raise DomainError("a quadrature batch takes one family")
-    t_end = np.array([
-        require_finite("kappa*mean", require_positive("kappa", kappa) * mean(params))
-        for params, kappa in cases
-    ])
-    # (p1, p2, math.log(p2)) of each case: np.log can misround
-    coef = np.array([(params.p1, params.p2, math.log(params.p2)) for params, _ in cases])
-    if family in POSITIVE_SUPPORT:
-        live = np.flatnonzero(t_end > 0.0)
+    t_end = np.array([_quad_target(params, kappa) for params, kappa in cases])
+    p1, p2 = np.array([(params.p1, params.p2) for params, _ in cases]).T
+    # the upper limit in the standard coordinate, formed from t as cdf forms it
+    if family is Family.INVERSE_GAUSSIAN:
+        with np.errstate(over="ignore"):
+            end = np.minimum(t_end / p1, sys.float_info.max)
+        live = np.flatnonzero(end > 0.0)
+        shapes = (p2[live] / p1[live]).tolist()
+        knots = [_ig_knots(v, e) for v, e in zip(shapes, end[live].tolist())]
+        # (lambda/mu, its math.log) per case, as pdf takes math.log(lambda)
+        coef = (np.array(shapes)[:, None], np.array([[math.log(v)] for v in shapes]))
     else:
-        start = np.minimum(t_end, [_mode(params) for params, _ in cases])
-        peak = _density(family, start, *coef.T)
-        live = np.flatnonzero(peak != 0.0)  # 0: target below every density value
-    members = [cases[i][0] for i in live.tolist()]
-    p1, p2, log_p2 = (column[live, None] for column in coef.T)
-
-    def density(x, case):
-        """The density of member case[i] on row i of x.
-        Checked, since the nodes of a subnormal interval can round to 0."""
-        t = finite_array("t", x, positive=family in POSITIVE_SUPPORT)[0]
-        return _density(family, t, p1[case], p2[case], log_p2[case])
-
-    if family in POSITIVE_SUPPORT:
-        lo = np.zeros(live.size)
-    else:
-        lo = _tail_cutoffs(members, start[live, None], peak[live, None], p2, density)
+        with np.errstate(over="ignore", divide="ignore"):
+            end = ((np.log(t_end) if family is Family.LOG_NORMAL else t_end) - p1) / p2
+        grid = _KNOTS[family]
+        live = np.flatnonzero(end > grid[0])
+        knots = [np.append(grid[:-1][grid[:-1] < e], min(e, grid[-1])) for e in end[live]]
+        coef = ()
     out = np.zeros(len(cases))
-    if members:
-        knots = [_interior_knots(params, lo[i], t_end[j])
-                 for i, (params, j) in enumerate(zip(members, live.tolist()))]
+    if live.size:
+        def density(x, case):  # the standard density of case[i] on row i of x
+            return _standard_density(family, x, *(column[case] for column in coef))
         out[live] = _gauss_kronrod(density, knots, _QUAD_TOL)[0]
     return out
 
@@ -280,7 +279,8 @@ def quadrature_prob(params: DistParams, kappa: float) -> float:
     """P(X <= kappa*mean) by adaptive quadrature of the density.
 
     Never calls the closed-form CDF; absolute error target 1e-10.  A
-    kappa*mean that overflows is a DomainError.
+    kappa*mean that overflows is a DomainError, as is an inverse Gaussian
+    lambda/mu outside IG_QUAD_SHAPE.
     """
     return float(_quadrature_batch([(params, kappa)])[0])
 

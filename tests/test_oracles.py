@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kappainf import curves, distributions, oracles, special, verification
 from kappainf import (
@@ -134,13 +135,76 @@ class TestQuadratureProb:
         assert value == pytest.approx(0.691462461274013, abs=1e-13)  # Phi(1/2)
 
     @pytest.mark.parametrize("mu", [1e103, 1e110, 1e300])
-    def test_inverse_gaussian_mu_past_the_cube_root_of_dbl_max_is_a_domain_error(self, mu):
-        # the seed knots' spread sqrt(mu^3/lambda) takes mu**3, which raised
-        # a raw OverflowError past DBL_MAX^(1/3)
-        with pytest.raises(DomainError, match=r"mu <= DBL_MAX\^\(1/3\)"):
-            quadrature_prob(DistParams.inverse_gaussian(mu, 1.0), 2.0)
-        below = DistParams.inverse_gaussian(5.6e102, 1e100)
-        assert abs(quadrature_prob(below, 2.0) - cdf(below, 2.0 * 5.6e102)) <= 1e-9
+    def test_inverse_gaussian_mu_past_the_cube_root_of_dbl_max(self, mu):
+        # the knots of the standard coordinate t/mu take no mu**3, which
+        # overflowed past DBL_MAX^(1/3) ~ 5.6e102
+        for lam in (mu, 1e-3 * mu, 1e3 * mu):
+            params = DistParams.inverse_gaussian(mu, lam)
+            assert abs(quadrature_prob(params, 2.0) - cdf(params, 2.0 * mu)) <= 1e-9
+
+    @pytest.mark.parametrize("mu, lam", [(1.0, 1e-301), (1e300, 1e-10), (1.0, 1.1e12),
+                                         (1e-200, 1e-100), (1e-300, 1e300)])
+    def test_inverse_gaussian_shape_outside_the_measured_range_is_refused(self, mu, lam):
+        # beyond 1e12 the error near kappa = 1 grows as ~1e-16*sqrt(lambda/mu),
+        # and below 1e-300 the knots leave the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"1e-300 <= lambda/mu <= 1e\+12"):
+                quadrature_prob(DistParams.inverse_gaussian(mu, lam), 1.0)
+        for shape in oracles.IG_QUAD_SHAPE:
+            params = DistParams.inverse_gaussian(1.0, shape)
+            assert abs(quadrature_prob(params, 1.0) - cdf(params, 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("params, kappa", [
+        (DistParams.log_normal(0.0, 5.0), 2.0),  # 22,888 open intervals
+        (DistParams.inverse_gaussian(1.0, 1.44e-4), 932.0),  # 27,830 open intervals
+        (DistParams.log_normal(-631.25, 1.318e-14), 1.69),  # did not converge
+        (DistParams.gumbel(3.116e244, 1.402e194), 315.3),  # returned 0.0
+        (DistParams.logistic(4.494e228, 6.122e202), 5.40),  # returned 0.0
+    ], ids=["log-normal-wide", "ig-heavy-tail", "log-normal-narrow", "gumbel-far", "logistic-far"])
+    def test_cases_that_failed_in_absolute_coordinates(self, params, kappa):
+        # integrated in t these raised NumericalError or returned 0.0 for 1.0
+        assert abs(quadrature_prob(params, kappa) - cdf(params, kappa * mean(params))) <= 1e-9
+
+
+POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_infinity=False)
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def quadrature_inputs(draw):
+    """(params, kappa) over the float range, drawn so that most pass the
+    checks: the log-normal mean exp(mu + sigma^2/2) must be a positive float."""
+    family = draw(st.sampled_from(list(Family)))
+    if family is Family.LOG_NORMAL:
+        p1 = draw(st.floats(-1e3, 1e3) | FINITE_FLOATS)
+        p2 = draw(st.floats(5e-324, 40.0) | POSITIVE_FLOATS)
+    else:
+        p1 = draw(POSITIVE_FLOATS if family is Family.INVERSE_GAUSSIAN else FINITE_FLOATS)
+        p2 = draw(POSITIVE_FLOATS)
+    return DistParams(family, p1, p2), draw(st.floats(1e-3, 1e3) | POSITIVE_FLOATS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(quadrature_inputs())
+def test_quadrature_is_cdf_or_an_error_over_the_float_range(case):
+    params, kappa = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = quadrature_prob(params, kappa)
+        except KappainfError:
+            return
+        t = kappa * mean(params)
+        try:
+            reference = cdf(params, t)
+        except DomainError:
+            # an inverse Gaussian t/mu past IG_KAPPA_MAX ~ 1.3e154, where cdf
+            # stops: at lambda/mu >= 1e-300 the mass beyond it is below 1e-150
+            assert params.family is Family.INVERSE_GAUSSIAN
+            reference = 1.0
+    assert 0.0 <= value <= 1.0 + 1e-10
+    assert abs(value - reference) <= 1e-9, (params, kappa)
 
 
 class TestQuadratureBatch:
@@ -159,11 +223,16 @@ class TestQuadratureBatch:
         with pytest.raises(DomainError, match="one family"):
             oracles._quadrature_batch([cases[0], (DistParams.gumbel(0.0, 1.0), 1.0)])
 
-    def test_unconverged_case_raises_as_alone(self):
-        bad = (DistParams.log_normal(0.0, 5.0), 2.0)
+    def test_unconverged_case_raises_as_alone(self, monkeypatch):
+        # at 20 open intervals the heavy-tailed case runs out, the others do not
+        monkeypatch.setattr(oracles, "_MAX_INTERVALS", 20)
+        bad = (DistParams.inverse_gaussian(1.0, 1.44e-4), 932.0)
         with pytest.raises(NumericalError) as alone:
             quadrature_prob(*bad)
-        cases = [(DistParams.log_normal(0.3, 0.7), 1.4), bad, (DistParams.log_normal(0.0, 1.0), 1.0)]
+        cases = [(DistParams.inverse_gaussian(2.0, 6.0), 1.5), bad,
+                 (DistParams.inverse_gaussian(1.0, 1.0), 1.0)]
+        for case in cases[::2]:
+            quadrature_prob(*case)
         with pytest.raises(NumericalError) as batch:
             oracles._quadrature_batch(cases)
         assert str(batch.value) == str(alone.value)
@@ -193,42 +262,6 @@ class TestQuadratureBatch:
                 blocked = oracles._quadrature_batch(cases)
             assert max(rows) == 7
             assert blocked.tobytes() == default.tobytes()
-
-
-class TestTailCutoffs:
-    # rows 0 and 2 decay like a Cauchy density and reach 1e-16 of their peak
-    # past j = 15; row 1 is Gaussian and gets there by j = 5
-    CENTERS = np.array([[0.0], [1.0], [-2.0]])
-    P2 = np.array([[1.0], [0.5], [3.0]])
-    SLOW = np.array([[True], [False], [True]])
-
-    def density(self, t, rows):
-        z = t - self.CENTERS[rows]
-        return np.where(self.SLOW[rows], 1.0 / (1.0 + z * z), np.exp(-0.5 * z * z))
-
-    def test_one_pass_gives_the_first_low_steps(self):
-        rows = np.arange(3)
-        peak = self.density(self.CENTERS, rows)
-        shapes = []
-
-        def counted(t, rows):
-            shapes.append(t.shape)
-            return self.density(t, rows)
-
-        cut = oracles._tail_cutoffs(["a", "b", "c"], self.CENTERS, peak, self.P2, counted)
-        ladder = self.CENTERS - np.ldexp(self.P2, np.arange(200))
-        first = np.argmax(self.density(ladder, rows) <= 1e-16 * peak, axis=1)
-        assert first.tolist() == [27, 5, 25]
-        assert cut.tolist() == ladder[rows, first].tolist()
-        # one density call over the whole ladder of every row
-        assert shapes == [(3, 200)]
-
-    def test_no_negligible_tail_names_the_first_such_member(self):
-        def flat(t, rows):
-            return np.where(self.SLOW[rows], 1.0, np.exp(-0.5 * t * t))
-
-        with pytest.raises(NumericalError, match="no negligible left tail found for 'a'"):
-            oracles._tail_cutoffs(["a", "b", "c"], self.CENTERS, np.ones((3, 1)), self.P2, flat)
 
 
 class TestGridMin:
@@ -418,7 +451,7 @@ class TestVerificationRows:
     def test_few_density_calls_per_quadrature_round(self, monkeypatch, quad_cases):
         density_calls, block_calls = [], []
 
-        def counted_density(*args, _f=oracles._density):
+        def counted_density(*args, _f=oracles._standard_density):
             density_calls.append(args[0])
             return _f(*args)
 
@@ -428,14 +461,13 @@ class TestVerificationRows:
                 return f(x, case)
             return _g(counted_f, knots, tol)
 
-        monkeypatch.setattr(oracles, "_density", counted_density)
+        monkeypatch.setattr(oracles, "_standard_density", counted_density)
         monkeypatch.setattr(oracles, "_gauss_kronrod", counted_engine)
         rows = verification._closed_form_rows(verification._quad_cases(
             verification.Budget(1000, 1000, quad_cases), np.random.default_rng(1)))
         assert all(row.passed for row in rows)
-        # a call per row block of a round, plus the peaks and the left tails of
-        # the real-line families
-        assert len(density_calls) == len(block_calls) + 2 * 2
+        # one density call per row block of a round, and no other
+        assert len(density_calls) == len(block_calls)
         assert len(block_calls) <= 10 * len(Family)
 
 
@@ -635,28 +667,28 @@ class TestMonteCarloRows:
 # Family order, as produced by one adaptive run per case.
 FROZEN_QUADRATURE = {
     ("quick", 1): [
-        "67d9fdb52e2a4d14211b482d42e0fa5588595909fdc3496fa9e1428bcd62da71",
-        "c4ab9fe62c365149f5ca0fb1d493c0aaea952fbee819fdb78868b3601a2c0ad9",
-        "fc74528e7582e2de1cada7615366f1e731d110965e57747ad19a2968e579d346",
-        "978d2aeb2e7b16aa163258e50ea9f00a998863453fb9f3291d04e7380068fd31",
+        "e58927ee00c12068b978bc7c9703729a71ac8758145fa458e620137a43458adf",
+        "2ed30a039b542bac66cb9aa567f4cb9669b710ae5cbf6d6852976a07d6a88efc",
+        "28cd8e75a266eecd81c70c0d83ff1853a88cca8b6ea823460969e76e8a5b4297",
+        "4830f1845c627864dfe03198e31d729b750d9f492cc82941f327917feb3ba11b",
     ],
     ("quick", 2): [
-        "e83b57d10eee0e47328e119471d8da2efacbade7cb86d69c03676ad320215304",
-        "13251e0b24bb8b9334d0e7453f1e4b4a286027500b735b9d45a2fdd9b5f583e4",
-        "c9ec92cde8db9e03491e13daf6b3e37f477034c870a189ccc9d36727f245a7d3",
-        "e9ee0ddcacd497482fcb2ca0464d08227dd93507fc51a102b5f99e69f6690084",
+        "f13261262ea1cd0d017878edd937b4142d0311fe777542d0d8acbb84ffb31c86",
+        "677c3cfdd3f688bddebd0f34b2cc3ab259aed49f9d3bc60600118c3f7603407a",
+        "54c25ba8bb4d427f60ac633198656256fd5ffeee336087c0ad7b53de49bf5d9c",
+        "5c2998114d055ab01e568d3ff1004179a5329a756097ed3a5312bfd181996306",
     ],
     ("quick", 3): [
-        "5df4e961882fa86e6f70b89fd87a887ce356b660f0e3f87f2a4e3d0f67c27346",
-        "ab923a64162df54836f3fe7dda3e8791965b56aec90d06d31c3aceb6d55f4c78",
-        "3e00dcad5b672ab90ba6e3a0b74d2e613b3d8e873c699679df6910cd2feadac0",
-        "715c0d39cf461f040d481d596d6098efa5419645aaf75d0357c3eb93a9cdebd8",
+        "04100d689c5e1ab16267f7ee0b470b7f0349e9301556500b26a0f3b5868ca5c2",
+        "d2507b092ee33bd1511cc1a181fdee5ea9100ba17d17a31e16ea1f6ddff4bb6b",
+        "4e363ab3bb065742569f63642f95a397af66d324df2ee66408e54d0bc5883fe3",
+        "885e6406a52fa8d778132abdda8c0c966f2984e54dd80a47e7d427f834e8ce65",
     ],
     ("full", 1): [
-        "0c7073fc30f41b557d87cb8db7eb49a501f13e8ba5f3f71d99c7d13e99c2b197",
-        "a0e777388dd6360ac3c8a67a660e85caa69b0f1e45c4d47b4f14f623b44440d3",
-        "9511f7ed82baf4943971aa69202bf550babcc857d6fed2e630015b92b3b9cc74",
-        "b866ecb566a930603fd789d94508098f38747bcf6c31eeb3c9cb1d848b198a3a",
+        "91d5a6a71ff8c48e71f7a3d9db598d2957c32fbedcb6c1050a47d8f80904dfc4",
+        "bef8aa0f1a452b1c3bfeaad7d3c93a406737db8bdfcecdb26cbfe705d9b8bed8",
+        "aea29f43e1b71a63350af89843afd9dfce35a82354106da1b341d8d2a2c2d3f8",
+        "e240b6810f2373ac187d7c3d333de06ad7a35d2ff390a68c403c6228a0d4caba",
     ],
 }
 
