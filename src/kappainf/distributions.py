@@ -315,13 +315,15 @@ def _buffer(store: dict, name: str, size: int, dtype=float) -> np.ndarray:
     return buf[:size]
 
 
-def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
-    """Yield (i, draws) for each block of at most _CHUNK draws and each member
-    i, whose blocks make up ``sample(members[i], n, seed)``: in ``store``'s
-    buffers, which the next step overwrites, or in ``out`` (from ``sample``).
-    n is unchecked; the seed and domains are checked on the first step.  The
-    steps keep the plain formulas' order (in the comments), so the draws keep
-    their bits whatever the blocks."""
+def _draw_blocks(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
+    """Yield (i, x, odds) for each block of at most _CHUNK draws and each
+    member i.  For the inverse Gaussian, x is the block's d >= 1 and odds its
+    u/(1 - u): the draws are mu/d where odds <= d and mu*d elsewhere (``_draws``
+    picks them); for the other families x holds the draws and odds is None.
+    x is in ``store``'s buffers, which the next step overwrites, or in ``out``
+    (from ``sample``).  n is unchecked; the seed and domains are checked on
+    the first step.  The steps keep the plain formulas' order (in the
+    comments), so the draws keep their bits whatever the blocks."""
     rng = np.random.default_rng(require_count("seed", seed))
     for params in members:
         _check_sampler(params)
@@ -331,13 +333,14 @@ def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None
         w = _buffer(store, "w", size)[:m]
         x = _buffer(store, "x", size)[:m] if out is None else out[s:s + m]
         # the block's standard draws, shared by the members
+        odds = None
         if family is Family.INVERSE_GAUSSIAN:
             rng.standard_normal(out=w)
             w *= w  # y = z^2, chi-square
-            u = _buffer(store, "u", size)[:m]
-            rng.random(out=u)
-            np.subtract(1.0, u, out=x)
-            u /= x  # the odds u/(1 - u)
+            odds = _buffer(store, "u", size)[:m]
+            rng.random(out=odds)
+            np.subtract(1.0, odds, out=x)
+            odds /= x  # u/(1 - u)
         elif family is Family.LOG_NORMAL:
             rng.standard_normal(out=w)
         else:
@@ -372,18 +375,27 @@ def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None
                 c *= b
                 x += 1.0
                 x += c  # d = 1 + x + sqrt(x)*sqrt(x + 2); the roots are p1/d and p1*d
-                # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d: pick = -1 there
-                pick = c.view(np.int64)
-                np.greater(u, x, out=pick)
-                pick -= 1
-                np.divide(p1, x, out=b)
-                x *= p1
-                # x ^ ((x ^ b) & pick): the bits of p1/d or of p1*d, with no branch per draw
-                b_bits, x_bits = b.view(np.int64), x.view(np.int64)
-                b_bits ^= x_bits
-                b_bits &= pick
-                x_bits ^= b_bits
-            yield i, x
+            yield i, x, odds
+
+
+def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
+    """Yield (i, draws) for each block of ``_draw_blocks`` (same arguments),
+    whose blocks make up ``sample(members[i], n, seed)``."""
+    for i, x, odds in _draw_blocks(members, n, seed, store, out):
+        if odds is not None:
+            p1, b = members[i].p1, _buffer(store, "b", x.size)
+            # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d: pick = -1 there
+            pick = _buffer(store, "c", x.size).view(np.int64)
+            np.greater(odds, x, out=pick)
+            pick -= 1
+            np.divide(p1, x, out=b)
+            x *= p1
+            # x ^ ((x ^ b) & pick): the bits of p1/d or of p1*d, with no branch per draw
+            b_bits, x_bits = b.view(np.int64), x.view(np.int64)
+            b_bits ^= x_bits
+            b_bits &= pick
+            x_bits ^= b_bits
+        yield i, x
 
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import curves, special
 from .distributions import (_LOG_2PI, POSITIVE_SUPPORT, DistParams, Family, _buffer,
-                            _check_sampler, _density, _draws, mean)
+                            _check_sampler, _density, _draw_blocks, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -297,14 +297,33 @@ def _mc_target(params: DistParams, kappa: float, n: int) -> float:
 def _mc_batch(cases, n: int, seed: int, store: dict) -> list[tuple[float, float]]:
     """``mc_prob`` of every (params, kappa) in ``cases``, all of one family,
     from one pass over the family's stream, with block buffers in ``store``;
-    raises the first case's error before any draw."""
-    if any(params.family is not cases[0][0].family for params, _ in cases):
+    raises the first case's error before any draw.
+
+    Inverse Gaussian draws are counted without being picked.  Each is
+    fl(mu/d) where odds <= d, else fl(mu*d), with d >= 1; as rounding is
+    monotone, fl(mu/d) <= mu <= fl(mu*d).  So at t = kappa*mean >= mu every
+    mu/d counts and a mu*d counts where fl(mu*d) <= t, and at t < mu no mu*d
+    counts and a mu/d counts where fl(mu/d) <= t: the count of the draws."""
+    members = [params for params, _ in cases]
+    if any(params.family is not members[0].family for params in members):
         raise DomainError("a Monte Carlo batch takes one family")
     t_end = [_mc_target(params, kappa, n) for params, kappa in cases]
     hits = [0] * len(cases)
-    for i, block in _draws([params for params, _ in cases], n, seed, store):
-        below = _buffer(store, "below", block.size, bool)
-        hits[i] += np.count_nonzero(np.less_equal(block, t_end[i], out=below))
+    for i, x, odds in _draw_blocks(members, n, seed, store):
+        t, below = t_end[i], _buffer(store, "below", x.size, bool)
+        if odds is None:
+            np.less_equal(x, t, out=below)
+        else:
+            p1, root = members[i].p1, _buffer(store, "b", x.size)
+            also = _buffer(store, "also", x.size, bool)
+            np.less_equal(odds, x, out=below)  # the draw is p1/d
+            if t >= p1:
+                np.less_equal(np.multiply(p1, x, out=root), t, out=also)
+                below |= also
+            else:
+                np.less_equal(np.divide(p1, x, out=root), t, out=also)
+                below &= also
+        hits[i] += np.count_nonzero(below)
     return [(p, math.sqrt(p * (1.0 - p) / n)) for p in (float(h) / n for h in hits)]
 
 
@@ -374,11 +393,16 @@ def grid_min(family: Family, kappa: float, grid: GridSpec) -> tuple[float, float
         raise DomainError(f"grid leaves the coordinate domain of {family.value}")
     if pts.size < 1000:
         raise DomainError(f"need at least 1000 grid points, got {pts.size}")
-    # a special-function block at a time; the strict < keeps the first of
-    # equal minima, as np.argmin over the whole grid does
+    return _grid_scan(family, k, pts)
+
+
+def _grid_scan(family: Family, kappa: float, pts: np.ndarray) -> tuple[float, float]:
+    """``grid_min`` over the points ``pts``, unchecked: a special-function
+    block at a time, where the strict < keeps the first of equal minima, as
+    np.argmin over the whole grid does."""
     best = None
     for s in range(0, pts.size, special._BLOCK):
-        values = curves.reduced_prob(family, k, pts[s:s + special._BLOCK])
+        values = curves.reduced_prob(family, kappa, pts[s:s + special._BLOCK])
         idx = int(np.argmin(values))
         if best is None or values[idx] < best[1]:
             best = float(pts[s + idx]), float(values[idx])

@@ -35,7 +35,8 @@ import numpy as np
 from . import curves, solver
 from .distributions import DistParams, Family, cdf, mean
 from .errors import DomainError, require_count
-from .oracles import GridSpec, OracleReport, _mc_batch, _mc_target, _quadrature_batch, grid_min
+from .oracles import (GridSpec, OracleReport, _grid_scan, _mc_batch, _mc_target,
+                      _quadrature_batch)
 
 __all__ = ["Budget", "BUDGETS", "run_verification"]
 
@@ -138,6 +139,7 @@ def _ig_monotone_row() -> OracleReport:
 def _ig_critical_rows(budget: Budget) -> list[OracleReport]:
     rows = []
     invariant_violations = 0
+    grid = GridSpec("geometric", 1e-3, 10.0, budget.grid_points).points()
     for kappa in (1.5, 2.0, 3.0, 5.0, 10.0):
         x0 = solver.ig_critical_point(kappa)
         value = curves.reduced_prob(Family.INVERSE_GAUSSIAN, kappa, x0)
@@ -147,10 +149,7 @@ def _ig_critical_rows(budget: Budget) -> list[OracleReport]:
             invariant_violations += 1
         if not value > 0.5:
             invariant_violations += 1
-        _, grid_value = grid_min(
-            Family.INVERSE_GAUSSIAN, kappa,
-            GridSpec("geometric", 1e-3, 10.0, budget.grid_points),
-        )
+        _, grid_value = _grid_scan(Family.INVERSE_GAUSSIAN, kappa, grid)
         rows.append(OracleReport(
             "grid_min", value, grid_value, 1e-6,
             f"inverse-gaussian attained minimum vs {budget.grid_points}-point "
@@ -199,12 +198,10 @@ def _derivative_rows(kappas: np.ndarray, xs: np.ndarray) -> list[OracleReport]:
 
 def _log_normal_rows(budget: Budget) -> list[OracleReport]:
     rows = []
+    grid = GridSpec("geometric", 1e-2, 1e2, budget.grid_points).points()
     for kappa in (1.5, math.e, 4.0):
         result = solver.infimum(Family.LOG_NORMAL, kappa)
-        _, grid_value = grid_min(
-            Family.LOG_NORMAL, kappa,
-            GridSpec("geometric", 1e-2, 1e2, budget.grid_points),
-        )
+        _, grid_value = _grid_scan(Family.LOG_NORMAL, kappa, grid)
         rows.append(OracleReport(
             "grid_min", result.value, grid_value, 1e-6,
             f"log-normal attained minimum vs {budget.grid_points}-point "

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kappainf import oracles
 from kappainf import (
@@ -24,7 +24,7 @@ from kappainf import (
     reduced_prob,
     sample,
 )
-from kappainf.distributions import _draws
+from kappainf.distributions import _IG_SAMPLE_MU, _IG_SAMPLE_RATIO_MAX, _draws
 
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
@@ -453,6 +453,34 @@ class TestSample:
                 t_end = kappa * mean(params)
                 p_hat, _ = mc_prob(params, kappa, n, 123)
                 assert p_hat == float(np.count_nonzero(draws <= t_end)) / n, (params, kappa)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_mu=st.floats(math.log(_IG_SAMPLE_MU[0]), math.log(_IG_SAMPLE_MU[1])),
+           log_ratio=st.floats(-math.log(_IG_SAMPLE_RATIO_MAX), math.log(_IG_SAMPLE_RATIO_MAX)),
+           log_kappa=st.floats(math.log(1e-3), math.log(1e3)),
+           n=st.sampled_from([65_535, 65_536, 65_537, 200_001]),
+           seed=st.integers(0, 2**32))
+    @example(log_mu=math.log(_IG_SAMPLE_MU[0]), log_ratio=math.log(1e99), log_kappa=0.0,
+             n=65_537, seed=1)
+    @example(log_mu=math.log(_IG_SAMPLE_MU[1]), log_ratio=math.log(1e-3),
+             log_kappa=math.log(1e3), n=200_001, seed=2)
+    def test_inverse_gaussian_count_is_the_count_of_sample(self, log_mu, log_ratio, log_kappa,
+                                                           n, seed):
+        # _mc_batch counts the inverse Gaussian draws from d and the odds
+        # without picking mu/d or mu*d: its hits are those of sample's draws
+        # on both sides of mu, at kappa = 1 and at the floats next to it
+        lo, hi = _IG_SAMPLE_MU
+        mu = min(max(math.exp(log_mu), lo), hi)
+        lam = mu / math.exp(log_ratio)
+        assume(mu / lam <= _IG_SAMPLE_RATIO_MAX)
+        params = DistParams.inverse_gaussian(mu, lam)
+        kappas = [math.exp(log_kappa), 1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)]
+        t_end = [kappa * mean(params) for kappa in kappas]
+        assert {t >= mu for t in t_end} == {True, False}  # both branches of the count
+        got = oracles._mc_batch([(params, kappa) for kappa in kappas], n, seed, {})
+        draws = sample(params, n, seed)
+        for (p_hat, _), t in zip(got, t_end):
+            assert p_hat == float(np.count_nonzero(draws <= t)) / n, (mu, lam, t)
 
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
     def test_million_draw_count_holds_no_draw_array(self, params):

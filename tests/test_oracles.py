@@ -447,6 +447,21 @@ class TestVerificationRows:
         assert calls == ["reduced_prob"] * len(Family)
         assert all(row.passed for row in rows)
 
+    def test_each_grid_row_group_builds_its_points_once(self, monkeypatch):
+        calls = []
+
+        def counted_points(grid, _f=GridSpec.points):
+            calls.append(grid)
+            return _f(grid)
+
+        monkeypatch.setattr(GridSpec, "points", counted_points)
+        for group in (verification._ig_critical_rows, verification._log_normal_rows):
+            calls.clear()
+            rows = group(verification.BUDGETS["full"])
+            assert all(row.passed for row in rows)
+            # one grid scanned for every kappa of the group
+            assert len(calls) == 1, group.__name__
+
     @pytest.mark.parametrize("quad_cases", [5, 200])
     def test_few_density_calls_per_quadrature_round(self, monkeypatch, quad_cases):
         density_calls, block_calls = [], []
