@@ -16,7 +16,8 @@ uses a fixed transformation of that stream:
 Each block of 65,536 draws is a standard draw of the family (the inverse
 Gaussian's normals, then its uniforms; the log-normal's normals; the
 parameter-free part of the Gumbel and logistic transforms) and a transform
-per member, so members drawn from one seed share one stream (``_draws``).
+per member, so members drawn from one seed share one stream (``_draw_blocks``:
+``sample`` picks its inverse Gaussian draws, ``_count_below`` counts them).
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class DistParams:
 
 def mean(params: DistParams) -> float:
     """E[X]: mu / exp(mu + sigma^2/2) / mu + beta*gamma / mu per family; a
-    log-normal mean that overflows or underflows to 0 is a DomainError."""
+    log-normal mean that overflows or underflows to 0, or a Gumbel mean that
+    overflows, is a DomainError."""
     p1, p2 = params.p1, params.p2
     if params.family is Family.INVERSE_GAUSSIAN:
         return p1
@@ -120,7 +122,10 @@ def mean(params: DistParams) -> float:
                               f"mu + sigma^2/2 = {log_mean!r}")
         return m
     if params.family is Family.GUMBEL:
-        return p1 + p2 * special.EULER_GAMMA
+        m = p1 + p2 * special.EULER_GAMMA
+        if m == math.inf:
+            raise DomainError(f"mu + beta*gamma overflows: mu={p1!r}, beta={p2!r}")
+        return m
     return p1
 
 
@@ -296,15 +301,39 @@ _CHUNK = 65_536
 # normal floats inside the range of ``cdf``, which a DKW test checks them against.
 _IG_SAMPLE_MU = (math.sqrt(sys.float_info.min), IG_KAPPA_MAX)
 _IG_SAMPLE_RATIO_MAX = 1e100
+# The log-normal sampler's domain: exp(mu + sigma*z) is a normal float for
+# |z| <= 10 (beyond: 1.5e-23), as np.exp(w) >= DBL_MIN exactly where
+# w >= _LOG_MIN and is finite where w <= _LOG_MAX.
+_LOG_MIN = math.log(sys.float_info.min)
+# The Gumbel and logistic standard draws z = -log(-log u) and log(u) - log1p(-u)
+# at the samplers' extreme uniforms 5e-324 and 1 - 2^-53, through their ufuncs:
+# [-6.61, 36.74] and [-744.44, 36.74].  A member's draws are mu + beta*z, and as
+# rounding is monotone they lie between its draws at these ends.
+_U_ENDS = np.array([5e-324, 1.0 - 2.0**-53])
+_STANDARD_ENDS = {Family.GUMBEL: (-np.log(-np.log(_U_ENDS))).tolist(),
+                  Family.LOGISTIC: (np.log(_U_ENDS) - np.log1p(-_U_ENDS)).tolist()}
 
 
 def _check_sampler(params: DistParams) -> None:
-    p1, p2 = params.p1, params.p2
-    lo, hi = _IG_SAMPLE_MU
-    if params.family is Family.INVERSE_GAUSSIAN and not (
-            lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
-        raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
-                          f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, got mu={p1!r}, lambda={p2!r}")
+    """A DomainError unless every draw of ``params`` is a float inside its
+    support (for the log-normal and inverse Gaussian, a normal float for
+    standard normals |z| <= 10)."""
+    family, p1, p2 = params.family, params.p1, params.p2
+    if family is Family.INVERSE_GAUSSIAN:
+        lo, hi = _IG_SAMPLE_MU
+        if not (lo <= p1 <= hi and p1 / p2 <= _IG_SAMPLE_RATIO_MAX):
+            raise DomainError(f"the inverse Gaussian sampler takes {lo!r} <= mu <= {hi!r} and "
+                              f"mu/lambda <= {_IG_SAMPLE_RATIO_MAX:g}, "
+                              f"got mu={p1!r}, lambda={p2!r}")
+    elif family is Family.LOG_NORMAL:
+        if not (_LOG_MIN <= p1 - 10.0 * p2 and p1 + 10.0 * p2 <= _LOG_MAX):
+            raise DomainError(f"the log-normal sampler takes {_LOG_MIN!r} <= mu - 10*sigma and "
+                              f"mu + 10*sigma <= {_LOG_MAX!r}, got mu={p1!r}, sigma={p2!r}")
+    else:
+        lo, hi = _STANDARD_ENDS[family]
+        if p1 + p2 * lo == -math.inf or p1 + p2 * hi == math.inf:
+            raise DomainError(f"the {family.value} sampler takes mu + beta*z finite for its "
+                              f"standard draws z in [{lo!r}, {hi!r}], got mu={p1!r}, beta={p2!r}")
 
 
 def _buffer(store: dict, name: str, size: int, dtype=float) -> np.ndarray:
@@ -318,8 +347,9 @@ def _buffer(store: dict, name: str, size: int, dtype=float) -> np.ndarray:
 def _draw_blocks(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
     """Yield (i, x, odds) for each block of at most _CHUNK draws and each
     member i.  For the inverse Gaussian, x is the block's d >= 1 and odds its
-    u/(1 - u): the draws are mu/d where odds <= d and mu*d elsewhere (``_draws``
-    picks them); for the other families x holds the draws and odds is None.
+    u/(1 - u): the draws are mu/d where odds <= d and mu*d elsewhere (``sample``
+    picks them, ``_count_below`` counts them); for the other families x holds
+    the draws and odds is None.
     x is in ``store``'s buffers, which the next step overwrites, or in ``out``
     (from ``sample``).  n is unchecked; the seed and domains are checked on
     the first step.  The steps keep the plain formulas' order (in the
@@ -378,29 +408,43 @@ def _draw_blocks(members: list, n: int, seed: int, store: dict, out: np.ndarray 
             yield i, x, odds
 
 
-def _draws(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
-    """Yield (i, draws) for each block of ``_draw_blocks`` (same arguments),
-    whose blocks make up ``sample(members[i], n, seed)``."""
-    for i, x, odds in _draw_blocks(members, n, seed, store, out):
-        if odds is not None:
-            p1, b = members[i].p1, _buffer(store, "b", x.size)
-            # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d: pick = -1 there
-            pick = _buffer(store, "c", x.size).view(np.int64)
-            np.greater(odds, x, out=pick)
-            pick -= 1
-            np.divide(p1, x, out=b)
-            x *= p1
-            # x ^ ((x ^ b) & pick): the bits of p1/d or of p1*d, with no branch per draw
-            b_bits, x_bits = b.view(np.int64), x.view(np.int64)
-            b_bits ^= x_bits
-            b_bits &= pick
-            x_bits ^= b_bits
-        yield i, x
+def _count_below(members: list, t_end: list, n: int, seed: int, store: dict) -> list[int]:
+    """How many of ``sample(members[i], n, seed)`` are <= t_end[i], per member
+    i, from one pass over the family's stream with block buffers in ``store``.
+
+    Inverse Gaussian draws are counted without being picked.  Each is
+    fl(mu/d) where odds <= d, else fl(mu*d), with d >= 1; as rounding is
+    monotone, fl(mu/d) <= mu <= fl(mu*d).  So at t >= mu every mu/d counts
+    and a mu*d counts where fl(mu*d) <= t, and at t < mu no mu*d counts and
+    a mu/d counts where fl(mu/d) <= t: the count of the draws."""
+    hits = [0] * len(members)
+    for i, x, odds in _draw_blocks(members, n, seed, store):
+        t, below = t_end[i], _buffer(store, "below", x.size, bool)
+        if odds is None:
+            np.less_equal(x, t, out=below)
+        else:
+            p1, root = members[i].p1, _buffer(store, "b", x.size)
+            also = _buffer(store, "also", x.size, bool)
+            np.less_equal(odds, x, out=below)  # the draw is p1/d
+            if t >= p1:
+                np.less_equal(np.multiply(p1, x, out=root), t, out=also)
+                below |= also
+            else:
+                np.less_equal(np.divide(p1, x, out=root), t, out=also)
+                below &= also
+        hits[i] += np.count_nonzero(below)
+    return hits
 
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws; identical output for identical (params, n, seed)."""
-    out = np.empty(require_count("n", n))
-    for _ in _draws([params], out.size, seed, {}, out):
-        pass
+    out, store = np.empty(require_count("n", n)), {}
+    for _, x, odds in _draw_blocks([params], out.size, seed, store, out):
+        if odds is not None:
+            # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d
+            keep, root = _buffer(store, "keep", x.size, bool), _buffer(store, "b", x.size)
+            np.less_equal(odds, x, out=keep)
+            np.divide(params.p1, x, out=root)
+            x *= params.p1
+            np.copyto(x, root, where=keep)
     return out

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves, special
-from .distributions import (_LOG_2PI, POSITIVE_SUPPORT, DistParams, Family, _buffer,
-                            _check_sampler, _density, _draw_blocks, mean)
+from .distributions import (_LOG_2PI, POSITIVE_SUPPORT, DistParams, Family, _check_sampler,
+                            _count_below, _density, mean)
 from .errors import (DomainError, NumericalError, finite_array, require_count,
                      require_finite, require_positive)
 
@@ -296,34 +296,13 @@ def _mc_target(params: DistParams, kappa: float, n: int) -> float:
 
 def _mc_batch(cases, n: int, seed: int, store: dict) -> list[tuple[float, float]]:
     """``mc_prob`` of every (params, kappa) in ``cases``, all of one family,
-    from one pass over the family's stream, with block buffers in ``store``;
-    raises the first case's error before any draw.
-
-    Inverse Gaussian draws are counted without being picked.  Each is
-    fl(mu/d) where odds <= d, else fl(mu*d), with d >= 1; as rounding is
-    monotone, fl(mu/d) <= mu <= fl(mu*d).  So at t = kappa*mean >= mu every
-    mu/d counts and a mu*d counts where fl(mu*d) <= t, and at t < mu no mu*d
-    counts and a mu/d counts where fl(mu/d) <= t: the count of the draws."""
+    from one pass over the family's stream (``_count_below``), with block
+    buffers in ``store``; raises the first case's error before any draw."""
     members = [params for params, _ in cases]
     if any(params.family is not members[0].family for params in members):
         raise DomainError("a Monte Carlo batch takes one family")
     t_end = [_mc_target(params, kappa, n) for params, kappa in cases]
-    hits = [0] * len(cases)
-    for i, x, odds in _draw_blocks(members, n, seed, store):
-        t, below = t_end[i], _buffer(store, "below", x.size, bool)
-        if odds is None:
-            np.less_equal(x, t, out=below)
-        else:
-            p1, root = members[i].p1, _buffer(store, "b", x.size)
-            also = _buffer(store, "also", x.size, bool)
-            np.less_equal(odds, x, out=below)  # the draw is p1/d
-            if t >= p1:
-                np.less_equal(np.multiply(p1, x, out=root), t, out=also)
-                below |= also
-            else:
-                np.less_equal(np.divide(p1, x, out=root), t, out=also)
-                below &= also
-        hits[i] += np.count_nonzero(below)
+    hits = _count_below(members, t_end, n, seed, store)
     return [(p, math.sqrt(p * (1.0 - p) / n)) for p in (float(h) / n for h in hits)]
 
 

@@ -1,5 +1,6 @@
 """Family definitions: moments, CDFs, densities, seeded sampling."""
 
+import contextlib
 import hashlib
 import math
 import sys
@@ -24,7 +25,8 @@ from kappainf import (
     reduced_prob,
     sample,
 )
-from kappainf.distributions import _IG_SAMPLE_MU, _IG_SAMPLE_RATIO_MAX, _draws
+from kappainf.distributions import (_IG_SAMPLE_MU, _IG_SAMPLE_RATIO_MAX, POSITIVE_SUPPORT,
+                                    _count_below)
 
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
@@ -95,6 +97,26 @@ class TestMean:
 
     def test_log_normal_mean_near_the_low_end_is_kept(self):
         assert mean(DistParams.log_normal(-700.0, 1.0)) == 1.6255858439919858e-304
+
+    def test_gumbel_mean_that_overflows_is_a_domain_error(self):
+        # 0.5*E[X] is a float, but E[X] is not
+        for call in (lambda: mean(DistParams.gumbel(1.7e308, 1e308)),
+                     lambda: quadrature_prob(DistParams.gumbel(1.7e308, 1e308), 0.5)):
+            with pytest.raises(DomainError, match=r"mu \+ beta\*gamma overflows"):
+                call()
+
+    @given(st.sampled_from(list(Family)), st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, sys.float_info.max, exclude_min=True))
+    @example(Family.GUMBEL, 1.7e308, 1e308)
+    @example(Family.LOG_NORMAL, 800.0, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_mean_is_a_float_or_a_domain_error(self, family, mu, scale):
+        assume(family is not Family.INVERSE_GAUSSIAN or mu > 0.0)
+        params = DistParams(family, mu, scale)
+        with warnings.catch_warnings(), contextlib.suppress(DomainError):
+            warnings.simplefilter("error", RuntimeWarning)
+            m = mean(params)
+            assert isinstance(m, float) and math.isfinite(m)
 
 
 class TestCdf:
@@ -436,23 +458,18 @@ class TestSample:
 
     @pytest.mark.parametrize("n", [1000, 65_535, 65_536, 65_537, 200_001, 10**6])
     def test_family_draws_are_each_members_sample_and_mc_prob_counts_them(self, n):
-        # three members of each family drawn from one stream: member i's
-        # blocks are sample(member i), and mc_prob counts sample's draws
+        # three members of each family counted in one stream: member i's count
+        # is that of sample(member i), and mc_prob counts sample's draws
         for params in ALL_PARAMS:
             members = [params, DistParams(params.family, 2.0 * params.p1, 0.5 * params.p2),
                        DistParams(params.family, params.p1, 3.0 * params.p2)]
-            blocks = [[] for _ in members]
-            for i, block in _draws(members, n, 123, {}):
-                assert block.size <= 65_536
-                blocks[i].append(block.copy())
-            for member, member_blocks in zip(members, blocks):
-                draws = sample(member, n, seed=123)
-                assert np.concatenate(member_blocks).tobytes() == draws.tobytes(), member
-            draws = sample(params, n, seed=123)
+            draws = [sample(member, n, seed=123) for member in members]
             for kappa in (0.5, 1.0, 2.0):
-                t_end = kappa * mean(params)
+                t_end = [kappa * mean(member) for member in members]
+                expected = [int(np.count_nonzero(x <= t)) for x, t in zip(draws, t_end)]
+                assert _count_below(members, t_end, n, 123, {}) == expected, (params, kappa)
                 p_hat, _ = mc_prob(params, kappa, n, 123)
-                assert p_hat == float(np.count_nonzero(draws <= t_end)) / n, (params, kappa)
+                assert p_hat == float(expected[0]) / n, (params, kappa)
 
     @settings(max_examples=40, deadline=None)
     @given(log_mu=st.floats(math.log(_IG_SAMPLE_MU[0]), math.log(_IG_SAMPLE_MU[1])),
@@ -481,6 +498,34 @@ class TestSample:
         draws = sample(params, n, seed)
         for (p_hat, _), t in zip(got, t_end):
             assert p_hat == float(np.count_nonzero(draws <= t)) / n, (mu, lam, t)
+
+    # every member and kappa that the checks accept: finite draws inside the
+    # support, and mc_prob's count of them; or a DomainError, never a warning
+    @given(st.sampled_from(list(Family)), st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0.0, sys.float_info.max, exclude_min=True),
+           st.floats(0.0, sys.float_info.max, exclude_min=True))
+    @example(Family.LOG_NORMAL, 709.0, 1.0, 1.0)  # exp overflows
+    @example(Family.LOG_NORMAL, -745.0, 1.0, 1.0)  # exp underflows to 0
+    @example(Family.GUMBEL, 0.0, 1e308, 1.0)  # beta*z overflows
+    @example(Family.LOGISTIC, 1e308, 1e308, 1.0)  # mu + beta*z overflows
+    @settings(max_examples=300, deadline=None)
+    def test_draws_and_counts_over_every_accepted_member(self, family, mu, scale, kappa):
+        assume(family is not Family.INVERSE_GAUSSIAN or mu > 0.0)
+        params = DistParams(family, mu, scale)
+        draws = p_hat = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.suppress(DomainError):
+                draws = sample(params, 1000, seed=1)
+            with contextlib.suppress(DomainError):
+                p_hat, _ = mc_prob(params, kappa, 1000, seed=1)
+        if draws is not None:
+            assert np.all(np.isfinite(draws))
+            if family in POSITIVE_SUPPORT:
+                assert np.all(draws > 0.0)
+        if p_hat is not None:
+            assert draws is not None
+            assert p_hat == float(np.count_nonzero(draws <= kappa * mean(params))) / 1000
 
     @pytest.mark.parametrize("params", ALL_PARAMS, ids=lambda p: p.family.value)
     def test_million_draw_count_holds_no_draw_array(self, params):

@@ -49,3 +49,15 @@ def test_moved_values_alone_exit_0(tmp_path, capsys):
     assert "moved.csv: 1 of 4 values changed, largest relative move 0.0211 at line 3" in out
     assert "new.txt: only in the working tree" in out
     assert "worded.txt: 0 of 2 values changed" in out
+
+
+def test_lists_each_line_on_one_side_only_where_rows_are_removed(tmp_path, capsys):
+    golden = _repo(tmp_path)
+    (golden / "moved.csv").write_text("kappa,value\n10,0.95\n")  # row 2 removed
+    (golden / "worded.txt").write_text("kappa 2 value 0.5\nall rows passed\nkappa 3 value 0.1\n")
+    assert golden_diff.main(["HEAD"], root=tmp_path) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["moved.csv: 3 -> 2 lines; on one side only:", "  - line 2: 2,0.8725850",
+                   "same.json: 0 of 2 values changed",
+                   "worded.txt: 2 -> 3 lines; on one side only:",
+                   "  + line 3: kappa 3 value 0.1"]

@@ -3,7 +3,9 @@ working tree, number by number.
 
 Each line is split into numbers and the text between them.  Where the text
 of a line differs, the tool names the first such line of the file and exits
-1.  Otherwise it prints, per file, how many numbers changed out of how many,
+1.  Where the line counts differ, as when rows are removed, it lists each
+line present at one side only, with its line number there, and exits 1.
+Otherwise it prints, per file, how many numbers changed out of how many,
 the largest relative move |new - old|/|old| with its line and both values,
 and the lines that hold a changed number.  A file present at only one of
 the two is listed as such.
@@ -20,6 +22,7 @@ under a temporary directory, the other from the working tree's ``src``.
 from __future__ import annotations
 
 import argparse
+import difflib
 import math
 import os
 import re
@@ -56,6 +59,15 @@ def _ranges(lines: list[int]) -> str:
 def compare(name: str, old: str, new: str) -> tuple[str, bool]:
     """(the report of one file, whether its text outside the numbers matches)."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        report = [f"{name}: {len(old_lines)} -> {len(new_lines)} lines; on one side only:"]
+        matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag == "equal":
+                continue
+            report += [f"  - line {i + 1}: {old_lines[i]}" for i in range(i1, i2)]
+            report += [f"  + line {j + 1}: {new_lines[j]}" for j in range(j1, j2)]
+        return "\n".join(report), False
     total = changed = 0
     worst = None  # (relative move, line, old, new)
     moved = []
@@ -74,9 +86,6 @@ def compare(name: str, old: str, new: str) -> tuple[str, bool]:
             rel = abs(fy - fx) / abs(fx) if fx else (0.0 if fy == 0.0 else math.inf)
             if worst is None or rel > worst[0]:
                 worst = (rel, number, x, y)
-    if len(old_lines) != len(new_lines):
-        number = min(len(old_lines), len(new_lines)) + 1
-        return f"{name}: line {number}: present on one side only", False
     report = f"{name}: {changed} of {total} values changed"
     if worst is not None:
         report += (f", largest relative move {worst[0]:.3g} at line {worst[1]} "
