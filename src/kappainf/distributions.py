@@ -106,8 +106,9 @@ class DistParams:
 
 def mean(params: DistParams) -> float:
     """E[X]: mu / exp(mu + sigma^2/2) / mu + beta*gamma / mu per family; a
-    log-normal mean that overflows or underflows to 0, or a Gumbel mean that
-    overflows, is a DomainError."""
+    log-normal mean that overflows or is not a normal float (below DBL_MIN,
+    where it keeps fewer than 53 bits), or a Gumbel mean that overflows, is a
+    DomainError."""
     p1, p2 = params.p1, params.p2
     if params.family is Family.INVERSE_GAUSSIAN:
         return p1
@@ -117,8 +118,8 @@ def mean(params: DistParams) -> float:
             m = math.exp(log_mean)
         except OverflowError:
             m = math.inf
-        if not 0.0 < m < math.inf:
-            raise DomainError(f"exp(mu + sigma^2/2) is not a positive float: "
+        if not sys.float_info.min <= m < math.inf:
+            raise DomainError(f"exp(mu + sigma^2/2) is not a normal positive float: "
                               f"mu + sigma^2/2 = {log_mean!r}")
         return m
     if params.family is Family.GUMBEL:

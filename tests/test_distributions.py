@@ -98,6 +98,17 @@ class TestMean:
     def test_log_normal_mean_near_the_low_end_is_kept(self):
         assert mean(DistParams.log_normal(-700.0, 1.0)) == 1.6255858439919858e-304
 
+    @pytest.mark.parametrize("mu", [-745.0, -720.0])
+    def test_log_normal_mean_below_dbl_min_is_a_domain_error(self, mu):
+        # a subnormal E[X] keeps fewer than 53 bits: at sigma = 1 and kappa = 1,
+        # cdf at kappa*mean and quadrature_prob missed the curve's 0.6915 by
+        # 2.1e-2 (mu = -745, E[X] rounds to 5e-324) and 3.6e-13 (mu = -720)
+        params = DistParams.log_normal(mu, 1.0)
+        for call in (lambda: mean(params), lambda: cdf(params, 1.0 * mean(params)),
+                     lambda: quadrature_prob(params, 1.0)):
+            with pytest.raises(DomainError, match=r"mu \+ sigma\^2/2 = "):
+                call()
+
     def test_gumbel_mean_that_overflows_is_a_domain_error(self):
         # 0.5*E[X] is a float, but E[X] is not
         for call in (lambda: mean(DistParams.gumbel(1.7e308, 1e308)),

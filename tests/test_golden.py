@@ -105,7 +105,7 @@ HELP_CASES = {"help.txt": ["--help"], "help-infimum.txt": ["infimum", "--help"]}
 # the only budget that draws 1e6 samples per Monte Carlo case, through many
 # sampler chunks and on every worker thread
 VERIFY_FULL_ARGS = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
-VERIFY_FULL_SHA256 = "0616cfa778fa5e3843773993ff35d3b1f41398e84da911c23e95cad683e4c6f3"
+VERIFY_FULL_SHA256 = "dab66d5e11f3c3bd3cc0f1d7dc93cd291f5bb28cf84cc2312f14f42a85fba828"
 
 
 def _run(args):

@@ -53,7 +53,9 @@ X0_40_DIGITS = {
     1.0001: "70.70891077141504586716179694981337464949",
     1.01: "7.053797013519104062839855892626031929052",
     1.1: "2.190392438103747301986900241934830848478",
+    1.4059468945528903: "1.048764453147883680409946781201507321637",
     1.5: "0.9383811959266877884126843489350609785672",
+    1.5057571256188411: "0.9326594459896083614857263188930610571847",
     2.0: "0.6479001883889422755910816310386361771626",
     3.0: "0.4486279021122863870020820183078239334028",
     10.0: "0.2060788682481367076009652835107304959759",
@@ -67,6 +69,23 @@ X0_40_DIGITS = {
     1e100: "6.120031809624807557017803282297067380665e-51",
     1e150: "6.120031809624807664324283529251537559456e-76",
     1.3407807929942596e154: "5.285362627045951683768446699960752399262e-78",
+}
+# frozen 40-digit mpmath values of D(s) = 1 - sqrt(pi)*s*erfcx(s) at the double s
+# given, from both ends of [1e-3, 1e8] and s = 1-3, where that direct form cancels
+D_40_DIGITS = {
+    0.001: "0.9982295443779730806698183109440659498963",
+    0.05: "0.9161638152191365800946060597257308814814",
+    0.37: "0.5481886118659073350680445906197267928692",
+    0.8: "0.3064734217210666854599499759741080537699",
+    1.5: "0.1450070353157362676274348088241318827735",
+    2.5: "0.06588862056108970941355708787904675510534",
+    2.61: "0.06127269029032726367934182344424917345049",
+    2.75: "0.05604289710825726387235976767880291248328",
+    3.0: "0.04818616081607476818532264992401140013111",
+    10.0: "0.004926812175530252619262803218755363483238",
+    1000.0: "4.999992500018749934375295310875791807343e-7",
+    1e5: "4.99999999925000000018749999993437500003e-11",
+    1e8: "4.9999999999999992500000000000001875e-17",
 }
 # y* = lim x0*sqrt(kappa-1) as kappa -> inf, sqrt(2)*s1 with D(s1) = 1/2
 Y_STAR_40_DIGITS = "0.6120031809624807605680903010662194859034"
@@ -190,14 +209,18 @@ class TestCriticalPoint:
             assert abs(value - 0.5 - math.sqrt(e / math.pi)) <= 4.4e-16, j
 
     def test_d_is_positive_decreasing_and_convex(self):
-        # the facts that let Newton run without a bracket, on both sides of
-        # the s = 3 switch to the continued fraction
+        # the facts that let Newton run without a bracket
         s = np.geomspace(1e-3, 1e8, 20_001)
-        assert s[0] < curves._CF_FROM < s[-1]
         d, slope = np.array([curves._ig_d(float(x), slope=True) for x in s]).T
         assert np.all(d > 0.0)
         assert np.all(slope < 0.0)
         assert np.all(np.diff(slope) >= 0.0)
+
+    def test_d_against_frozen_40_digit_references(self):
+        errors = {s: abs(Fraction(curves._ig_d(s)) / Fraction(ref) - 1)
+                  for s, ref in D_40_DIGITS.items()}
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 4e-16, (worst, float(errors[worst]))
 
     def test_iteration_cap_raises(self, monkeypatch):
         # a kernel whose Newton steps never shrink: D = 0 with slope -1 moves
@@ -231,7 +254,7 @@ class TestCriticalPoint:
         errors = {kappa: abs(Fraction(ig_critical_point(kappa)) / Fraction(ref) - 1)
                   for kappa, ref in X0_40_DIGITS.items()}
         worst = max(errors, key=errors.get)
-        assert errors[worst] <= 2e-15, (worst, float(errors[worst]))
+        assert errors[worst] <= 1e-15, (worst, float(errors[worst]))
 
 
 def reference_critical_point(kappa):

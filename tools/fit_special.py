@@ -1,5 +1,5 @@
 """Regenerate the coefficient literals of the Phi/erfcx kernels in
-``kappainf.special``.
+``kappainf.special`` and of the D(s) kernel ``kappainf.curves._ig_d``.
 
 The pieces have the forms of W. J. Cody, "Rational Chebyshev approximations
 for the error function", Math. Comp. 23 (1969) 631-637:
@@ -13,22 +13,31 @@ Phi(z) = erfc(-z/sqrt(2))/2 uses A below |z|/sqrt(2) = 1/2 and B from
 there; erfcx needs no A, since B starts at 0, where its constant terms are
 made equal so that erfcx(0) is exactly 1.
 
-Each piece is fitted in 40-digit mpmath to least maximum relative error
-(of erf(x)/x, of erfcx, and of (x*erfcx(x) - 1/sqrt(pi))/z) on Chebyshev
-nodes, by Lawson's iteratively reweighted linear least squares around a
-Sanathanan-Koerner linearization; Q is then scaled to be monic, so its
-leading coefficient costs no multiply.  The script prints the tuples, highest
-degree first, ready to replace those in ``special.py``, and the worst
-relative error of erf and erfcx on a fine grid of each piece once the
-coefficients are rounded to doubles (exact arithmetic; the rounding of the
-kernel's own operations comes on top of it).
+``_ig_d`` takes D(s) = 1 - sqrt(pi)*s*erfcx(s) from the tail t2 of the
+continued fraction sqrt(pi)*erfcx(s) = 1/(s + t), t = (1/2)/(s + t2), by one
+rational in u = 1/(1 + s) over all of s >= 0:
+
+    T  0 < u <= 1      (s + 1)*t2(s) = P(u) / Q(u)            degrees 11/11
+
+with equal constant terms, as (s + 1)*t2 -> 1 as s -> inf.
+
+Each piece is fitted in 40-digit mpmath to least maximum relative error (of
+erf(x)/x, of erfcx, of (x*erfcx(x) - 1/sqrt(pi))/z and of (s + 1)*t2) on
+Chebyshev nodes, 160 for A, B and C and 200 for T, by Lawson's iteratively
+reweighted linear least squares around a Sanathanan-Koerner linearization;
+Q is then scaled to be monic, so its leading coefficient costs no multiply.
+The script prints the tuples, highest degree first, ready to replace those
+in ``special.py`` and ``curves.py``, and the worst relative error of each
+piece on a fine grid once the coefficients are rounded to doubles (exact
+arithmetic; the rounding of the kernel's own operations comes on top of
+it).
 
 Run from the repository root (mpmath is not a dependency of the package; it
 is installed with sympy):
 
     python tools/fit_special.py
 
-It takes about 20 seconds on one core (Python 3.11, mpmath 1.3).
+It takes about 30 seconds on one core (Python 3.11, mpmath 1.3).
 """
 
 from __future__ import annotations
@@ -59,17 +68,29 @@ def tail_ratio(z):
     return (x * erfcx(x) - 1 / SQRT_PI) / z
 
 
+def t2_scaled(u):
+    """(s + 1)*t2(s) at u = 1/(1 + s); 1 at u = 0.  t = 1/(sqrt(pi)*erfcx(s)) - s
+    and t2 = 1/(2t) - s each lose ~2 log10(s) digits, so they get 40 more."""
+    if not u:
+        return mp.mpf(1)
+    with mp.workdps(mp.mp.dps + 40):
+        s = 1 / u - 1
+        t = 1 / (mp.sqrt(mp.pi) * erfcx(s)) - s
+        scaled = (s + 1) * (1 / (2 * t) - s)
+    return +scaled
+
+
 def chebyshev_nodes(a, b, n):
     return [(a + b) / 2 + (b - a) / 2 * mp.cos(mp.pi * (2 * i + 1) / (2 * n)) for i in range(n)]
 
 
-def fit(f, a, b, n_num, n_den):
+def fit(f, a, b, n_num, n_den, nodes=NODES):
     """(p, q) lowest degree first, Q(0) = 1, with the least maximum relative
     error of P/Q against f over the nodes that the iterations reached."""
-    ts = chebyshev_nodes(mp.mpf(a), mp.mpf(b), NODES)
+    ts = chebyshev_nodes(mp.mpf(a), mp.mpf(b), nodes)
     fs = [f(t) for t in ts]
-    weights = [mp.mpf(1) / NODES] * NODES
-    q_prev = [mp.mpf(1)] * NODES
+    weights = [mp.mpf(1) / nodes] * nodes
+    q_prev = [mp.mpf(1)] * nodes
     best = None
     for _ in range(ITERATIONS):
         rows, rhs = [], []
@@ -120,6 +141,8 @@ def main() -> None:
     p_b, q_b = as_doubles(*fit(erfcx, 0, 4, 8, 8))
     q_b[-1] = p_b[-1]  # erfcx(0) = 1 exactly
     p_c, q_c = as_doubles(*fit(tail_ratio, 0, 1 / mp.mpf(16), 4, 5))
+    p_t, q_t = as_doubles(*fit(t2_scaled, 0, 1, 11, 11, nodes=200))
+    q_t[-1] = p_t[-1]  # (s + 1)*t2 -> 1 as s -> inf
 
     errors = {
         "A erf": worst_on_grid(lambda x: x * horner(erf_a, x * x), mp.erf, 1e-3, 0.5),
@@ -127,13 +150,15 @@ def main() -> None:
         "C erfcx": worst_on_grid(
             lambda x: (mp.mpf(float(1 / SQRT_PI)) + horner(p_c, 1 / x**2) / horner(q_c, 1 / x**2) / x**2) / x,
             erfcx, 4, 400),
+        "T (s+1)*t2": worst_on_grid(lambda u: horner(p_t, u) / horner(q_t, u), t2_scaled, 0, 1),
     }
     print("# Generated by tools/fit_special.py; worst relative error with the")
     print("# coefficients rounded to doubles, in exact arithmetic:")
     for name, err in errors.items():
         print(f"#   {name}: {mp.nstr(err, 2)}")
     for name, coeffs in [("_ERF_SMALL", erf_a), ("_ERFCX_NEAR_P", p_b), ("_ERFCX_NEAR_Q", q_b[1:]),
-                         ("_ERFCX_TAIL_P", p_c), ("_ERFCX_TAIL_Q", q_c[1:])]:
+                         ("_ERFCX_TAIL_P", p_c), ("_ERFCX_TAIL_Q", q_c[1:]),
+                         ("_T2_P", p_t), ("_T2_Q", q_t[1:])]:
         print(literal(name, coeffs))
 
 
