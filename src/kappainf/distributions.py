@@ -13,11 +13,11 @@ uses a fixed transformation of that stream:
   quadratic in a form that nothing cancels, then a uniform to pick between
   the root and its conjugate, since this CDF has no closed-form inverse.
 
-Each block of 65,536 draws is a standard draw of the family (the inverse
-Gaussian's normals, then its uniforms; the log-normal's normals; the
-parameter-free part of the Gumbel and logistic transforms) and a transform
-per member, so members drawn from one seed share one stream (``_draw_blocks``:
-``sample`` picks its inverse Gaussian draws, ``_count_below`` counts them).
+Members of a family share its blocks of 65,536 raw draws, and each maps them
+to its draws (``_draw_map``).  A log-normal, Gumbel or logistic member's draws
+<= t are its raw draws <= one threshold (``_raw_threshold``) if np.exp, np.log
+and np.log1p are non-decreasing, as a probe of 60 windows of 2^20 consecutive
+floats each found (numpy 2.4, x86-64): then so is each map, of monotone steps.
 """
 
 from __future__ import annotations
@@ -345,102 +345,146 @@ def _buffer(store: dict, name: str, size: int, dtype=float) -> np.ndarray:
     return buf[:size]
 
 
-def _draw_blocks(members: list, n: int, seed: int, store: dict, out: np.ndarray | None = None):
-    """Yield (i, x, odds) for each block of at most _CHUNK draws and each
-    member i.  For the inverse Gaussian, x is the block's d >= 1 and odds its
-    u/(1 - u): the draws are mu/d where odds <= d and mu*d elsewhere (``sample``
-    picks them, ``_count_below`` counts them); for the other families x holds
-    the draws and odds is None.
-    x is in ``store``'s buffers, which the next step overwrites, or in ``out``
-    (from ``sample``).  n is unchecked; the seed and domains are checked on
-    the first step.  The steps keep the plain formulas' order (in the
-    comments), so the draws keep their bits whatever the blocks."""
+def _raw_blocks(members: list, n: int, seed: int, store: dict):
+    """Yield (s, w, odds) per block of at most _CHUNK draws from draw s, in
+    ``store``'s buffers: the raw draws w (the inverse Gaussian's y = z^2, the
+    log-normal's normals, the uniforms j*2^-53) and the inverse Gaussian's
+    u/(1 - u), else None.  n is unchecked; the first step checks the seed and
+    the members' domains."""
     rng = np.random.default_rng(require_count("seed", seed))
     for params in members:
         _check_sampler(params)
     family, size = members[0].family, min(n, _CHUNK)
     for s in range(0, n, _CHUNK):
         m = min(n - s, _CHUNK)
-        w = _buffer(store, "w", size)[:m]
-        x = _buffer(store, "x", size)[:m] if out is None else out[s:s + m]
-        # the block's standard draws, shared by the members
-        odds = None
+        w, odds = _buffer(store, "w", size)[:m], None
         if family is Family.INVERSE_GAUSSIAN:
             rng.standard_normal(out=w)
             w *= w  # y = z^2, chi-square
-            odds = _buffer(store, "u", size)[:m]
+            odds, b = _buffer(store, "u", size)[:m], _buffer(store, "b", size)[:m]
             rng.random(out=odds)
-            np.subtract(1.0, odds, out=x)
-            odds /= x  # u/(1 - u)
+            np.subtract(1.0, odds, out=b)
+            odds /= b  # u/(1 - u)
         elif family is Family.LOG_NORMAL:
             rng.standard_normal(out=w)
         else:
             rng.random(out=w)
-            np.maximum(w, 5e-324, out=w)  # keep inverse transforms finite
-            if family is Family.GUMBEL:
-                np.log(w, out=w)
-                np.negative(w, out=w)
-                np.log(w, out=w)
-            else:
-                np.negative(w, out=x)
-                np.log1p(x, out=x)
-                np.log(w, out=w)
-                w -= x
-        for i, params in enumerate(members):
-            p1, p2 = params.p1, params.p2
-            if family is not Family.INVERSE_GAUSSIAN:
-                np.multiply(w, p2, out=x)
-            if family is Family.LOG_NORMAL:
-                x += p1
-                np.exp(x, out=x)  # exp(p1 + p2*z)
-            elif family is Family.GUMBEL:
-                np.subtract(p1, x, out=x)  # p1 - p2*log(-log(u))
-            elif family is Family.LOGISTIC:
-                x += p1  # p1 + p2*(log(u) - log1p(-u))
-            else:
-                b, c = _buffer(store, "b", m), _buffer(store, "c", m)
-                np.multiply(w, 0.5 * p1 / p2, out=x)  # x = p1*y/(2*p2)
-                np.add(x, 2.0, out=b)
-                np.sqrt(b, out=b)
-                np.sqrt(x, out=c)
-                c *= b
-                x += 1.0
-                x += c  # d = 1 + x + sqrt(x)*sqrt(x + 2); the roots are p1/d and p1*d
-            yield i, x, odds
+        yield s, w, odds
+
+
+def _draw_map(params: DistParams, w: np.ndarray, x: np.ndarray, store: dict) -> np.ndarray:
+    """x, holding the draws of member ``params`` from the raw draws w, which
+    it keeps; for the inverse Gaussian its d >= 1, the draws being mu/d where
+    odds <= d and mu*d elsewhere.  The steps keep the plain formulas' order
+    (in the comments), so the draws keep their bits whatever the blocks."""
+    family, p1, p2 = params.family, params.p1, params.p2
+    if family is Family.INVERSE_GAUSSIAN:
+        b, c = _buffer(store, "b", x.size), _buffer(store, "c", x.size)
+        np.multiply(w, 0.5 * p1 / p2, out=x)  # x = p1*y/(2*p2)
+        np.add(x, 2.0, out=b)
+        np.sqrt(b, out=b)
+        np.sqrt(x, out=c)
+        c *= b
+        x += 1.0
+        x += c  # d = 1 + x + sqrt(x)*sqrt(x + 2); the roots are p1/d and p1*d
+    elif family is Family.LOG_NORMAL:
+        np.multiply(w, p2, out=x)
+        x += p1
+        np.exp(x, out=x)  # exp(p1 + p2*z)
+    else:
+        np.maximum(w, 5e-324, out=x)  # keep inverse transforms finite
+        if family is Family.GUMBEL:
+            np.log(x, out=x)
+            np.negative(x, out=x)
+            np.log(x, out=x)
+            x *= p2
+            np.subtract(p1, x, out=x)  # p1 - p2*log(-log(u))
+        else:
+            c = _buffer(store, "c", x.size)
+            np.negative(x, out=c)
+            np.log1p(c, out=c)
+            np.log(x, out=x)
+            x -= c
+            x *= p2
+            x += p1  # p1 + p2*(log(u) - log1p(-u))
+    return x
+
+
+# A raw draw's rank: its place in the float order for the log-normal's normals
+# (``_flip`` maps a float's int64 bits to it and back), j (floored) for the
+# uniforms j*2^-53.  ``_raw`` takes int64 ranks back to raw draws.
+def _flip(k):
+    return k ^ ((k >> 63) & (2**63 - 1))
+
+
+def _rank(family: Family, x: float) -> int:
+    return _flip(int(np.float64(x).view(np.int64))) if family is Family.LOG_NORMAL else int(x * 2**53)
+
+
+def _raw(family: Family, k: np.ndarray) -> np.ndarray:
+    return _flip(k).view(float) if family is Family.LOG_NORMAL else k * 2.0**-53
+
+
+def _raw_threshold(params: DistParams, t: float) -> float:
+    """The largest raw draw of a location-scale member whose draw is <= t
+    (-inf or -2^-53 if none), by ``_draw_map`` calls at the ranks next to the
+    analytic inverse, then at 63 evenly spaced ranks until two neighbours
+    bracket t."""
+    family = params.family
+    if family is Family.LOG_NORMAL:
+        lo, hi = _rank(family, -math.inf), _rank(family, math.inf)
+        guess = ((math.log(t) if t > 0.0 else -math.inf) - params.p1) / params.p2
+    else:
+        lo, hi, guess = -1, 2**53, cdf(params, t)
+    ranks = range(_rank(family, guess) - 8, _rank(family, guess) + 9)
+    while hi - lo > 1:
+        k = np.array([j for j in ranks if lo < j < hi], dtype=np.int64)
+        with np.errstate(over="ignore"):  # an overflowing draw is an inf, above t
+            below = int(np.count_nonzero(
+                _draw_map(params, _raw(family, k), np.empty(k.size), {}) <= t))
+        lo, hi = (int(k[below - 1]) if below else lo), (int(k[below]) if below < k.size else hi)
+        ranks = [lo + (hi - lo) * j // 64 for j in range(1, 64)]
+    return float(_raw(family, np.array([lo]))[0])
 
 
 def _count_below(members: list, t_end: list, n: int, seed: int, store: dict) -> list[int]:
     """How many of ``sample(members[i], n, seed)`` are <= t_end[i], per member
     i, from one pass over the family's stream with block buffers in ``store``.
 
-    Inverse Gaussian draws are counted without being picked.  Each is
-    fl(mu/d) where odds <= d, else fl(mu*d), with d >= 1; as rounding is
-    monotone, fl(mu/d) <= mu <= fl(mu*d).  So at t >= mu every mu/d counts
-    and a mu*d counts where fl(mu*d) <= t, and at t < mu no mu*d counts and
-    a mu/d counts where fl(mu/d) <= t: the count of the draws."""
+    A location-scale member's count is that of its raw draws <= its
+    ``_raw_threshold``.  Inverse Gaussian draws are counted without being
+    picked.  Each is fl(mu/d) where odds <= d, else fl(mu*d), with d >= 1; as
+    rounding is monotone, fl(mu/d) <= mu <= fl(mu*d).  So at t >= mu every
+    mu/d counts and a mu*d counts where fl(mu*d) <= t, and at t < mu no mu*d
+    counts and a mu/d counts where fl(mu/d) <= t: the count of the draws."""
+    if members[0].family is not Family.INVERSE_GAUSSIAN:
+        t_end = [_raw_threshold(params, t) for params, t in zip(members, t_end)]
     hits = [0] * len(members)
-    for i, x, odds in _draw_blocks(members, n, seed, store):
-        t, below = t_end[i], _buffer(store, "below", x.size, bool)
-        if odds is None:
-            np.less_equal(x, t, out=below)
-        else:
-            p1, root = members[i].p1, _buffer(store, "b", x.size)
-            also = _buffer(store, "also", x.size, bool)
-            np.less_equal(odds, x, out=below)  # the draw is p1/d
-            if t >= p1:
-                np.less_equal(np.multiply(p1, x, out=root), t, out=also)
-                below |= also
+    for _, w, odds in _raw_blocks(members, n, seed, store):
+        below = _buffer(store, "below", w.size, bool)
+        for i, (params, t) in enumerate(zip(members, t_end)):
+            if odds is None:
+                np.less_equal(w, t, out=below)
             else:
-                np.less_equal(np.divide(p1, x, out=root), t, out=also)
-                below &= also
-        hits[i] += np.count_nonzero(below)
+                p1, root = params.p1, _buffer(store, "b", w.size)
+                x = _draw_map(params, w, _buffer(store, "x", w.size), store)
+                also = _buffer(store, "also", w.size, bool)
+                np.less_equal(odds, x, out=below)  # the draw is p1/d
+                if t >= p1:
+                    np.less_equal(np.multiply(p1, x, out=root), t, out=also)
+                    below |= also
+                else:
+                    np.less_equal(np.divide(p1, x, out=root), t, out=also)
+                    below &= also
+            hits[i] += np.count_nonzero(below)
     return hits
 
 
 def sample(params: DistParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws; identical output for identical (params, n, seed)."""
     out, store = np.empty(require_count("n", n)), {}
-    for _, x, odds in _draw_blocks([params], out.size, seed, store, out):
+    for s, w, odds in _raw_blocks([params], out.size, seed, store):
+        x = _draw_map(params, w, out[s:s + w.size], store)
         if odds is not None:
             # p1/d is kept where u <= p1/(p1 + p1/d), i.e. odds <= d
             keep, root = _buffer(store, "keep", x.size, bool), _buffer(store, "b", x.size)

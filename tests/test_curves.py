@@ -271,21 +271,16 @@ class TestStationarity:
             assert scalar.hex() == d.hex()
             assert ig_stationarity_scaled(kappa, x).hex() == value.hex()
 
-    def test_d_array_has_the_bits_of_float_calls_at_every_term_count(self):
-        # fractions of every length 6..52 (s = 140/(n - 5.5), s = 200 for 6 terms),
-        # the cut at s = 3 and one ulp to each side, +inf and near entries,
-        # shuffled, so an entry's term count does not follow from its place
+    def test_d_array_has_the_bits_of_float_calls(self):
+        # log-uniform s in [1e-3, 1e8], 0 and +inf, and slices of them
         rng = np.random.default_rng(29)
-        tail = [140.0 / (n - 5.5) for n in range(7, 52)] + [200.0, math.inf]
-        cut = [math.nextafter(3.0, 0.0), 3.0, math.nextafter(3.0, 4.0)]
-        s = rng.permutation([*tail, *cut, *rng.uniform(0.01, 3.0, 40)])
-        assert {6 + int(140.0 / v) for v in s if v >= 3.0} == set(range(6, 53))
-        for arr in (s, s[:0], s[s < 3.0], s[s >= 3.0]):
-            assert [d.hex() for d in _ig_d(arr).tolist()] == [_ig_d(v).hex() for v in arr.tolist()]
-        # an array runs every tail entry to its smallest entry's 52 terms: with
-        # s = 3 in it, 20,000 log-uniform entries in [3, 1e6] keep their bits
-        wide = np.r_[np.exp(rng.uniform(math.log(3.0), math.log(1e6), 20_000)), 3.0]
-        assert _ig_d(wide).tobytes() == np.array([_ig_d(v) for v in wide.tolist()]).tobytes()
+        s = rng.permutation(
+            np.r_[np.exp(rng.uniform(math.log(1e-3), math.log(1e8), 20_000)), 0.0, math.inf])
+        for arr in (s, s[:0], s[:1], s[s < 1.0], s[s >= 1.0]):
+            assert _ig_d(arr).tobytes() == np.array([_ig_d(v) for v in arr.tolist()]).tobytes()
+            floats = [_ig_d(v, slope=True) for v in arr.tolist()]
+            for array, float_values in zip(_ig_d(arr, slope=True), zip(*floats)):
+                assert array.tobytes() == np.array(float_values).tobytes()
 
     @pytest.mark.parametrize("kappa", [1e-300, 0.5, 2.0, 1e100])
     def test_tiny_coordinates_are_finite_limits(self, kappa):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from kappainf import oracles
+from kappainf import oracles, verification
 from kappainf import (
     DistParams,
     DomainError,
@@ -25,8 +25,9 @@ from kappainf import (
     reduced_prob,
     sample,
 )
-from kappainf.distributions import (_IG_SAMPLE_MU, _IG_SAMPLE_RATIO_MAX, POSITIVE_SUPPORT,
-                                    _count_below)
+from kappainf.distributions import (_IG_SAMPLE_MU, _IG_SAMPLE_RATIO_MAX, _LOG_MAX, _LOG_MIN,
+                                    POSITIVE_SUPPORT, _count_below, _draw_map, _rank, _raw,
+                                    _raw_threshold)
 
 # 50-digit quadrature of the inverse Gaussian (mu=1, lambda=1) density over (0, 1]
 IG11_CDF_AT_1 = 0.6681020012231706
@@ -509,6 +510,64 @@ class TestSample:
         draws = sample(params, n, seed)
         for (p_hat, _), t in zip(got, t_end):
             assert p_hat == float(np.count_nonzero(draws <= t)) / n, (mu, lam, t)
+
+    @staticmethod
+    def _assert_counts_at_draws(params, n, seed, picks):
+        # t at drawn values and the floats next to them, at the smallest and
+        # largest draw, and below every draw; one member per t in one stream
+        draws = sample(params, n, seed)
+        xs = [float(draws[pick % n]) for pick in picks] + [float(draws.min()), float(draws.max())]
+        t_end = [x for v in xs for x in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))
+                 if math.isfinite(x)]
+        expected = [int(np.count_nonzero(draws <= t)) for t in t_end]
+        assert _count_below([params] * len(t_end), t_end, n, seed, {}) == expected, params
+
+    CHUNK_EDGES = st.sampled_from([1, 65_535, 65_536, 65_537, 131_073])
+    PICKS = st.lists(st.integers(0, 2**32), min_size=1, max_size=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log_sigma=st.floats(math.log(5e-324), math.log(70.9)),  # the sampler's sigma < 70.91
+           where=st.floats(0.0, 1.0), n=CHUNK_EDGES, seed=st.integers(0, 2**32), picks=PICKS)
+    @example(log_sigma=math.log(0.1), where=1.0, n=65_537, seed=1, picks=[0])  # mu ~ 708
+    @example(log_sigma=math.log(5e-324), where=0.5, n=1, seed=2, picks=[0])
+    def test_log_normal_count_is_the_count_of_sample(self, log_sigma, where, n, seed, picks):
+        # the count compares the raw normals with one threshold per member
+        sigma = math.exp(log_sigma)
+        lo, hi = _LOG_MIN + 10.0 * sigma, _LOG_MAX - 10.0 * sigma
+        params = DistParams.log_normal(min(max(lo + where * (hi - lo), lo), hi), sigma)
+        self._assert_counts_at_draws(params, n, seed, picks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from([Family.GUMBEL, Family.LOGISTIC]),
+           mu=st.floats(allow_nan=False, allow_infinity=False),
+           beta=st.floats(0.0, sys.float_info.max, exclude_min=True),
+           n=CHUNK_EDGES, seed=st.integers(0, 2**32), picks=PICKS)
+    @example(family=Family.GUMBEL, mu=1e15, beta=1.0, n=65_537, seed=1, picks=[0, 1])
+    @example(family=Family.LOGISTIC, mu=-1e15, beta=1.0, n=65_537, seed=1, picks=[0, 1])
+    @example(family=Family.LOGISTIC, mu=0.0, beta=5e-324, n=65_536, seed=3, picks=[7])
+    def test_gumbel_and_logistic_counts_are_the_counts_of_sample(self, family, mu, beta, n,
+                                                                 seed, picks):
+        # the count compares the raw uniforms with one threshold per member
+        params = DistParams(family, mu, beta)
+        try:
+            sample(params, 1, seed)
+        except DomainError:
+            assume(False)  # outside the sampler's domain
+        self._assert_counts_at_draws(params, n, seed, picks)
+
+    def test_draw_maps_are_non_decreasing_at_the_verify_thresholds(self):
+        # the threshold counts hold where np.exp, np.log and np.log1p are
+        # non-decreasing: check the draws of the 2^16 raw draws on each side
+        # of every verify Monte Carlo case's threshold
+        for params, kappa in verification._MC_CASES:
+            if params.family is Family.INVERSE_GAUSSIAN:
+                continue
+            t = kappa * mean(params)
+            end = _rank(params.family, _raw_threshold(params, t))
+            raw = _raw(params.family, end + np.arange(-2**16, 2**16 + 1))
+            x = _draw_map(params, raw, np.empty(raw.size), {})
+            assert np.all(np.diff(x) >= 0.0), params
+            assert x[2**16] <= t < x[2**16 + 1], params
 
     # every member and kappa that the checks accept: finite draws inside the
     # support, and mc_prob's count of them; or a DomainError, never a warning

@@ -61,3 +61,16 @@ def test_lists_each_line_on_one_side_only_where_rows_are_removed(tmp_path, capsy
                    "same.json: 0 of 2 values changed",
                    "worded.txt: 2 -> 3 lines; on one side only:",
                    "  + line 3: kappa 3 value 0.1"]
+
+
+def test_a_table_number_whose_text_changed_length_is_a_moved_value(tmp_path, capsys):
+    # the column padding after the number takes up its longer text
+    golden = _repo(tmp_path)
+    (golden / "table.txt").write_text("kappa  value\n2      0.063868427494872  ok\n")
+    subprocess.run(["git", "-C", str(tmp_path), "add", "-A"], check=True)
+    subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                    "commit", "-q", "-m", "table"], check=True)
+    (golden / "table.txt").write_text("kappa  value\n2      0.0638684274948719 ok\n")
+    assert golden_diff.main(["HEAD"], root=tmp_path) == 0
+    assert ("table.txt: 1 of 2 values changed, largest relative move 1.52e-15 at line 2 "
+            "(0.063868427494872 -> 0.0638684274948719); lines 2") in capsys.readouterr().out

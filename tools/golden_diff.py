@@ -1,9 +1,10 @@
 """What a regeneration moved: each golden file at a git revision against the
 working tree, number by number.
 
-Each line is split into numbers and the text between them.  Where the text
-of a line differs, the tool names the first such line of the file and exits
-1.  Where the line counts differ, as when rows are removed, it lists each
+Each line is split into numbers and the text between them, in which a run
+of whitespace counts as one space, so that a table's column padding may take
+up a number text whose length changed.  Where the text of a line differs,
+the tool names the first such line of the file and exits 1.  Where the line counts differ, as when rows are removed, it lists each
 line present at one side only, with its line number there, and exits 1.
 Otherwise it prints, per file, how many numbers changed out of how many,
 the largest relative move |new - old|/|old| with its line and both values,
@@ -34,6 +35,7 @@ from pathlib import Path
 GOLDEN = "tests/data/golden"
 VERIFY_FULL = ["verify", "--budget", "full", "--seed", "1", "--format", "json"]
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+SPACE = re.compile(r"\s+")
 
 
 def _git(root: Path, *args: str) -> str:
@@ -42,8 +44,9 @@ def _git(root: Path, *args: str) -> str:
 
 
 def _split(line: str) -> tuple[list[str], list[str]]:
-    """(the texts between the numbers, the numbers) of one line."""
-    return NUMBER.split(line), NUMBER.findall(line)
+    """(the texts between the numbers, whitespace runs as one space, and the
+    numbers) of one line."""
+    return [SPACE.sub(" ", text) for text in NUMBER.split(line)], NUMBER.findall(line)
 
 
 def _ranges(lines: list[int]) -> str:
